@@ -18,10 +18,9 @@ from .instances import (ConvergenceReport, Instance, ModelParams,
                         check_converging, gen_gaussian_instance, gen_instance,
                         gen_planted_instance, gen_rademacher_instance,
                         load_instance, measurement_count, save_instance)
-from .message_passing import (EdgeMessages, mp_estimate, quad_mp_step,
-                              reduced_mp_estimate, reduced_mp_step)
-from .priors import (DiscretePrior, delta_prior, sample, st_keep_prob, st_mse,
-                     three_point)
+from .message_passing import reduced_mp_estimate, reduced_mp_step
+from .priors import (DiscretePrior, delta_prior, sample_with_rng, st_keep_prob,
+                     st_mse, three_point)
 from .scalar_risk import (MinimaxResult, minimax_soft_threshold, mmse_estimate,
                           mmse_risk, risk_M, soft_threshold,
                           soft_threshold_derivative)

@@ -3,20 +3,23 @@
 The main iteration thresholds the pseudo-data ``x + A'r`` and corrects the
 residual with the memory term ``b * r_prev`` where ``b = ||x||_0 / m``;
 that correction is what keeps the effective noise Gaussian and makes the
-scalar state evolution exact in the high-dimensional limit.  The same
-machinery without the correction (iterative soft thresholding, IST) is
-provided as a baseline and as an independent LASSO reference solver.
+scalar state evolution exact in the high-dimensional limit.  Iterative
+soft thresholding (IST) is the same step with the memory term switched off,
+run on a co-scaled system; it serves as a baseline and as a LASSO reference
+solver.  One loop drives all three.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .gaussians import MEDIAN_ABS_GAUSS
 from .instances import Instance
-from .scalar_risk import soft_threshold, soft_threshold_derivative
+from .scalar_risk import soft_threshold
 
 RMS = "rms"
 MEDIAN = "median"
@@ -86,7 +89,7 @@ def estimate_tau(r: np.ndarray, mode: str = RMS) -> float:
     if m < 1:
         raise ValueError("residual must be nonempty")
     if mode == RMS:
-        return float(np.sqrt(np.dot(r, r) / m))
+        return math.sqrt(np.dot(r, r) / m)
     if mode == MEDIAN:
         k = (m - 1) // 2
         return float(np.partition(np.abs(r), k)[k] / MEDIAN_ABS_GAUSS)
@@ -98,56 +101,56 @@ def onsager_coefficient(x: np.ndarray, m: int) -> float:
     return float(np.count_nonzero(x)) / m
 
 
-def onsager_from_derivative(u: np.ndarray, theta: float, m: int) -> float:
-    """Debug alternative: b as the mean threshold derivative at the pseudo-data.
-
-    Identical to :func:`onsager_coefficient` applied to
-    ``soft_threshold(u, theta)`` because the kink derivative is 0.
-    """
-    return float(np.sum(soft_threshold_derivative(u, theta))) / m
-
-
 @dataclass
 class AmpState:
-    """Iteration state: estimate, residual, and the step's threshold data."""
+    """Iteration state: estimate, residual, and the step's threshold data.
+
+    ``memory`` switches the Onsager term ``b * r`` on (AMP) or off (IST).
+    """
 
     x: np.ndarray
     r: np.ndarray
-    r_prev: np.ndarray
     t: int
     tau_hat: float
     theta: float
     b: float
+    memory: bool = True
 
 
 def initial_state(instance: Instance, policy: ThresholdPolicy) -> AmpState:
-    """t=0 state: x = 0, r = y, no memory, threshold from the raw data."""
+    """t=0 state: x = 0, r = y, b = 0, threshold from the raw data."""
     tau0 = estimate_tau(instance.y, policy.tau_mode())
-    return AmpState(
-        x=np.zeros(instance.n), r=instance.y.copy(), r_prev=np.zeros(instance.m),
-        t=0, tau_hat=tau0, theta=policy.theta(0, tau0), b=0.0,
-    )
+    return AmpState(x=np.zeros(instance.n), r=instance.y.copy(), t=0,
+                    tau_hat=tau0, theta=policy.theta(0, tau0), b=0.0)
 
 
 def _check_blowup(x: np.ndarray, y: np.ndarray) -> None:
-    limit = _BLOWUP_FACTOR * max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
     peak = float(np.max(np.abs(x))) if x.size else 0.0
-    if not np.isfinite(peak) or peak > limit:
+    if math.isfinite(peak) and peak <= _BLOWUP_FACTOR:
+        return  # within the smallest possible limit; skip the scan of y
+    limit = _BLOWUP_FACTOR * max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
+    if not math.isfinite(peak) or peak > limit:
         raise NumericalBlowupError(f"|x| reached {peak:.3e} (limit {limit:.3e})")
 
 
 def amp_step(state: AmpState, instance: Instance, policy: ThresholdPolicy) -> AmpState:
-    """Advance one iteration: threshold the pseudo-data, refresh the residual."""
+    """Advance one iteration: threshold the pseudo-data, refresh the residual.
+
+    Without memory the residual is plain ``y - A x`` and ``b`` stays 0.
+    """
     u = state.x + instance.a.T @ state.r
     x_new = soft_threshold(u, state.theta)
     _check_blowup(x_new, instance.y)
-    b_new = onsager_coefficient(x_new, instance.m)
-    r_new = instance.y - instance.a @ x_new + b_new * state.r
+    r_new = instance.y - instance.a @ x_new
+    b_new = 0.0
+    if state.memory:
+        b_new = onsager_coefficient(x_new, instance.m)
+        r_new += b_new * state.r
     tau_new = estimate_tau(r_new, policy.tau_mode())
     t_new = state.t + 1
     return AmpState(
-        x=x_new, r=r_new, r_prev=state.r, t=t_new,
-        tau_hat=tau_new, theta=policy.theta(t_new, tau_new), b=b_new,
+        x=x_new, r=r_new, t=t_new, tau_hat=tau_new,
+        theta=policy.theta(t_new, tau_new), b=b_new, memory=state.memory,
     )
 
 
@@ -160,12 +163,15 @@ class TrajectoryPoint:
     theta: float
     b: float
     mse: float
-    kkt_gap: float | None = None
 
 
 @dataclass
 class SolverResult:
-    """Output of a solver run: final vectors plus the full trajectory."""
+    """Output of a solver run: final vectors plus the full trajectory.
+
+    For IST, ``r_hat`` is the residual of the co-scaled system ``(c A, c y)``
+    with ``c = scale``.
+    """
 
     x_hat: np.ndarray
     r_hat: np.ndarray
@@ -179,43 +185,59 @@ class SolverResult:
     scale: float = 1.0  # co-scaling factor applied to (A, y); 1 for AMP
 
 
-def _traj_point(instance: Instance, x, tau_hat, theta, b, t,
-                record_kkt: bool) -> TrajectoryPoint:
-    mse = float(np.mean((x - instance.x0) ** 2))
-    gap = None
-    if record_kkt:
-        lam = theta * max(1.0 - b, 0.0)
-        gap = lasso_kkt_gap(instance, x, lam) if lam > 0 else float("nan")
-    return TrajectoryPoint(t=t, tau_hat=tau_hat, theta=theta, b=b, mse=mse, kkt_gap=gap)
+def _iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: float,
+             memory: bool, observe: Callable[[AmpState], None] | None = None,
+             scale: float = 1.0) -> SolverResult:
+    """The iteration loop behind every solver: step until x settles.
+
+    ``memory`` selects AMP (on) or IST (off); ``observe`` is called with
+    the initial state and with every new state.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    state = replace(initial_state(instance, policy), memory=memory)
+    if observe is not None:
+        observe(state)
+    converged = False
+    for _ in range(max_iter):
+        new = amp_step(state, instance, policy)
+        if observe is not None:
+            observe(new)
+        dx = np.linalg.norm(new.x - state.x) / max(1.0, np.linalg.norm(state.x))
+        state = new
+        if dx < tol:
+            converged = True
+            break
+    return SolverResult(x_hat=state.x, r_hat=state.r, converged=converged,
+                        iterations=state.t, tau_hat=state.tau_hat,
+                        theta=state.theta, b=state.b,
+                        engine="amp" if memory else "ist", scale=scale)
+
+
+def _run_recorded(instance: Instance, policy: ThresholdPolicy, max_iter: int,
+                  tol: float, memory: bool, scale: float = 1.0) -> SolverResult:
+    """Run the loop with an observer that records a trajectory point per state."""
+    trajectory: list[TrajectoryPoint] = []
+
+    def observe(state: AmpState) -> None:
+        mse = float(np.mean((state.x - instance.x0) ** 2))
+        trajectory.append(TrajectoryPoint(t=state.t, tau_hat=state.tau_hat,
+                                          theta=state.theta, b=state.b, mse=mse))
+
+    result = _iterate(instance, policy, max_iter, tol, memory, observe, scale)
+    result.trajectory = trajectory
+    return result
 
 
 def amp_run(instance: Instance, policy: ThresholdPolicy, max_iter: int = 200,
-            tol: float = 1e-8, record_kkt: bool = False) -> SolverResult:
+            tol: float = 1e-8) -> SolverResult:
     """Iterate until the relative change of x drops below ``tol``.
 
     The stopping metric is ||x_{t+1} - x_t|| / max(1, ||x_t||); adaptive
     thresholds chase a moving regularization level until tau_hat settles,
     so the optimality gap is checked separately via :func:`lasso_kkt_gap`.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    state = initial_state(instance, policy)
-    traj = [_traj_point(instance, state.x, state.tau_hat, state.theta,
-                        state.b, 0, record_kkt)]
-    converged = False
-    for _ in range(max_iter):
-        new = amp_step(state, instance, policy)
-        traj.append(_traj_point(instance, new.x, new.tau_hat, new.theta,
-                                new.b, new.t, record_kkt))
-        dx = np.linalg.norm(new.x - state.x) / max(1.0, np.linalg.norm(state.x))
-        state = new
-        if dx < tol:
-            converged = True
-            break
-    return SolverResult(x_hat=state.x, r_hat=state.r, trajectory=traj,
-                        converged=converged, iterations=state.t,
-                        tau_hat=state.tau_hat, theta=state.theta, b=state.b,
-                        engine="amp")
+    return _run_recorded(instance, policy, max_iter, tol, memory=True)
 
 
 def operator_norm(a: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 100000,
@@ -251,18 +273,21 @@ def operator_norm(a: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 100000,
     return sigma
 
 
-def _rescaled(instance: Instance, rescale_opnorm: float | None):
+def _rescaled(instance: Instance,
+              rescale_opnorm: float | None) -> tuple[Instance, float]:
+    """The system (c A, x0, c w, c y) whose top singular value is ``rescale_opnorm``."""
     if rescale_opnorm is None:
-        return instance.a, instance.y, 1.0
+        return instance, 1.0
     if not 0.0 < rescale_opnorm <= 1.0:
         raise ValueError("rescale_opnorm must lie in (0, 1]")
     c = rescale_opnorm / operator_norm(instance.a)
-    return c * instance.a, c * instance.y, c
+    scaled = replace(instance, a=c * instance.a, w=c * instance.w, y=c * instance.y,
+                     sigma2=c * c * instance.sigma2)
+    return scaled, c
 
 
 def ist_run(instance: Instance, policy: ThresholdPolicy, rescale_opnorm: float | None = 0.95,
-            max_iter: int = 200, tol: float = 1e-8,
-            record_kkt: bool = False) -> SolverResult:
+            max_iter: int = 200, tol: float = 1e-8) -> SolverResult:
     """Same iteration without the memory term: r = y - A x.
 
     The matrix (and data) are co-scaled so the top singular value equals
@@ -271,73 +296,24 @@ def ist_run(instance: Instance, policy: ThresholdPolicy, rescale_opnorm: float |
     :class:`NumericalBlowupError`).  MSE in the trajectory is measured
     against the unscaled ground truth, which co-scaling preserves.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    a_s, y_s, c = _rescaled(instance, rescale_opnorm)
-    x = np.zeros(instance.n)
-    r = y_s.copy()
-    tau = estimate_tau(r, policy.tau_mode())
-    theta = policy.theta(0, tau)
-
-    def point(t):
-        mse = float(np.mean((x - instance.x0) ** 2))
-        gap = None
-        if record_kkt:
-            lam = theta / (c * c) if theta > 0 else 0.0
-            gap = lasso_kkt_gap(instance, x, lam) if lam > 0 else float("nan")
-        return TrajectoryPoint(t=t, tau_hat=tau, theta=theta,
-                               b=onsager_coefficient(x, instance.m), mse=mse,
-                               kkt_gap=gap)
-
-    traj = [point(0)]
-    converged = False
-    t = 0
-    for t in range(1, max_iter + 1):
-        x_new = soft_threshold(x + a_s.T @ r, theta)
-        _check_blowup(x_new, y_s)
-        dx = np.linalg.norm(x_new - x) / max(1.0, np.linalg.norm(x))
-        x = x_new
-        r = y_s - a_s @ x
-        tau = estimate_tau(r, policy.tau_mode())
-        theta = policy.theta(t, tau)
-        traj.append(point(t))
-        if dx < tol:
-            converged = True
-            break
-    return SolverResult(x_hat=x, r_hat=r, trajectory=traj, converged=converged,
-                        iterations=t, tau_hat=tau, theta=theta,
-                        b=onsager_coefficient(x, instance.m), engine="ist",
-                        scale=c)
+    scaled, c = _rescaled(instance, rescale_opnorm)
+    return _run_recorded(scaled, policy, max_iter, tol, memory=False, scale=c)
 
 
 def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95,
                     max_iter: int = 10000, tol: float = 0.0) -> SolverResult:
     """Solve the LASSO at regularization ``lam`` by plain thresholded descent.
 
-    Runs the fixed-threshold iteration on the co-scaled problem, whose
-    fixed point is exactly the stationary point of
-    ``0.5*||y - A x||^2 + lam*||x||_1`` on the original data.  Slow but
-    independent of the memory-corrected solver; used as a reference.
+    Runs IST at the fixed threshold ``lam * c**2`` on the co-scaled problem,
+    whose fixed point is exactly the stationary point of
+    ``0.5*||y - A x||^2 + lam*||x||_1`` on the original data.  Slow, but
+    its fixed point does not involve the memory term; used as a reference.
     """
     if lam <= 0:
         raise ValueError("lam must be > 0")
-    a_s, y_s, c = _rescaled(instance, rescale_opnorm)
-    theta = lam * c * c
-    x = np.zeros(instance.n)
-    converged = False
-    t = 0
-    for t in range(1, max_iter + 1):
-        x_new = soft_threshold(x + a_s.T @ (y_s - a_s @ x), theta)
-        _check_blowup(x_new, y_s)
-        dx = np.linalg.norm(x_new - x) / max(1.0, np.linalg.norm(x))
-        x = x_new
-        if tol > 0 and dx < tol:
-            converged = True
-            break
-    r = instance.y - instance.a @ x
-    return SolverResult(x_hat=x, r_hat=r, converged=converged, iterations=t,
-                        theta=theta, b=onsager_coefficient(x, instance.m),
-                        engine="ist", scale=c)
+    scaled, c = _rescaled(instance, rescale_opnorm)
+    return _iterate(scaled, ThresholdPolicy.fixed([lam * c * c]), max_iter, tol,
+                    memory=False, scale=c)
 
 
 def lasso_objective(instance: Instance, x: np.ndarray, lam: float) -> float:

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import state_evolution as se
-from .amp import (NumericalBlowupError, ThresholdPolicy, amp_run, amp_step,
-                  effective_lambda, initial_state, ist_run, lasso_kkt_gap)
+from .amp import (NumericalBlowupError, ThresholdPolicy, amp_run,
+                  effective_lambda, ist_run, lasso_kkt_gap)
 from .harness import ExperimentSpec, run_experiment, write_csv
 from .instances import ENSEMBLES, GAUSSIAN, ModelParams, gen_instance
 from .message_passing import reduced_mp_estimate, reduced_mp_step
@@ -77,13 +77,15 @@ def cmd_solve(args) -> int:
     instance = gen_instance(args.n, params, args.seeds[0], args.ensemble)
     policy = ThresholdPolicy.rms(alpha)
     if args.engine == "ist":
-        result = ist_run(instance, ThresholdPolicy.rms(1.8),
-                         rescale_opnorm=0.95, max_iter=args.max_iter,
-                         tol=args.tol)
+        result = ist_run(instance, policy, rescale_opnorm=0.95,
+                         max_iter=args.max_iter, tol=args.tol)
+        # IST's fixed point on (c A, c y) at threshold theta is the LASSO
+        # optimum of the original data at lambda = theta / c^2.
+        lam_eff = result.theta / result.scale**2
     else:
         result = amp_run(instance, policy, max_iter=args.max_iter, tol=args.tol)
+        lam_eff = effective_lambda(result.x_hat, result.theta, instance.m)
     mse = float(np.mean((result.x_hat - instance.x0) ** 2))
-    lam_eff = effective_lambda(result.x_hat, result.theta, instance.m)
     gap = lasso_kkt_gap(instance, result.x_hat, lam_eff) if lam_eff > 0 else float("nan")
     print(f"n={args.n} m={instance.m} ensemble={args.ensemble} seed={args.seeds[0]} "
           f"engine={args.engine}")
@@ -93,27 +95,22 @@ def cmd_solve(args) -> int:
           f"tau_hat={result.tau_hat:.6g} theta={result.theta:.6g}")
     print(f"effective_lambda={lam_eff:.6g} kkt_gap={gap:.3e}")
     if args.engine == "mp":
-        # cross-check lane: replay the adaptive threshold sequence through
+        # cross-check lane: replay the solver's threshold sequence through
         # the per-edge messages and report the estimate agreement
         if args.n * instance.m > 4_000_000:
             raise ValueError("mp cross-check is desk-scale only (m*n too large)")
-        state = initial_state(instance, policy)
-        thetas = [state.theta]
-        steps = min(args.max_iter, max(result.iterations, 1))
-        for _ in range(steps):
-            state = amp_step(state, instance, policy)
-            thetas.append(state.theta)
+        steps = result.iterations
         x_msgs = np.zeros((instance.m, instance.n))
-        for t in range(steps):
-            r_msgs, x_msgs = reduced_mp_step(x_msgs, instance, thetas[t])
-        est = reduced_mp_estimate(r_msgs, instance, thetas[steps - 1])
-        agreement = float(np.max(np.abs(est - state.x)))
+        for point in result.trajectory[:steps]:
+            r_msgs, x_msgs = reduced_mp_step(x_msgs, instance, point.theta)
+        est = reduced_mp_estimate(r_msgs, instance, result.trajectory[steps - 1].theta)
+        agreement = float(np.max(np.abs(est - result.x_hat)))
         mp_mse = float(np.mean((est - instance.x0) ** 2))
         print(f"mp_estimate: steps={steps} mse={mp_mse:.6g} "
               f"max_norm_vs_amp={agreement:.6g}")
     if args.out:
         rows = [{"t": p.t, "tau_hat": p.tau_hat, "theta": p.theta, "b": p.b,
-                 "mse": p.mse, "kkt_gap": ""} for p in result.trajectory]
+                 "mse": p.mse} for p in result.trajectory]
         path = write_csv(rows, args.out + ".csv")
         print(f"trajectory -> {path}")
     return EXIT_OK

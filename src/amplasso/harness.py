@@ -23,8 +23,8 @@ from scipy import stats
 from . import state_evolution as se
 from .amp import (NumericalBlowupError, ThresholdPolicy, amp_run, amp_step,
                   effective_lambda, initial_state, ist_run)
-from .instances import (GAUSSIAN, Instance, ModelParams, gen_instance,
-                        gen_planted_instance)
+from .instances import (GAUSSIAN, Instance, ModelParams, draw_matrix,
+                        gen_instance, gen_planted_instance, measurement_count)
 from .priors import DiscretePrior, sample_with_rng
 from .scalar_risk import soft_threshold
 
@@ -63,6 +63,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.params is None and self.kind != PHASE_CURVE:
+            raise ValueError(f"{self.kind} needs params (delta, sigma2, prior)")
         if len(self.seeds) == 0:
             raise ValueError("seeds must be nonempty")
         if any(lam <= 0 for lam in self.lambdas):
@@ -243,7 +245,7 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
     see identical instances.  A diverging plain run is recorded, not fatal.
     """
     params = spec.params
-    if params is not None and params.sigma2 != 0:
+    if params.sigma2 != 0:
         raise ValueError("convergence protocol is noiseless (sigma2 must be 0)")
     delta = params.delta
     alpha_amp = _default_alpha(spec)
@@ -402,7 +404,7 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
     while len(tau2) < t_max + 1:
         tau2.append(tau2[-1])
     thetas = [alpha * np.sqrt(v) for v in tau2]
-    m = int(round(params.delta * spec.n))
+    m = measurement_count(params.delta, spec.n)
 
     def one_seed(args) -> np.ndarray:
         seed_index, resample = args
@@ -414,7 +416,7 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
         x_true = sample_with_rng(params.prior, spec.n, rng0)
         w = (np.sqrt(params.sigma2) * rng0.standard_normal(m)
              if params.sigma2 > 0 else np.zeros(m))
-        a = rng0.standard_normal((m, spec.n)) / np.sqrt(m)
+        a = draw_matrix(rng0, m, spec.n, spec.ensemble)
         x = np.zeros(spec.n)
         vals = np.empty(t_max + 1)
         for t in range(t_max + 1):
@@ -422,8 +424,8 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
             if t == t_max:
                 break
             if resample and t > 0:
-                rng_t = np.random.default_rng(streams[t])
-                a = rng_t.standard_normal((m, spec.n)) / np.sqrt(m)
+                a = draw_matrix(np.random.default_rng(streams[t]), m, spec.n,
+                                spec.ensemble)
             arg = x + a.T @ (w - a @ (x - x_true))
             x = soft_threshold(arg, thetas[t])
         return vals

@@ -58,7 +58,11 @@ class Instance:
         for arr, size in ((self.x0, self.n), (self.w, self.m), (self.y, self.m)):
             if arr.shape != (size,):
                 raise ValueError("vector shapes do not match instance dimensions")
-        for arr in (self.a, self.x0, self.w, self.y):
+        for name in ("a", "x0", "w", "y"):
+            arr = getattr(self, name)
+            # min and max propagate NaN and see +-inf, without an (m, n) temporary
+            if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+                raise ValueError(f"instance {name} has non-finite entries")
             arr.setflags(write=False)
 
 
@@ -70,7 +74,8 @@ def measurement_count(delta: float, n: int) -> int:
     return m
 
 
-def _draw_matrix(rng: np.random.Generator, m: int, n: int, ensemble: str) -> np.ndarray:
+def draw_matrix(rng: np.random.Generator, m: int, n: int, ensemble: str) -> np.ndarray:
+    """An (m, n) matrix of the ensemble with i.i.d. entries of variance 1/m."""
     if ensemble == GAUSSIAN:
         return rng.standard_normal((m, n)) / np.sqrt(m)
     if ensemble == RADEMACHER:
@@ -95,7 +100,7 @@ def gen_instance(n: int, params: ModelParams, seed: int,
         raise ValueError("n must be >= 2")
     m = measurement_count(params.delta, n)
     rng = np.random.default_rng(seed)
-    a = _draw_matrix(rng, m, n, ensemble)
+    a = draw_matrix(rng, m, n, ensemble)
     x0 = sample_with_rng(params.prior, n, rng)
     w = np.sqrt(params.sigma2) * rng.standard_normal(m) if params.sigma2 > 0 else np.zeros(m)
     return _assemble(a, x0, w, m, n, params.delta, params.sigma2, seed)
@@ -123,7 +128,7 @@ def gen_planted_instance(n: int, delta: float, nnz: int, seed: int,
         raise ValueError("nnz must lie in [0, n]")
     m = measurement_count(delta, n)
     rng = np.random.default_rng(seed)
-    a = _draw_matrix(rng, m, n, ensemble)
+    a = draw_matrix(rng, m, n, ensemble)
     x0 = np.zeros(n)
     support = rng.choice(n, size=nnz, replace=False)
     x0[support] = 2.0 * rng.integers(0, 2, size=nnz) - 1.0

@@ -1,100 +1,17 @@
 """Per-edge message passing on the dense factor graph.
 
 Desk-scale reference implementation kept as an oracle for the first-order
-solver: the quadratic-approximation messages (two reals per directed edge)
-and their reduced form (one real per edge).  Memory is Theta(m*n) and each
-synchronous step costs Theta(m*n) by computing every cavity sum as the
-full sum minus the edge's own term.
+solver: the reduced form of the message updates, one real per edge.
+Memory is Theta(m*n) and each synchronous step costs Theta(m*n) by
+computing every cavity sum as the full sum minus the edge's own term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .instances import Instance
-from .scalar_risk import soft_threshold, soft_threshold_derivative
-
-
-class MessagePassingError(RuntimeError):
-    """Raised when a message denominator leaves its valid range."""
-
-
-@dataclass
-class EdgeMessages:
-    """Messages on the complete bipartite graph, stored as (m, n) arrays.
-
-    Entry [a, i] carries the edge between factor a and variable i:
-    ``x``/``gamma`` are variable-to-factor, ``alpha``/``beta``
-    factor-to-variable.
-    """
-
-    x: np.ndarray
-    gamma: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    @classmethod
-    def zeros(cls, instance: Instance) -> "EdgeMessages":
-        shape = (instance.m, instance.n)
-        return cls(x=np.zeros(shape), gamma=np.zeros(shape),
-                   alpha=np.zeros(shape), beta=np.ones(shape))
-
-    def validate(self, instance: Instance) -> None:
-        shape = (instance.m, instance.n)
-        for name in ("x", "gamma", "alpha", "beta"):
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-        if np.any(self.gamma < 0):
-            raise ValueError("gamma messages must be >= 0")
-        if np.any(self.beta <= 0) or np.any(self.beta > 1):
-            raise ValueError("beta messages must lie in (0, 1]")
-
-
-def quad_mp_step(msgs: EdgeMessages, instance: Instance, lam: float) -> EdgeMessages:
-    """One synchronous update of all 2*m*n quadratic messages.
-
-    Factor-to-variable parameters are refreshed from the current
-    variable-to-factor messages, then the variable side is re-thresholded
-    against the new cavity fields.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
-    a_mat = instance.a
-    a_sq = a_mat * a_mat
-
-    gamma_row = (a_sq * msgs.gamma).sum(axis=1, keepdims=True)
-    denom = 1.0 + (gamma_row - a_sq * msgs.gamma)
-    if np.any(denom <= 0):
-        raise MessagePassingError("nonpositive factor denominator (gamma < 0?)")
-    beta = 1.0 / denom
-    x_row = (a_mat * msgs.x).sum(axis=1, keepdims=True)
-    alpha = (instance.y[:, None] - (x_row - a_mat * msgs.x)) * beta
-
-    num_col = (a_mat * alpha).sum(axis=0, keepdims=True)
-    den_col = (a_sq * beta).sum(axis=0, keepdims=True)
-    s_num = num_col - a_mat * alpha
-    s_den = den_col - a_sq * beta
-    if np.any(s_den <= 0):
-        raise MessagePassingError("nonpositive variable denominator")
-    s1 = s_num / s_den
-    s2 = lam / s_den
-    x_new = soft_threshold(s1, s2)
-    gamma_new = soft_threshold_derivative(s1, s2)
-    return EdgeMessages(x=x_new, gamma=gamma_new, alpha=alpha, beta=beta)
-
-
-def mp_estimate(msgs: EdgeMessages, instance: Instance, lam: float) -> np.ndarray:
-    """Per-variable estimate from the full (non-cavity) incoming sums."""
-    a_mat = instance.a
-    a_sq = a_mat * a_mat
-    num = (a_mat * msgs.alpha).sum(axis=0)
-    den = (a_sq * msgs.beta).sum(axis=0)
-    if np.any(den <= 0):
-        raise MessagePassingError("nonpositive estimate denominator")
-    return soft_threshold(num / den, lam / den)
+from .scalar_risk import soft_threshold
 
 
 def reduced_mp_step(x_msgs: np.ndarray, instance: Instance,

@@ -90,15 +90,10 @@ def three_point(eps: float) -> DiscretePrior:
     return DiscretePrior((-1.0, 0.0, 1.0), (eps / 2.0, 1.0 - eps, eps / 2.0))
 
 
-def sample(prior: DiscretePrior, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` i.i.d. values from the prior, deterministic given seed."""
+def sample_with_rng(prior: DiscretePrior, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``n`` i.i.d. values from the prior off the given generator."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    return sample_with_rng(prior, n, rng)
-
-
-def sample_with_rng(prior: DiscretePrior, n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(prior.atom_array, size=n, p=prior.weight_array)
 
 

@@ -10,10 +10,19 @@ from amplasso import (ModelParams, NumericalBlowupError, ThresholdPolicy,
                       estimate_tau, gen_gaussian_instance, initial_state,
                       ist_run, ist_solve_lasso, lasso_kkt_gap, lasso_objective,
                       operator_norm, se_fixed_point, soft_threshold,
-                      three_point)
-from amplasso.amp import onsager_coefficient, onsager_from_derivative
+                      soft_threshold_derivative, three_point)
+from amplasso.amp import onsager_coefficient
 from amplasso.instances import Instance
 from amplasso.state_evolution import calibrate_lambda
+
+
+def onsager_from_derivative(u, theta, m):
+    """Oracle for b: the mean threshold derivative at the pseudo-data.
+
+    Equals the nonzero count of ``soft_threshold(u, theta)`` over m because
+    the derivative at the kink is 0.
+    """
+    return float(np.sum(soft_threshold_derivative(u, theta))) / m
 
 
 def manual_instance(a, x0, sigma2=0.0, w=None, seed=0):
@@ -76,7 +85,6 @@ class TestAmpStep:
         state = initial_state(inst, policy)
         assert state.b == 0.0 and state.t == 0
         assert np.array_equal(state.r, inst.y)
-        assert np.array_equal(state.r_prev, np.zeros(inst.m))
         new = amp_step(state, inst, policy)
         expected = soft_threshold(inst.a.T @ inst.y, state.theta)
         np.testing.assert_allclose(new.x, expected)
@@ -97,8 +105,8 @@ class TestAmpStep:
         policy = ThresholdPolicy.fixed([0.0])
         state = initial_state(inst, policy)
         huge = np.full(inst.n, 1e9)
-        bad = type(state)(x=huge, r=state.r * 1e9, r_prev=state.r_prev,
-                          t=1, tau_hat=state.tau_hat, theta=0.0, b=1.0)
+        bad = type(state)(x=huge, r=state.r * 1e9, t=1,
+                          tau_hat=state.tau_hat, theta=0.0, b=1.0)
         with pytest.raises(NumericalBlowupError):
             amp_step(bad, inst, policy)
 
@@ -166,12 +174,13 @@ class TestAmpRun:
 
     def test_trajectory_schema(self, bench_params):
         inst = gen_gaussian_instance(100, bench_params, seed=10)
-        res = amp_run(inst, ThresholdPolicy.rms(2.0), max_iter=5, tol=0.0,
-                      record_kkt=True)
+        res = amp_run(inst, ThresholdPolicy.rms(2.0), max_iter=5, tol=0.0)
         assert [p.t for p in res.trajectory] == list(range(6))
         first = res.trajectory[0]
         assert first.mse == pytest.approx(np.mean(inst.x0**2))
-        assert all(np.isfinite(p.kkt_gap) for p in res.trajectory if p.kkt_gap)
+        last = res.trajectory[-1]
+        assert (last.tau_hat, last.theta, last.b) == (res.tau_hat, res.theta, res.b)
+        assert last.mse == np.mean((res.x_hat - inst.x0) ** 2)
 
     def test_per_iteration_cost_scales(self, bench_params):
         def best_time(n):
@@ -233,6 +242,23 @@ class TestIst:
         lam = 1.0
         res = ist_solve_lasso(inst, lam, max_iter=4000)
         assert lasso_kkt_gap(inst, res.x_hat, lam) <= 1e-8
+
+    def test_is_plain_thresholded_descent_on_scaled_system(self, bench_params):
+        # IST is the shared step with the memory term off: bit-identical to
+        # x <- eta(x + cA'(cy - cAx); theta), with b recorded as 0
+        inst = gen_gaussian_instance(150, bench_params, seed=20)
+        c = 0.95 / operator_norm(inst.a)
+        a_s, y_s, theta = c * inst.a, c * inst.y, 1.0 * c * c
+        x = np.zeros(inst.n)
+        for _ in range(25):
+            x = soft_threshold(x + a_s.T @ (y_s - a_s @ x), theta)
+        res = ist_solve_lasso(inst, 1.0, max_iter=25)
+        assert np.array_equal(res.x_hat, x)
+        assert np.array_equal(res.r_hat, y_s - a_s @ x)
+        assert res.scale == c and res.b == 0.0 and res.engine == "ist"
+        run = ist_run(inst, ThresholdPolicy.fixed([theta]), max_iter=25, tol=0.0)
+        assert np.array_equal(run.x_hat, x)
+        assert [p.b for p in run.trajectory] == [0.0] * 26
 
 
 class TestLassoKktGap:

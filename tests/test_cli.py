@@ -31,13 +31,39 @@ class TestSolve:
         with (tmp_path / "run.csv").open() as handle:
             rows = list(csv.DictReader(handle))
         assert rows[0]["t"] == "0"
-        assert set(rows[0]) == {"t", "tau_hat", "theta", "b", "mse", "kkt_gap"}
+        assert set(rows[0]) == {"t", "tau_hat", "theta", "b", "mse"}
 
     def test_lambda_flag_maps_through_calibration(self, capsys):
         code = main(["solve", "--n", "200", "--lambda", "1.0", "--seeds", "1",
                      "--max-iter", "400"])
         assert code == 0
         assert "alpha=1.94" in capsys.readouterr().out
+
+    def test_ist_engine_uses_alpha_and_reports_its_lasso_level(self, capsys):
+        # IST's fixed point on the co-scaled system (c A, c y) at threshold
+        # theta is the LASSO optimum at lambda = theta / c^2
+        def solve(alpha):
+            code = main(["solve", "--n", "500", "--seeds", "3", "--engine", "ist",
+                         "--alpha", alpha])
+            assert code == 0
+            return dict(tok.split("=") for tok in capsys.readouterr().out.split())
+        big = solve("1.8")
+        # ||A'y||_inf = 2.467 < lambda, so x = 0 is optimal and the stop at t=1 is right
+        assert big["nnz"] == "0" and big["iterations"] == "1"
+        assert big["effective_lambda"] == "2.67103"
+        assert float(big["kkt_gap"]) == 0.0
+        small = solve("0.5")
+        assert float(small["theta"]) == pytest.approx(0.5 * float(small["tau_hat"]),
+                                                      rel=1e-5)
+        assert int(small["nnz"]) > 0 and small["converged"] == "True"
+        assert float(small["kkt_gap"]) <= 1e-6 * float(small["effective_lambda"])
+
+    def test_mp_engine_replays_the_solver_thresholds(self, capsys):
+        code = main(["solve", "--n", "150", "--lambda", "1.0", "--seeds", "1",
+                     "--engine", "mp", "--max-iter", "7"])
+        assert code == 0
+        text = capsys.readouterr().out
+        assert "mp_estimate: steps=7 " in text
 
     def test_bad_prior_is_spec_error(self, capsys):
         code = main(["solve", "--n", "100", "--prior", "not json"])
@@ -115,3 +141,9 @@ class TestExperiment:
 
     def test_missing_kind_is_spec_error(self):
         assert main(["experiment", "--n", "100"]) == 2
+
+    def test_spec_without_params_is_spec_error(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"kind": "CONVERGENCE", "n": 100}))
+        assert main(["experiment", "--spec", str(spec_file)]) == 2
+        assert "needs params" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from amplasso import ExperimentSpec, ModelParams, delta_prior, run_experiment, three_point
@@ -30,6 +31,15 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(kind="MSE_VS_LAMBDA", params=small_params,
                            lambdas=(0.5, 0.0))
+
+    @pytest.mark.parametrize("kind", ["MSE_VS_LAMBDA", "CONVERGENCE", "NOISE_HISTOGRAM",
+                                      "SE_TRACKING", "RESAMPLED_ORACLE"])
+    def test_requires_params_except_phase_curve(self, kind):
+        with pytest.raises(ValueError, match="needs params"):
+            ExperimentSpec(kind=kind)
+        with pytest.raises(ValueError, match="needs params"):
+            ExperimentSpec.from_dict({"kind": kind})
+        assert ExperimentSpec(kind="PHASE_CURVE").params is None
 
     def test_round_trip_via_dict(self, small_params):
         spec = ExperimentSpec(kind="MSE_VS_LAMBDA", n=321, params=small_params,
@@ -187,6 +197,28 @@ class TestResampledOracle:
         for row in res_rows:
             assert abs(row["tau2_empirical"] - row["tau2_se_prediction"]) \
                 <= max(6 * row["tau2_empirical_se"], 0.02)
+
+    def test_rademacher_spec_draws_rademacher_matrices(self, small_params, monkeypatch):
+        import amplasso.harness as harness
+        from amplasso.instances import draw_matrix, measurement_count
+        drawn = []
+
+        def spy(rng, m, n, ensemble):
+            a = draw_matrix(rng, m, n, ensemble)
+            drawn.append(a)
+            return a
+
+        monkeypatch.setattr(harness, "draw_matrix", spy)
+        spec = ExperimentSpec(kind="RESAMPLED_ORACLE", n=101, params=small_params,
+                              ensemble="rademacher", alpha=2.0, seeds=(0, 1),
+                              t_target=3)
+        run_resampled_oracle(spec)
+        m = measurement_count(small_params.delta, 101)
+        # per seed: one matrix in the fixed lane, one per step when resampled
+        assert len(drawn) == 2 * 1 + 2 * 3
+        for a in drawn:
+            assert a.shape == (m, 101)
+            assert np.array_equal(np.abs(a), np.full(a.shape, 1.0 / np.sqrt(m)))
 
 
 class TestPhaseCurve:

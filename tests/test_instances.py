@@ -146,3 +146,24 @@ class TestSerialization:
         bp.write_bytes(data[:-16])
         with pytest.raises(ValueError):
             load_instance(tmp_path / "bundle")
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("field", ["a", "x0", "w", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_rejects(self, field, bad):
+        data = {"a": np.array([[0.5, 1.0]]), "x0": np.array([1.0, 0.0]),
+                "w": np.array([0.0]), "y": np.array([0.5])}
+        data[field] = data[field].copy()
+        data[field].flat[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Instance(m=1, n=2, delta=0.5, sigma2=0.0, seed=0, **data)
+
+    def test_load_rejects_nonfinite_payload(self, bench_params, tmp_path):
+        inst = gen_gaussian_instance(30, bench_params, seed=15)
+        _, bp = save_instance(inst, tmp_path / "bundle")
+        flat = np.fromfile(bp, dtype="<f8")
+        flat[-1] = np.nan  # last entry of y
+        flat.tofile(bp)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_instance(tmp_path / "bundle")

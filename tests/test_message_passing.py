@@ -7,139 +7,37 @@ import pytest
 from scipy import optimize
 
 from amplasso import (ModelParams, ThresholdPolicy, amp_step, gen_gaussian_instance,
-                      gen_rademacher_instance, initial_state, lasso_kkt_gap,
-                      soft_threshold, three_point)
+                      gen_rademacher_instance, initial_state, soft_threshold,
+                      three_point)
 from amplasso.instances import Instance
-from amplasso.message_passing import (EdgeMessages, mp_estimate, quad_mp_step,
-                                      reduced_mp_estimate, reduced_mp_step)
+from amplasso.message_passing import reduced_mp_estimate, reduced_mp_step
 
 
-def single_variable_instance(m=8, lam_noise=0.1, seed=0):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, 1)) / np.sqrt(m)
-    x0 = np.array([1.0])
-    w = lam_noise * rng.standard_normal(m)
-    return Instance(a=a, x0=x0, w=w, y=a @ x0 + w, m=m, n=1, delta=float(m),
-                    sigma2=lam_noise**2, seed=seed)
+def naive_reduced_step(x_msgs, instance, theta):
+    """Loop-based reimplementation of the reduced message update.
 
-
-def naive_quad_step(msgs, instance, lam):
-    """Loop-based reimplementation of the quadratic message update."""
+    Every cavity sum is accumulated term by term, skipping the edge's own
+    term, instead of as the full sum minus that term.
+    """
     a = instance.a
     m, n = a.shape
-    alpha = np.empty((m, n))
-    beta = np.empty((m, n))
+    r = np.empty((m, n))
     for i_fac in range(m):
         for j_var in range(n):
-            den = 1.0
-            num = instance.y[i_fac]
+            acc = instance.y[i_fac]
             for k in range(n):
-                if k == j_var:
-                    continue
-                den += a[i_fac, k] ** 2 * msgs.gamma[i_fac, k]
-                num -= a[i_fac, k] * msgs.x[i_fac, k]
-            beta[i_fac, j_var] = 1.0 / den
-            alpha[i_fac, j_var] = num / den
+                if k != j_var:
+                    acc -= a[i_fac, k] * x_msgs[i_fac, k]
+            r[i_fac, j_var] = acc
     x = np.empty((m, n))
-    gamma = np.empty((m, n))
     for i_fac in range(m):
         for j_var in range(n):
-            s_num = 0.0
-            s_den = 0.0
+            acc = 0.0
             for b in range(m):
-                if b == i_fac:
-                    continue
-                s_num += a[b, j_var] * alpha[b, j_var]
-                s_den += a[b, j_var] ** 2 * beta[b, j_var]
-            s1 = s_num / s_den
-            s2 = lam / s_den
-            x[i_fac, j_var] = soft_threshold(s1, s2)
-            gamma[i_fac, j_var] = 1.0 if abs(s1) > s2 else 0.0
-    return EdgeMessages(x=x, gamma=gamma, alpha=alpha, beta=beta)
-
-
-class TestQuadMpStep:
-    def test_zero_gamma_gives_unit_beta_and_cavity_residual(self, bench_params):
-        inst = gen_gaussian_instance(12, bench_params, seed=0)
-        msgs = quad_mp_step(EdgeMessages.zeros(inst), inst, lam=1.0)
-        np.testing.assert_allclose(msgs.beta, 1.0)
-        np.testing.assert_allclose(msgs.alpha, np.broadcast_to(inst.y[:, None],
-                                                               msgs.alpha.shape))
-
-    def test_single_variable_fixed_point_is_scalar_lasso(self):
-        inst = single_variable_instance()
-        lam = 0.3
-        msgs = EdgeMessages.zeros(inst)
-        for _ in range(50):
-            msgs = quad_mp_step(msgs, inst, lam)
-        xhat = mp_estimate(msgs, inst, lam)
-        col = inst.a[:, 0]
-        closed = soft_threshold(col @ inst.y, lam) / (col @ col)
-        assert xhat[0] == pytest.approx(closed, rel=1e-12)
-        # and against a brute-force scalar minimizer
-        brute = optimize.minimize_scalar(
-            lambda z: 0.5 * np.sum((inst.y - col * z) ** 2) + lam * abs(z),
-            bounds=(-5, 5), method="bounded", options={"xatol": 1e-12})
-        assert xhat[0] == pytest.approx(brute.x, abs=1e-8)
-
-    def test_matches_naive_reimplementation(self):
-        params = ModelParams(delta=0.5, sigma2=0.1, prior=three_point(0.2))
-        inst = gen_gaussian_instance(40, params, seed=5)  # 20 x 40
-        fast = EdgeMessages.zeros(inst)
-        slow = EdgeMessages.zeros(inst)
-        for _ in range(5):
-            fast = quad_mp_step(fast, inst, lam=1.0)
-            slow = naive_quad_step(slow, inst, lam=1.0)
-            for name in ("x", "gamma", "alpha", "beta"):
-                np.testing.assert_allclose(getattr(fast, name), getattr(slow, name),
-                                           rtol=1e-10, atol=1e-12)
-
-    def test_messages_stay_finite(self, bench_params):
-        inst = gen_gaussian_instance(30, bench_params, seed=1)
-        msgs = EdgeMessages.zeros(inst)
-        for _ in range(60):
-            msgs = quad_mp_step(msgs, inst, lam=0.5)
-            for name in ("x", "gamma", "alpha", "beta"):
-                assert np.all(np.isfinite(getattr(msgs, name)))
-        msgs.validate(inst)
-
-    def test_rejects_nonpositive_lambda(self, bench_params):
-        inst = gen_gaussian_instance(10, bench_params, seed=2)
-        with pytest.raises(ValueError):
-            quad_mp_step(EdgeMessages.zeros(inst), inst, lam=0.0)
-
-    def test_step_cost_scales_with_edges(self, bench_params):
-        # not O((mn)^2): doubling both dimensions must not blow up per-step time
-        def best_time(n):
-            inst = gen_gaussian_instance(n, bench_params, seed=3)
-            msgs = quad_mp_step(EdgeMessages.zeros(inst), inst, 1.0)
-            best = np.inf
-            for _ in range(3):
-                t0 = time.perf_counter()
-                quad_mp_step(msgs, inst, 1.0)
-                best = min(best, time.perf_counter() - t0)
-            return best
-        t_small, t_big = best_time(100), best_time(200)
-        assert t_big <= 16 * max(t_small, 1e-5)
-
-
-class TestConvergedQuadMp:
-    def test_clean_sparse_fixed_point_meets_stationarity(self):
-        # 20x40, one active coordinate with a solid margin: the converged
-        # estimate is a LASSO stationary point to oracle precision
-        params = ModelParams(delta=0.5, sigma2=0.01, prior=three_point(0.1))
-        inst = gen_gaussian_instance(40, params, seed=2)
-        lam = 1.2
-        msgs = EdgeMessages.zeros(inst)
-        prev = None
-        for _ in range(400):
-            msgs = quad_mp_step(msgs, inst, lam)
-            est = mp_estimate(msgs, inst, lam)
-            if prev is not None and np.allclose(est, prev, atol=1e-14):
-                break
-            prev = est
-        assert np.count_nonzero(est) >= 1
-        assert lasso_kkt_gap(inst, est, lam) <= 1e-3
+                if b != i_fac:
+                    acc += a[b, j_var] * r[b, j_var]
+            x[i_fac, j_var] = soft_threshold(acc, theta)
+    return r, x
 
 
 class TestReducedMp:
@@ -159,16 +57,61 @@ class TestReducedMp:
             assert np.array_equal(r_msgs, np.zeros_like(r_msgs))
             assert np.array_equal(x_msgs, np.zeros_like(x_msgs))
 
-    def test_matches_quad_step_when_gamma_zero(self, bench_params):
-        inst = gen_gaussian_instance(25, bench_params, seed=5)
-        x_edge = np.random.default_rng(0).standard_normal((inst.m, inst.n)) * 0.1
-        quad = quad_mp_step(
-            EdgeMessages(x=x_edge.copy(), gamma=np.zeros_like(x_edge),
-                         alpha=np.zeros_like(x_edge), beta=np.ones_like(x_edge)),
-            inst, lam=1.0)
-        r_msgs, _ = reduced_mp_step(x_edge, inst, theta=1.0)
-        np.testing.assert_allclose(quad.beta, 1.0)
-        np.testing.assert_allclose(quad.alpha, r_msgs, rtol=1e-12)
+    def test_matches_cavity_sum_reference(self):
+        params = ModelParams(delta=0.5, sigma2=0.1, prior=three_point(0.2))
+        inst = gen_gaussian_instance(40, params, seed=5)  # 20 x 40
+        fast = np.random.default_rng(0).standard_normal((inst.m, inst.n)) * 0.1
+        slow = fast.copy()
+        for _ in range(3):
+            r_fast, fast = reduced_mp_step(fast, inst, theta=0.3)
+            r_slow, slow = naive_reduced_step(slow, inst, theta=0.3)
+            np.testing.assert_allclose(r_fast, r_slow, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
+        assert np.count_nonzero(fast) > 0
+
+    def test_single_variable_estimate_is_scalar_lasso(self):
+        # one unit-norm column: every cavity residual is y itself, so the
+        # estimate is the closed-form scalar LASSO solution at lambda = theta
+        rng = np.random.default_rng(0)
+        col = rng.standard_normal(8)
+        col /= np.linalg.norm(col)
+        x0 = np.array([1.0])
+        w = 0.1 * rng.standard_normal(8)
+        inst = Instance(a=col[:, None], x0=x0, w=w, y=col * x0[0] + w, m=8, n=1,
+                        delta=8.0, sigma2=0.01, seed=0)
+        lam = 0.3
+        x_msgs = np.zeros((8, 1))
+        for _ in range(3):
+            r_msgs, x_msgs = reduced_mp_step(x_msgs, inst, lam)
+        xhat = reduced_mp_estimate(r_msgs, inst, lam)
+        closed = soft_threshold(col @ inst.y, lam)
+        assert xhat[0] == pytest.approx(closed, rel=1e-12)
+        brute = optimize.minimize_scalar(
+            lambda z: 0.5 * np.sum((inst.y - col * z) ** 2) + lam * abs(z),
+            bounds=(-5, 5), method="bounded", options={"xatol": 1e-12})
+        assert xhat[0] == pytest.approx(brute.x, abs=1e-8)
+
+    def test_rejects_negative_theta(self, bench_params):
+        inst = gen_gaussian_instance(10, bench_params, seed=2)
+        msgs = np.zeros((inst.m, inst.n))
+        with pytest.raises(ValueError):
+            reduced_mp_step(msgs, inst, theta=-0.1)
+        with pytest.raises(ValueError):
+            reduced_mp_estimate(msgs, inst, theta=-0.1)
+
+    def test_step_cost_scales_with_edges(self, bench_params):
+        # not O((mn)^2): doubling both dimensions must not blow up per-step time
+        def best_time(n):
+            inst = gen_gaussian_instance(n, bench_params, seed=3)
+            _, msgs = reduced_mp_step(np.zeros((inst.m, inst.n)), inst, 1.0)
+            best = np.inf
+            for _ in range(3):
+                t0 = time.perf_counter()
+                reduced_mp_step(msgs, inst, 1.0)
+                best = min(best, time.perf_counter() - t0)
+            return best
+        t_small, t_big = best_time(100), best_time(200)
+        assert t_big <= 16 * max(t_small, 1e-5)
 
     def test_tracks_first_order_solver_on_unit_column_ensemble(self, bench_params):
         # ten iterations at n=200 with a shared threshold sequence; the

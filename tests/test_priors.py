@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amplasso import (DiscretePrior, delta_prior, sample, st_keep_prob,
+from amplasso import (DiscretePrior, delta_prior, sample_with_rng, st_keep_prob,
                       st_mse, three_point)
 from amplasso.gaussians import Phi, phi
-from amplasso.priors import sample_with_rng
 
 
 class TestDiscretePrior:
@@ -50,25 +49,28 @@ class TestDiscretePrior:
 
 class TestSample:
     def test_degenerate_prior(self):
-        assert np.array_equal(sample(delta_prior(), 5, seed=1), np.zeros(5))
+        x = sample_with_rng(delta_prior(), 5, np.random.default_rng(1))
+        assert np.array_equal(x, np.zeros(5))
 
     def test_deterministic_given_seed(self):
         prior = three_point(0.3)
-        assert np.array_equal(sample(prior, 1000, seed=7), sample(prior, 1000, seed=7))
-        assert not np.array_equal(sample(prior, 1000, seed=7),
-                                  sample(prior, 1000, seed=8))
+
+        def draw(seed):
+            return sample_with_rng(prior, 1000, np.random.default_rng(seed))
+        assert np.array_equal(draw(7), draw(7))
+        assert not np.array_equal(draw(7), draw(8))
 
     def test_law_of_large_numbers(self):
         # fraction of +-1 entries ~ Binomial(n, 0.128): keep within 4 SE
         prior = three_point(0.128)
-        x = sample(prior, 10**6, seed=3)
+        x = sample_with_rng(prior, 10**6, np.random.default_rng(3))
         frac = np.mean(x != 0)
         se = np.sqrt(0.128 * 0.872 / 10**6)
         assert abs(frac - 0.128) < 4 * se
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            sample(delta_prior(), 0, seed=0)
+            sample_with_rng(delta_prior(), 0, np.random.default_rng(0))
 
 
 class TestStMseClosedForm:
