@@ -26,6 +26,7 @@ MEDIAN = "median"
 FIXED_SEQUENCE = "fixed"
 
 _BLOWUP_FACTOR = 1e6
+_EPS = float(np.finfo(float).eps)
 
 
 class NumericalBlowupError(RuntimeError):
@@ -240,37 +241,59 @@ def amp_run(instance: Instance, policy: ThresholdPolicy, max_iter: int = 200,
     return _run_recorded(instance, policy, max_iter, tol, memory=True)
 
 
-def operator_norm(a: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 100000,
+def operator_norm(a: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 1000,
                   seed: int = 0) -> float:
-    """Top singular value by power iteration on the Gram operator.
+    """Top singular value, rounded up, by Lanczos on the smaller Gram operator.
 
-    The estimates converge geometrically; the observed contraction ratio
-    is used to bound the remaining lag, so the result is within
-    ``rel_tol`` of the true value even for small spectral gaps.
-    Deterministic for a fixed seed.
+    Runs Lanczos with full reorthogonalization on ``A A'`` (m <= n) or
+    ``A'A``, applied as two matrix-vector products.  After each of at most
+    ``max_iter`` steps, the top Ritz pair (theta, s) of the tridiagonal
+    matrix has residual norm rho = beta * |s_last| (plus the rounding error
+    of the recurrence, (m + n) * eps * theta), and an eigenvalue of the
+    Gram operator lies in [theta - rho, theta + rho].  The iteration
+    stops once rho <= rel_tol * theta and returns sqrt(theta + rho): with
+    the top eigenvalue found, sqrt(theta) <= sigma_1 <= sqrt(theta + rho),
+    so the result is at most ``rel_tol`` above the top singular value and
+    never below it, a safe bound for a unit step.  Deterministic for a
+    fixed seed; 0.0 for a zero matrix.
     """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    change_prev = np.inf
-    for _ in range(max_iter):
-        u = a @ v
-        sigma_new = float(np.linalg.norm(u))
-        v = a.T @ u
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-        change = abs(sigma_new - sigma)
-        ratio = change / change_prev if change_prev > 0 else 0.0
-        lag = change * ratio / (1.0 - ratio) if ratio < 1.0 else np.inf
-        if change <= rel_tol * max(sigma_new, 1e-300) and \
-                lag <= rel_tol * max(sigma_new, 1e-300):
-            return sigma_new
-        sigma = sigma_new
-        change_prev = change
-    return sigma
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    m, n = a.shape
+    k = min(m, n)
+    if m <= n:
+        def gram(v):
+            return a @ (a.T @ v)
+    else:
+        def gram(v):
+            return a.T @ (a @ v)
+    q = np.random.default_rng(seed).standard_normal(k)
+    q /= np.linalg.norm(q)
+    basis = np.empty((min(k, 16), k))  # grows by doubling with the step count
+    alphas: list[float] = []
+    betas: list[float] = []
+    theta = rho = 0.0
+    for j in range(min(max_iter, k)):
+        if j == basis.shape[0]:
+            basis = np.vstack([basis, np.empty((min(j, k - j), k))])
+        basis[j] = q
+        w = gram(q)
+        alphas.append(float(q @ w))
+        w -= alphas[-1] * q
+        if j > 0:
+            w -= betas[-1] * basis[j - 1]
+        done = basis[:j + 1]
+        for _ in range(2):  # twice is enough (Kahan-Parlett)
+            w -= done.T @ (done @ w)
+        betas.append(float(np.linalg.norm(w)))
+        tri = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+        evals, evecs = np.linalg.eigh(tri)
+        theta = max(float(evals[-1]), 0.0)
+        rho = betas[-1] * abs(float(evecs[-1, -1])) + (m + n) * _EPS * theta
+        if rho <= rel_tol * theta or betas[-1] == 0.0:
+            break
+        q = w / betas[-1]
+    return math.sqrt(theta + rho)
 
 
 def _rescaled(instance: Instance,
@@ -280,7 +303,10 @@ def _rescaled(instance: Instance,
         return instance, 1.0
     if not 0.0 < rescale_opnorm <= 1.0:
         raise ValueError("rescale_opnorm must lie in (0, 1]")
-    c = rescale_opnorm / operator_norm(instance.a)
+    norm = operator_norm(instance.a)
+    if norm == 0.0:
+        raise ValueError("matrix has zero operator norm")
+    c = rescale_opnorm / norm
     scaled = replace(instance, a=c * instance.a, w=c * instance.w, y=c * instance.y,
                      sigma2=c * c * instance.sigma2)
     return scaled, c

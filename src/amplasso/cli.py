@@ -17,7 +17,7 @@ import numpy as np
 
 from . import state_evolution as se
 from .amp import (NumericalBlowupError, ThresholdPolicy, amp_run,
-                  effective_lambda, ist_run, lasso_kkt_gap)
+                  effective_lambda, ist_run, ist_solve_lasso, lasso_kkt_gap)
 from .harness import ExperimentSpec, run_experiment, write_csv
 from .instances import ENSEMBLES, GAUSSIAN, ModelParams, gen_instance
 from .message_passing import reduced_mp_estimate, reduced_mp_step
@@ -73,23 +73,31 @@ def _resolve_alpha(args, params: ModelParams) -> float:
 
 def cmd_solve(args) -> int:
     params = _params(args)
-    alpha = _resolve_alpha(args, params)
+    # --lambda alone asks IST for the LASSO at that level: AMP's alpha
+    # calibration says nothing about IST, whose threshold lambda * c^2 is fixed.
+    fixed_level = args.engine == "ist" and args.alpha is None and args.lam is not None
+    alpha = None if fixed_level else _resolve_alpha(args, params)
     instance = gen_instance(args.n, params, args.seeds[0], args.ensemble)
-    policy = ThresholdPolicy.rms(alpha)
-    if args.engine == "ist":
-        result = ist_run(instance, policy, rescale_opnorm=0.95,
+    if fixed_level:
+        result = ist_solve_lasso(instance, args.lam, rescale_opnorm=0.95,
+                                 max_iter=args.max_iter, tol=args.tol)
+        lam_eff = args.lam
+    elif args.engine == "ist":
+        result = ist_run(instance, ThresholdPolicy.rms(alpha), rescale_opnorm=0.95,
                          max_iter=args.max_iter, tol=args.tol)
         # IST's fixed point on (c A, c y) at threshold theta is the LASSO
         # optimum of the original data at lambda = theta / c^2.
         lam_eff = result.theta / result.scale**2
     else:
-        result = amp_run(instance, policy, max_iter=args.max_iter, tol=args.tol)
+        result = amp_run(instance, ThresholdPolicy.rms(alpha), max_iter=args.max_iter,
+                         tol=args.tol)
         lam_eff = effective_lambda(result.x_hat, result.theta, instance.m)
     mse = float(np.mean((result.x_hat - instance.x0) ** 2))
     gap = lasso_kkt_gap(instance, result.x_hat, lam_eff) if lam_eff > 0 else float("nan")
     print(f"n={args.n} m={instance.m} ensemble={args.ensemble} seed={args.seeds[0]} "
           f"engine={args.engine}")
-    print(f"alpha={alpha:.6g} iterations={result.iterations} "
+    print(f"alpha={'none' if alpha is None else f'{alpha:.6g}'} "
+          f"iterations={result.iterations} "
           f"converged={result.converged}")
     print(f"nnz={int(np.count_nonzero(result.x_hat))} mse={mse:.6g} "
           f"tau_hat={result.tau_hat:.6g} theta={result.theta:.6g}")

@@ -58,6 +58,22 @@ class TestSolve:
         assert int(small["nnz"]) > 0 and small["converged"] == "True"
         assert float(small["kkt_gap"]) <= 1e-6 * float(small["effective_lambda"])
 
+    def test_ist_engine_lambda_solves_the_lasso_at_that_level(self, capsys):
+        # --lambda without --alpha runs IST at the fixed threshold lambda * c^2,
+        # not at AMP's calibrated alpha, whose level would be unrelated
+        def solve(*extra):
+            code = main(["solve", "--n", "500", "--seeds", "3", "--engine", "ist",
+                         "--lambda", "1.0", *extra])
+            assert code == 0
+            return dict(tok.split("=") for tok in capsys.readouterr().out.split())
+        out = solve()
+        assert out["alpha"] == "none" and out["effective_lambda"] == "1"
+        assert int(out["nnz"]) > 0 and out["converged"] == "True"
+        assert float(out["kkt_gap"]) <= 1e-6
+        short = solve("--max-iter", "5")
+        assert short["iterations"] == "5" and short["converged"] == "False"
+        assert int(solve("--tol", "1e-3")["iterations"]) < int(out["iterations"])
+
     def test_mp_engine_replays_the_solver_thresholds(self, capsys):
         code = main(["solve", "--n", "150", "--lambda", "1.0", "--seeds", "1",
                      "--engine", "mp", "--max-iter", "7"])
