@@ -327,19 +327,22 @@ def ist_run(instance: Instance, policy: ThresholdPolicy, rescale_opnorm: float |
 
 
 def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95,
-                    max_iter: int = 10000, tol: float = 0.0) -> SolverResult:
+                    max_iter: int = 10000, tol: float = 0.0,
+                    trajectory: bool = False) -> SolverResult:
     """Solve the LASSO at regularization ``lam`` by plain thresholded descent.
 
     Runs IST at the fixed threshold ``lam * c**2`` on the co-scaled problem,
     whose fixed point is exactly the stationary point of
     ``0.5*||y - A x||^2 + lam*||x||_1`` on the original data.  Slow, but
     its fixed point does not involve the memory term; used as a reference.
+    The trajectory, an MSE per step, is recorded only when asked for.
     """
     if lam <= 0:
         raise ValueError("lam must be > 0")
     scaled, c = _rescaled(instance, rescale_opnorm)
-    return _iterate(scaled, ThresholdPolicy.fixed([lam * c * c]), max_iter, tol,
-                    memory=False, scale=c)
+    run = _run_recorded if trajectory else _iterate
+    return run(scaled, ThresholdPolicy.fixed([lam * c * c]), max_iter, tol,
+               memory=False, scale=c)
 
 
 def lasso_objective(instance: Instance, x: np.ndarray, lam: float) -> float:

@@ -80,7 +80,8 @@ def cmd_solve(args) -> int:
     instance = gen_instance(args.n, params, args.seeds[0], args.ensemble)
     if fixed_level:
         result = ist_solve_lasso(instance, args.lam, rescale_opnorm=0.95,
-                                 max_iter=args.max_iter, tol=args.tol)
+                                 max_iter=args.max_iter, tol=args.tol,
+                                 trajectory=bool(args.out))
         lam_eff = args.lam
     elif args.engine == "ist":
         result = ist_run(instance, ThresholdPolicy.rms(alpha), rescale_opnorm=0.95,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +37,9 @@ RESAMPLED_ORACLE = "RESAMPLED_ORACLE"
 PHASE_CURVE = "PHASE_CURVE"
 KINDS = (MSE_VS_LAMBDA, CONVERGENCE, NOISE_HISTOGRAM, SE_TRACKING,
          RESAMPLED_ORACLE, PHASE_CURVE)
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "GOTO_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,23 @@ def _parallel_map(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _environment() -> dict:
+    """What the bits of a result depend on besides the spec.
+
+    The BLAS thread count can change the last bits of ``A @ x``, so a
+    manifest replays a run exactly only under the same BLAS threading.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy without the dict mode
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_env": {k: os.environ[k] for k in _THREAD_VARS if k in os.environ},
+    }
+
+
 def _manifest(spec: ExperimentSpec, outcomes: list[dict]) -> dict:
     spec_dict = spec.to_dict()
     blob = json.dumps(spec_dict, sort_keys=True).encode()
@@ -139,6 +160,7 @@ def _manifest(spec: ExperimentSpec, outcomes: list[dict]) -> dict:
         "spec": spec_dict,
         "spec_sha256": hashlib.sha256(blob).hexdigest(),
         "outcomes": outcomes,
+        "environment": _environment(),
     }
 
 
@@ -424,8 +446,9 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
             if t == t_max:
                 break
             if resample and t > 0:
-                a = draw_matrix(np.random.default_rng(streams[t]), m, spec.n,
-                                spec.ensemble)
+                # redrawn in place: the cell holds one (m, n) matrix, not two
+                draw_matrix(np.random.default_rng(streams[t]), m, spec.n,
+                            spec.ensemble, out=a)
             arg = x + a.T @ (w - a @ (x - x_true))
             x = soft_threshold(arg, thetas[t])
         return vals

@@ -22,6 +22,9 @@ GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
 ENSEMBLES = (GAUSSIAN, RADEMACHER)
 
+# Rows per block of a Rademacher draw: its int64 temporary is this many rows.
+_RADEMACHER_BLOCK_ROWS = 16
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -74,13 +77,36 @@ def measurement_count(delta: float, n: int) -> int:
     return m
 
 
-def draw_matrix(rng: np.random.Generator, m: int, n: int, ensemble: str) -> np.ndarray:
-    """An (m, n) matrix of the ensemble with i.i.d. entries of variance 1/m."""
+def draw_matrix(rng: np.random.Generator, m: int, n: int, ensemble: str,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """An (m, n) matrix of the ensemble with i.i.d. entries of variance 1/m.
+
+    With ``out`` (a C-contiguous float64 (m, n) array) the draw is written
+    into it and ``out`` is returned.  Either way the values, and the state
+    the generator is left in, are those of one fresh draw.
+    """
+    if ensemble not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble {ensemble!r}")
+    if out is not None and (out.shape != (m, n) or out.dtype != np.float64
+                            or not out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float64 array of shape (m, n)")
+    scale = np.sqrt(m)
     if ensemble == GAUSSIAN:
-        return rng.standard_normal((m, n)) / np.sqrt(m)
-    if ensemble == RADEMACHER:
-        return (2.0 * rng.integers(0, 2, size=(m, n)) - 1.0) / np.sqrt(m)
-    raise ValueError(f"unknown ensemble {ensemble!r}")
+        if out is None:
+            return rng.standard_normal((m, n)) / scale
+        rng.standard_normal(out=out)
+        out /= scale
+        return out
+    # Row blocks consume the generator exactly as one (m, n) draw does, and
+    # the int64 temporary stays a block, not a second matrix.
+    a = np.empty((m, n)) if out is None else out
+    for start in range(0, m, _RADEMACHER_BLOCK_ROWS):
+        block = a[start:start + _RADEMACHER_BLOCK_ROWS]
+        block[...] = rng.integers(0, 2, size=block.shape)
+        block *= 2.0
+        block -= 1.0
+        block /= scale
+    return a
 
 
 def _assemble(a, x0, w, m, n, delta, sigma2, seed) -> Instance:

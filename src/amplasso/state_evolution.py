@@ -23,6 +23,11 @@ from .priors import st_keep_prob, st_mse
 from .scalar_risk import minimax_soft_threshold
 
 _RESIDUAL_RTOL = 1e-12
+# Plain fixed-point steps before the bracketing solve.  Near alpha_min the
+# iteration converges linearly at a rate close to 1 (12 184 steps at
+# alpha_min + 1e-3 for delta = 0.64); every call in the tests and the
+# benchmark settles within 1 352 steps, so their values do not depend on it.
+_FIXED_POINT_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -122,9 +127,9 @@ def _alpha_floor(delta: float) -> float:
 def se_fixed_point(params: ModelParams, alpha: float) -> float:
     """Unique tau_* > 0 solving tau^2 = F(tau^2, alpha*tau).
 
-    Plain fixed-point iteration (damped on oscillation) with a bracketing
-    root solve as fallback; the result satisfies the equation to 1e-12
-    relative residual.  Requires sigma^2 > 0 and alpha above
+    Plain fixed-point iteration (damped on oscillation) for at most
+    2000 steps, then a bracketing root solve; the result satisfies the
+    equation to 1e-12 relative residual.  Requires sigma^2 > 0 and alpha above
     :func:`alpha_min`, where uniqueness holds.
     """
     if params.sigma2 <= 0:
@@ -139,7 +144,7 @@ def se_fixed_point(params: ModelParams, alpha: float) -> float:
     tau2 = tau0_squared(params)
     damping = 1.0
     prev_step = 0.0
-    for _ in range(20000):
+    for _ in range(_FIXED_POINT_STEPS):
         step = g(tau2)
         if abs(step) <= _RESIDUAL_RTOL * tau2:
             return math.sqrt(tau2)

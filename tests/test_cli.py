@@ -74,6 +74,19 @@ class TestSolve:
         assert short["iterations"] == "5" and short["converged"] == "False"
         assert int(solve("--tol", "1e-3")["iterations"]) < int(out["iterations"])
 
+    def test_ist_lambda_lane_writes_its_trajectory(self, tmp_path, capsys):
+        code = main(["solve", "--n", "500", "--seeds", "3", "--engine", "ist",
+                     "--lambda", "1.0", "--out", str(tmp_path / "run")])
+        assert code == 0
+        out = dict(tok.split("=") for tok in capsys.readouterr().out.split()
+                   if "=" in tok)
+        with (tmp_path / "run.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == int(out["iterations"]) + 1
+        assert rows[-1]["t"] == out["iterations"]
+        assert f"{float(rows[-1]['tau_hat']):.6g}" == out["tau_hat"]
+        assert f"{float(rows[-1]['theta']):.6g}" == out["theta"]
+
     def test_mp_engine_replays_the_solver_thresholds(self, capsys):
         code = main(["solve", "--n", "150", "--lambda", "1.0", "--seeds", "1",
                      "--engine", "mp", "--max-iter", "7"])

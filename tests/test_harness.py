@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,7 +98,9 @@ class TestMseVsLambda:
         parallel = run_mse_vs_lambda(ExperimentSpec(jobs=3, **base))
         assert serial.rows == parallel.rows
 
-    def test_csv_and_manifest_written(self, small_params, tmp_path):
+    def test_csv_and_manifest_written(self, small_params, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         out = tmp_path / "sweep"
         spec = ExperimentSpec(kind="MSE_VS_LAMBDA", n=120, params=small_params,
                               lambdas=(1.0,), seeds=(0,), max_iter=200,
@@ -109,6 +112,12 @@ class TestMseVsLambda:
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert manifest["spec"]["kind"] == "MSE_VS_LAMBDA"
         assert len(manifest["spec_sha256"]) == 64
+        # result bits depend on the BLAS threading, so the manifest records it
+        env = manifest["environment"]
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert "OMP_NUM_THREADS" not in env["thread_env"]
 
     def test_manifest_hash_reproducible(self, small_params):
         spec = ExperimentSpec(kind="MSE_VS_LAMBDA", n=120, params=small_params,
@@ -203,9 +212,9 @@ class TestResampledOracle:
         from amplasso.instances import draw_matrix, measurement_count
         drawn = []
 
-        def spy(rng, m, n, ensemble):
-            a = draw_matrix(rng, m, n, ensemble)
-            drawn.append(a)
+        def spy(rng, m, n, ensemble, out=None):
+            a = draw_matrix(rng, m, n, ensemble, out=out)
+            drawn.append(a.copy())  # a redraw reuses its buffer
             return a
 
         monkeypatch.setattr(harness, "draw_matrix", spy)
@@ -219,6 +228,23 @@ class TestResampledOracle:
         for a in drawn:
             assert a.shape == (m, 101)
             assert np.array_equal(np.abs(a), np.full(a.shape, 1.0 / np.sqrt(m)))
+
+    @pytest.mark.parametrize("ensemble", ["gaussian", "rademacher"])
+    def test_cell_holds_one_matrix(self, small_params, ensemble):
+        from amplasso.instances import measurement_count
+        spec = ExperimentSpec(kind="RESAMPLED_ORACLE", n=400, params=small_params,
+                              ensemble=ensemble, alpha=2.0, seeds=(0, 1),
+                              t_target=5, jobs=1)
+        tracemalloc.start()
+        try:
+            run_resampled_oracle(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = measurement_count(small_params.delta, 400) * 400 * 8
+        # each redraw fills the cell's one matrix; a fresh array per draw
+        # would hold two at once (three with an (m, n) int64 temporary)
+        assert peak <= 1.5 * matrix_bytes
 
 
 class TestPhaseCurve:

@@ -7,7 +7,7 @@ from amplasso import (ModelParams, check_converging, delta_prior,
                       gen_gaussian_instance, gen_planted_instance,
                       gen_rademacher_instance, load_instance,
                       measurement_count, save_instance, three_point)
-from amplasso.instances import Instance
+from amplasso.instances import ENSEMBLES, GAUSSIAN, Instance, draw_matrix
 
 
 class TestMeasurementCount:
@@ -89,6 +89,41 @@ class TestRademacherInstance:
         a = gen_rademacher_instance(100, bench_params, seed=7)
         b = gen_rademacher_instance(100, bench_params, seed=7)
         assert np.array_equal(a.a, b.a)
+
+
+def _one_shot(rng, m, n, ensemble):
+    """The draw as one (m, n) expression: the reference for every fill."""
+    if ensemble == GAUSSIAN:
+        return rng.standard_normal((m, n)) / np.sqrt(m)
+    return (2.0 * rng.integers(0, 2, size=(m, n)) - 1.0) / np.sqrt(m)
+
+
+class TestDrawMatrix:
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    # m * n odd throughout; 17 and 333 rows end in a partial block
+    @pytest.mark.parametrize("m, n", [(1, 1), (17, 3), (333, 517)])
+    def test_fresh_and_in_place_draws_match_one_shot(self, ensemble, m, n):
+        for seed in (0, 1, 2):
+            ref_rng, rng, buf_rng = (np.random.default_rng(seed) for _ in range(3))
+            ref = _one_shot(ref_rng, m, n, ensemble)
+            assert np.array_equal(draw_matrix(rng, m, n, ensemble), ref)
+            buf = np.full((m, n), np.nan)
+            assert draw_matrix(buf_rng, m, n, ensemble, out=buf) is buf
+            assert np.array_equal(buf, ref)
+            # the generator is left where one fresh draw leaves it
+            state = ref_rng.bit_generator.state
+            assert rng.bit_generator.state == state
+            assert buf_rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("out", [np.empty((3, 4)), np.empty((4, 3), dtype=np.float32),
+                                     np.empty((4, 6))[:, ::2]])
+    def test_rejects_unfit_out(self, out):
+        with pytest.raises(ValueError):
+            draw_matrix(np.random.default_rng(0), 4, 3, GAUSSIAN, out=out)
+
+    def test_rejects_unknown_ensemble(self):
+        with pytest.raises(ValueError):
+            draw_matrix(np.random.default_rng(0), 4, 3, "bernoulli")
 
 
 class TestPlantedInstance:

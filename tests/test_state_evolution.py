@@ -128,6 +128,26 @@ class TestSeFixedPoint:
         assert se_run(bench_params, 2.0).tau_star == pytest.approx(tau_star,
                                                                    abs=1e-10)
 
+    def test_bounded_work_near_alpha_min(self, bench_params, monkeypatch):
+        # the plain iteration crawls here (12 184 steps at alpha_min + 1e-3);
+        # past its step cap the bracketing solve finishes the job
+        import amplasso.state_evolution as se
+        calls = 0
+
+        def counting_se_map(*args):
+            nonlocal calls
+            calls += 1
+            return se_map(*args)
+
+        monkeypatch.setattr(se, "se_map", counting_se_map)
+        for offset in (1e-3, 1e-4, 1e-6):
+            calls = 0
+            alpha = alpha_min(0.64) + offset
+            tau2 = se_fixed_point(bench_params, alpha) ** 2
+            assert calls <= 2100
+            residual = se_map(tau2, alpha * math.sqrt(tau2), bench_params) - tau2
+            assert abs(residual) <= 1e-12 * tau2
+
     def test_rejects_alpha_below_floor(self, bench_params):
         with pytest.raises(ValueError):
             se_fixed_point(bench_params, alpha_min(0.64) * 0.5)
