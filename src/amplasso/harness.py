@@ -141,12 +141,15 @@ def _environment() -> dict:
 
     The BLAS thread count can change the last bits of ``A @ x``, so a
     manifest replays a run exactly only under the same BLAS threading.
+    With no thread variable set, OpenBLAS runs one thread per available
+    core, hence ``nproc``.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy without the dict mode
         blas = {}
     return {
+        "nproc": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "thread_env": {k: os.environ[k] for k in _THREAD_VARS if k in os.environ},

@@ -91,15 +91,13 @@ def draw_matrix(rng: np.random.Generator, m: int, n: int, ensemble: str,
                             or not out.flags.c_contiguous):
         raise ValueError("out must be a C-contiguous float64 array of shape (m, n)")
     scale = np.sqrt(m)
+    a = np.empty((m, n)) if out is None else out
     if ensemble == GAUSSIAN:
-        if out is None:
-            return rng.standard_normal((m, n)) / scale
-        rng.standard_normal(out=out)
-        out /= scale
-        return out
+        rng.standard_normal(out=a)
+        a /= scale
+        return a
     # Row blocks consume the generator exactly as one (m, n) draw does, and
     # the int64 temporary stays a block, not a second matrix.
-    a = np.empty((m, n)) if out is None else out
     for start in range(0, m, _RADEMACHER_BLOCK_ROWS):
         block = a[start:start + _RADEMACHER_BLOCK_ROWS]
         block[...] = rng.integers(0, 2, size=block.shape)

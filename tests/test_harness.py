@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -114,6 +115,7 @@ class TestMseVsLambda:
         assert len(manifest["spec_sha256"]) == 64
         # result bits depend on the BLAS threading, so the manifest records it
         env = manifest["environment"]
+        assert env["nproc"] == len(os.sched_getaffinity(0))
         assert env["numpy"] == np.__version__
         assert set(env["blas"]) == {"name", "version"}
         assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
