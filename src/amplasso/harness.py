@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import state_evolution as se
 from .amp import (NumericalBlowupError, ThresholdPolicy, amp_run, amp_step,
@@ -349,6 +348,8 @@ def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
                  + ist_res.scale * (instance.a.T @ ist_res.r_hat))[plus]
         return u_amp, u_ist
 
+    from scipy import stats  # loaded on use, kept out of `import amplasso`
+
     pooled = _parallel_map(one_instance, range(len(spec.seeds)), spec.jobs)
     u_amp = np.concatenate([p[0] for p in pooled])
     u_ist = np.concatenate([p[1] for p in pooled])
@@ -412,6 +413,26 @@ def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
     return _emit(spec, ExperimentResult(rows=rows, manifest=_manifest(spec, [])))
 
 
+def _conditioned_products(rng: np.random.Generator, v: np.ndarray,
+                          w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``g = A v`` and ``h = A'(w - g)`` for a fresh Gaussian ``A``, unformed.
+
+    ``A`` has i.i.d. N(0, 1/m) entries.  Given ``g``, the part of ``A`` that
+    acts orthogonally to ``v`` is still a fresh Gaussian, so
+    ``g = sqrt(|v|^2/m) xi_1`` and, with ``z = w - g``,
+    ``h = v (g.z)/|v|^2 + P_perp sqrt(|z|^2/m) xi_2`` (``h = sqrt(|z|^2/m) xi_2``
+    when ``v = 0``).  Draws ``xi_1`` (m normals), then ``xi_2`` (n normals).
+    """
+    m = w.size
+    vv = v @ v
+    g = np.sqrt(vv / m) * rng.standard_normal(m)
+    z = w - g
+    h = np.sqrt((z @ z) / m) * rng.standard_normal(v.size)
+    if vv > 0:
+        h += v * ((g @ z - v @ h) / vv)
+    return g, h
+
+
 def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
     """Recursion with a fresh matrix per iteration vs the fixed-matrix baseline.
 
@@ -420,6 +441,18 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
     identity); with the matrix held fixed and no memory correction, it
     departs.  Thresholds are the deterministic theory sequence in both
     lanes.
+
+    A step uses its matrix only through ``g = A v`` and ``h = A'(w - g)``,
+    ``v = x - x_true``.  For a fresh Gaussian ``A`` their joint law is
+    sampled exactly in O(m + n) work by conditioning on ``g`` (the lemma
+    behind the proof of state evolution: Bolthausen, Commun. Math. Phys.
+    2014; Bayati and Montanari, IEEE Trans. Inf. Theory 2011); see
+    :func:`_conditioned_products`.  So the Gaussian resampled lane forms no
+    matrix: step 0 takes its normals from the cell's first stream after
+    ``x_true`` and ``w``, step ``t`` from stream ``t``.  The fixed lane and
+    Rademacher specs draw explicit matrices into one buffer per cell.  Each
+    outcome names its ``sampler``: ``"gaussian_conditioning"`` or
+    ``"matrix_draw"``.
     """
     params = spec.params
     alpha = _default_alpha(spec)
@@ -430,9 +463,11 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
         tau2.append(tau2[-1])
     thetas = [alpha * np.sqrt(v) for v in tau2]
     m = measurement_count(params.delta, spec.n)
+    gaussian = spec.ensemble == GAUSSIAN
 
     def one_seed(args) -> np.ndarray:
         seed_index, resample = args
+        conditioned = resample and gaussian
         seed = cell_seed(spec.base_seed, "resampled_oracle", seed_index,
                          resample, spec.ensemble)
         root = np.random.SeedSequence(seed)
@@ -441,19 +476,25 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
         x_true = sample_with_rng(params.prior, spec.n, rng0)
         w = (np.sqrt(params.sigma2) * rng0.standard_normal(m)
              if params.sigma2 > 0 else np.zeros(m))
-        a = draw_matrix(rng0, m, spec.n, spec.ensemble)
+        if not conditioned:
+            a = draw_matrix(rng0, m, spec.n, spec.ensemble)
         x = np.zeros(spec.n)
         vals = np.empty(t_max + 1)
         for t in range(t_max + 1):
-            vals[t] = np.mean((x - x_true) ** 2)
+            v = x - x_true
+            vals[t] = np.mean(v ** 2)
             if t == t_max:
                 break
-            if resample and t > 0:
-                # redrawn in place: the cell holds one (m, n) matrix, not two
-                draw_matrix(np.random.default_rng(streams[t]), m, spec.n,
-                            spec.ensemble, out=a)
-            arg = x + a.T @ (w - a @ (x - x_true))
-            x = soft_threshold(arg, thetas[t])
+            if conditioned:
+                rng = rng0 if t == 0 else np.random.default_rng(streams[t])
+                h = _conditioned_products(rng, v, w)[1]
+            else:
+                if resample and t > 0:
+                    # redrawn in place: the cell holds one (m, n) matrix, not two
+                    draw_matrix(np.random.default_rng(streams[t]), m, spec.n,
+                                spec.ensemble, out=a)
+                h = a.T @ (w - a @ v)
+            x = soft_threshold(x + h, thetas[t])
         return vals
 
     rows = []
@@ -470,7 +511,10 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
                                       if col.size > 1 else 0.0),
                 "tau2_se_prediction": params.delta * (tau2[t] - params.sigma2),
             })
-        outcomes.append({"lane": lane, "seeds": len(spec.seeds)})
+        sampler = ("gaussian_conditioning" if resample and gaussian
+                   else "matrix_draw")
+        outcomes.append({"lane": lane, "seeds": len(spec.seeds),
+                         "sampler": sampler})
     rows.sort(key=lambda r: (r["lane"], r["t"]))
     return _emit(spec, ExperimentResult(rows=rows, manifest=_manifest(spec, outcomes)))
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .gaussians import Phi, phi
 from .priors import DiscretePrior
@@ -116,6 +115,8 @@ def mmse_risk(prior: DiscretePrior, sigma: float, abs_tol: float = 1e-10) -> flo
     Integrates over y separately around each atom; the +-12 sigma window
     leaves tail mass below 1e-12.
     """
+    from scipy import integrate  # loaded on use, kept out of `import amplasso`
+
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     total = 0.0

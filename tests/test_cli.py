@@ -2,10 +2,27 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import amplasso
 from amplasso.cli import main, parse_prior
+
+
+def test_import_leaves_out_scipy_stats_and_integrate():
+    # start-up cost: each is imported by the one call that uses it
+    src = str(Path(amplasso.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, amplasso, amplasso.cli; "
+             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestParsePrior:

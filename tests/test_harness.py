@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from amplasso import ExperimentSpec, ModelParams, delta_prior, run_experiment, three_point
-from amplasso.harness import (cell_seed, iterations_to_mse, run_convergence,
+from amplasso.harness import (_conditioned_products, cell_seed,
+                              iterations_to_mse, run_convergence,
                               run_mse_vs_lambda, run_noise_histogram,
                               run_phase_curve, run_resampled_oracle,
                               run_se_tracking)
+from amplasso.instances import draw_matrix
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +233,40 @@ class TestResampledOracle:
             assert a.shape == (m, 101)
             assert np.array_equal(np.abs(a), np.full(a.shape, 1.0 / np.sqrt(m)))
 
+    def test_gaussian_resampled_lane_draws_no_matrix(self, small_params,
+                                                     monkeypatch):
+        import amplasso.harness as harness
+        calls = []
+
+        def spy(rng, m, n, ensemble, out=None):
+            calls.append(ensemble)
+            return draw_matrix(rng, m, n, ensemble, out=out)
+
+        monkeypatch.setattr(harness, "draw_matrix", spy)
+        spec = ExperimentSpec(kind="RESAMPLED_ORACLE", n=101, params=small_params,
+                              alpha=2.0, seeds=(0, 1, 2), t_target=3)
+        run_resampled_oracle(spec)
+        # per seed: the fixed lane's one matrix; the resampled lane conditions
+        assert calls == ["gaussian"] * 3
+
+    @pytest.mark.parametrize("ensemble, resampled_sampler", [
+        ("gaussian", "gaussian_conditioning"), ("rademacher", "matrix_draw")])
+    def test_manifest_names_the_sampler(self, small_params, ensemble,
+                                        resampled_sampler):
+        spec = ExperimentSpec(kind="RESAMPLED_ORACLE", n=101, params=small_params,
+                              ensemble=ensemble, alpha=2.0, seeds=(0, 1),
+                              t_target=2)
+        outcomes = run_resampled_oracle(spec).manifest["outcomes"]
+        assert {o["lane"]: o["sampler"] for o in outcomes} == {
+            "resampled": resampled_sampler, "fixed_ist": "matrix_draw"}
+
+    def test_jobs_do_not_change_results(self, small_params):
+        base = dict(kind="RESAMPLED_ORACLE", n=400, params=small_params,
+                    alpha=2.0, seeds=tuple(range(4)), t_target=4)
+        serial = run_resampled_oracle(ExperimentSpec(jobs=1, **base))
+        parallel = run_resampled_oracle(ExperimentSpec(jobs=2, **base))
+        assert serial.rows == parallel.rows
+
     @pytest.mark.parametrize("ensemble", ["gaussian", "rademacher"])
     def test_cell_holds_one_matrix(self, small_params, ensemble):
         from amplasso.instances import measurement_count
@@ -247,6 +283,55 @@ class TestResampledOracle:
         # each redraw fills the cell's one matrix; a fresh array per draw
         # would hold two at once (three with an (m, n) int64 temporary)
         assert peak <= 1.5 * matrix_bytes
+
+
+class TestConditionedProducts:
+    """(g, h) = (A v, A'(w - A v)) sampled without forming a Gaussian A."""
+
+    M, N, DRAWS = 6, 9, 40_000
+
+    def test_law_matches_explicit_draws(self):
+        m, n, k = self.M, self.N, self.DRAWS
+        fixed = np.random.default_rng(11)
+        v = fixed.standard_normal(n)
+        w = 0.5 * fixed.standard_normal(m)
+        # k explicit (m, n) matrices, as slices of one wide draw
+        a = draw_matrix(np.random.default_rng(12), m, n * k,
+                        "gaussian").reshape(m, k, n)
+        g = np.einsum("mkn,n->km", a, v)
+        h = np.einsum("mkn,km->kn", a, w - g)
+        explicit = np.hstack([g, h])
+        rng = np.random.default_rng(13)
+        conditioned = np.empty_like(explicit)
+        for i in range(k):
+            conditioned[i, :m], conditioned[i, m:] = _conditioned_products(rng, v, w)
+
+        def moments(sample):
+            # sample means and upper-triangle covariances, with their SEs
+            centered = sample - sample.mean(axis=0)
+            rows, cols = np.triu_indices(sample.shape[1])
+            prods = centered[:, rows] * centered[:, cols]
+            return [(s.mean(axis=0), s.std(axis=0, ddof=1) / np.sqrt(k))
+                    for s in (sample, prods)]
+
+        for (mean_e, se_e), (mean_c, se_c) in zip(moments(explicit),
+                                                  moments(conditioned)):
+            gap = np.abs(mean_e - mean_c) / np.sqrt(se_e**2 + se_c**2)
+            assert gap.max() <= 5.0
+
+    def test_zero_direction_gives_isotropic_h(self):
+        m, n, k = self.M, self.N, 10_000
+        w = 0.5 * np.random.default_rng(11).standard_normal(m)
+        rng = np.random.default_rng(14)
+        h = np.empty((k, n))
+        for i in range(k):
+            g, h[i] = _conditioned_products(rng, np.zeros(n), w)
+            assert not g.any()
+        assert np.isfinite(h).all()
+        # coordinates are i.i.d. N(0, |z|^2/m) with z = w
+        sq = (h**2).ravel()
+        assert abs(sq.mean() - w @ w / m) <= 5.0 * sq.std(ddof=1) / np.sqrt(sq.size)
+        assert abs(h.mean()) <= 5.0 * np.sqrt(w @ w / m / h.size)
 
 
 class TestPhaseCurve:
