@@ -12,6 +12,7 @@ solver.  One loop drives all three.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -27,6 +28,7 @@ FIXED_SEQUENCE = "fixed"
 
 _BLOWUP_FACTOR = 1e6
 _EPS = float(np.finfo(float).eps)
+_CYCLE_WINDOW = 8  # past states the loop holds to spot an exact repeat
 
 
 class NumericalBlowupError(RuntimeError):
@@ -77,6 +79,10 @@ class ThresholdPolicy:
         if self.estimator == FIXED_SEQUENCE:
             return self.theta_sequence[min(t, len(self.theta_sequence) - 1)]
         return self.alpha * tau_hat
+
+    def stationary(self, t: int) -> bool:
+        """Whether the threshold from step ``t`` on depends on the residual only."""
+        return self.estimator != FIXED_SEQUENCE or t >= len(self.theta_sequence) - 1
 
 
 def estimate_tau(r: np.ndarray, mode: str = RMS) -> float:
@@ -171,7 +177,9 @@ class SolverResult:
     """Output of a solver run: final vectors plus the full trajectory.
 
     For IST, ``r_hat`` is the residual of the co-scaled system ``(c A, c y)``
-    with ``c = scale``.
+    with ``c = scale``.  ``stop`` says why the loop ended: ``"tol"``,
+    ``"max_iter"``, or ``"cycle"`` when the state repeated exactly with
+    period ``period`` (0 otherwise) and the remaining steps were replayed.
     """
 
     x_hat: np.ndarray
@@ -184,6 +192,8 @@ class SolverResult:
     b: float = 0.0
     engine: str = "amp"
     scale: float = 1.0  # co-scaling factor applied to (A, y); 1 for AMP
+    stop: str = "max_iter"
+    period: int = 0
 
 
 def _iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: float,
@@ -193,26 +203,63 @@ def _iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: fl
 
     ``memory`` selects AMP (on) or IST (off); ``observe`` is called with
     the initial state and with every new state.
+
+    A step reads only ``(x, r, theta)``, and in the policy's stationary
+    tail ``theta`` depends only on ``r``.  So once a new state equals, bit
+    for bit, one of the last ``_CYCLE_WINDOW`` states and that older state
+    lies in the tail, the run repeats with that period to the end; every
+    transition of the cycle has already passed the ``tol`` check.  The
+    loop then stops stepping and replays the cycle (observer calls
+    included) up to ``max_iter``: every output is the one full stepping
+    gives, provided a step is a deterministic function of its state
+    (fixed BLAS threading within a run).
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     state = replace(initial_state(instance, policy), memory=memory)
     if observe is not None:
         observe(state)
-    converged = False
+    held: deque[AmpState] = deque(maxlen=_CYCLE_WINDOW)  # newest first
+    stop, period = "max_iter", 0
     for _ in range(max_iter):
         new = amp_step(state, instance, policy)
         if observe is not None:
             observe(new)
         dx = np.linalg.norm(new.x - state.x) / max(1.0, np.linalg.norm(state.x))
+        held.appendleft(state)
         state = new
         if dx < tol:
-            converged = True
+            stop = "tol"
             break
-    return SolverResult(x_hat=state.x, r_hat=state.r, converged=converged,
+        period = _cycle_period(state, held, policy)
+        if period:
+            stop = "cycle"
+            cycle = [held[i] for i in range(period - 1, -1, -1)]  # cycle[0] == state
+            start = state.t
+            if observe is not None:
+                for t in range(start + 1, max_iter + 1):
+                    observe(replace(cycle[(t - start) % period], t=t))
+            state = replace(cycle[(max_iter - start) % period], t=max_iter)
+            break
+    return SolverResult(x_hat=state.x, r_hat=state.r, converged=stop == "tol",
                         iterations=state.t, tau_hat=state.tau_hat,
                         theta=state.theta, b=state.b,
-                        engine="amp" if memory else "ist", scale=scale)
+                        engine="amp" if memory else "ist", scale=scale,
+                        stop=stop, period=period)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality: tells -0.0 from 0.0, which soft thresholding emits."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _cycle_period(state: AmpState, held: deque, policy: ThresholdPolicy) -> int:
+    """Steps back to a held state in the stationary tail that ``state`` repeats, or 0."""
+    for period, old in enumerate(held, start=1):
+        if (old.tau_hat == state.tau_hat and policy.stationary(old.t)
+                and _same_bits(old.x, state.x) and _same_bits(old.r, state.r)):
+            return period
+    return 0
 
 
 def _run_recorded(instance: Instance, policy: ThresholdPolicy, max_iter: int,
@@ -333,9 +380,12 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
 
     Runs IST at the fixed threshold ``lam * c**2`` on the co-scaled problem,
     whose fixed point is exactly the stationary point of
-    ``0.5*||y - A x||^2 + lam*||x||_1`` on the original data.  Slow, but
-    its fixed point does not involve the memory term; used as a reference.
-    The trajectory, an MSE per step, is recorded only when asked for.
+    ``0.5*||y - A x||^2 + lam*||x||_1`` on the original data; its fixed
+    point does not involve the memory term, so it serves as the reference.
+    With ``tol=0`` it reports ``max_iter`` steps, but the loop stops
+    stepping once the iterate settles into an exact cycle (typically of
+    period 1, 2 or 4) and replays it.  The trajectory, an MSE per step,
+    is recorded only when asked for.
     """
     if lam <= 0:
         raise ValueError("lam must be > 0")

@@ -224,11 +224,11 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
             lam_eff = effective_lambda(res.x_hat, res.theta, instance.m)
             return {"lambda": lam, "seed_index": seed_index, "mse": mse,
                     "effective_lambda": lam_eff, "converged": res.converged,
-                    "iterations": res.iterations, "error": None}
+                    "iterations": res.iterations, "stop": res.stop, "error": None}
         except NumericalBlowupError as exc:
             return {"lambda": lam, "seed_index": seed_index, "mse": None,
                     "effective_lambda": None, "converged": False,
-                    "iterations": None, "error": str(exc)}
+                    "iterations": None, "stop": None, "error": str(exc)}
 
     for lam in spec.lambdas:
         if signal_mass:

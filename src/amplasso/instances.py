@@ -218,20 +218,24 @@ def check_converging(instance: Instance, params: ModelParams) -> ConvergenceRepo
 _LAYOUT = ("a", "x0", "w", "y")
 
 
+def _bundle_paths(stem: str | Path) -> tuple[Path, Path]:
+    """``<stem>.json`` and ``<stem>.bin``; a dot in the stem is kept, not replaced."""
+    stem = Path(stem)
+    return stem.with_name(stem.name + ".json"), stem.with_name(stem.name + ".bin")
+
+
 def save_instance(instance: Instance, stem: str | Path) -> tuple[Path, Path]:
     """Write ``<stem>.json`` (header) and ``<stem>.bin`` (flat float64 payload).
 
     The payload is little-endian float64: A in row-major order, then x0, w,
     and y, so any implementation can replay the exact instance.
     """
-    stem = Path(stem)
     header = {
         "m": instance.m, "n": instance.n, "delta": instance.delta,
         "sigma2": instance.sigma2, "seed": instance.seed,
         "layout": list(_LAYOUT), "dtype": "<f8", "order": "C",
     }
-    json_path = stem.with_suffix(".json")
-    bin_path = stem.with_suffix(".bin")
+    json_path, bin_path = _bundle_paths(stem)
     json_path.write_text(json.dumps(header, indent=2) + "\n")
     payload = np.concatenate([
         np.ascontiguousarray(instance.a, dtype="<f8").ravel(),
@@ -244,10 +248,10 @@ def save_instance(instance: Instance, stem: str | Path) -> tuple[Path, Path]:
 
 def load_instance(stem: str | Path) -> Instance:
     """Read an instance bundle written by :func:`save_instance`."""
-    stem = Path(stem)
-    header = json.loads(stem.with_suffix(".json").read_text())
+    json_path, bin_path = _bundle_paths(stem)
+    header = json.loads(json_path.read_text())
     m, n = int(header["m"]), int(header["n"])
-    flat = np.fromfile(stem.with_suffix(".bin"), dtype="<f8")
+    flat = np.fromfile(bin_path, dtype="<f8")
     expected = m * n + n + 2 * m
     if flat.size != expected:
         raise ValueError(f"payload has {flat.size} values, expected {expected}")

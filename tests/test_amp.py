@@ -1,12 +1,14 @@
 """The first-order solver: thresholds, memory term, fixed points, baselines."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from amplasso import amp as amp_module
 from amplasso import (ModelParams, NumericalBlowupError, ThresholdPolicy,
-                      amp_run, amp_step, delta_prior, effective_lambda,
+                      alpha_of_lambda, amp_run, amp_step, delta_prior, effective_lambda,
                       estimate_tau, gen_gaussian_instance, gen_planted_instance,
                       initial_state, ist_run, ist_solve_lasso, lasso_kkt_gap,
                       lasso_objective, operator_norm, se_fixed_point,
@@ -361,3 +363,149 @@ class TestObjective:
         x = np.random.default_rng(0).standard_normal(inst.n)
         direct = 0.5 * np.sum((inst.y - inst.a @ x) ** 2) + 2.0 * np.abs(x).sum()
         assert lasso_objective(inst, x, 2.0) == pytest.approx(direct, rel=1e-14)
+
+
+def hand_stepped(instance, policy, max_iter, tol, memory):
+    """Every state of the loop stepped out with ``amp_step``, and whether tol stopped it."""
+    state = replace(initial_state(instance, policy), memory=memory)
+    states = [state]
+    for _ in range(max_iter):
+        new = amp_step(state, instance, policy)
+        states.append(new)
+        dx = np.linalg.norm(new.x - state.x) / max(1.0, np.linalg.norm(state.x))
+        state = new
+        if dx < tol:
+            return states, True
+    return states, False
+
+
+def assert_same_run(res, stepped, instance, scale=1.0, trajectory=True):
+    """Every result field and trajectory point equals full stepping, bit for bit."""
+    states, converged = stepped
+    last = states[-1]
+    assert res.x_hat.tobytes() == last.x.tobytes()
+    assert res.r_hat.tobytes() == last.r.tobytes()
+    assert (res.tau_hat, res.theta, res.b) == (last.tau_hat, last.theta, last.b)
+    assert res.iterations == last.t and res.converged is converged
+    assert res.engine == ("amp" if last.memory else "ist") and res.scale == scale
+    if trajectory:
+        assert [(p.t, p.tau_hat, p.theta, p.b, p.mse) for p in res.trajectory] == [
+            (s.t, s.tau_hat, s.theta, s.b, float(np.mean((s.x - instance.x0) ** 2)))
+            for s in states]
+
+
+def c4_lambda(instance, params):
+    """The level C4 certifies: the effective lambda of AMP's fixed point at lambda = 1."""
+    res = amp_run(instance, ThresholdPolicy.rms(alpha_of_lambda(1.0, params)),
+                  max_iter=20000, tol=1e-10)
+    return effective_lambda(res.x_hat, res.theta, instance.m)
+
+
+class TestCycleReplay:
+    """Once the state repeats bitwise the loop replays the cycle instead of stepping."""
+
+    @pytest.fixture(scope="class")
+    def c4_runs(self, bench_params):
+        runs = {}
+        for seed in (2, 3):
+            inst = gen_gaussian_instance(500, bench_params, seed=seed)
+            lam = c4_lambda(inst, bench_params)
+            scaled, c = _rescaled(inst, 0.95)
+            policy = ThresholdPolicy.fixed([lam * c * c])
+            runs[seed] = inst, lam, scaled, c, hand_stepped(scaled, policy, 3000, 0.0, False)
+        return runs
+
+    @pytest.mark.parametrize("trajectory", [False, True])
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_lasso_reference_at_c4_size(self, c4_runs, seed, trajectory):
+        inst, lam, scaled, c, stepped = c4_runs[seed]
+        res = ist_solve_lasso(inst, lam, max_iter=3000, trajectory=trajectory)
+        assert res.stop == "cycle" and res.period > 0
+        assert_same_run(res, stepped, scaled, c, trajectory)
+        assert len(res.trajectory) == (3001 if trajectory else 0)
+
+    def test_ist_with_rms_policy(self, bench_params):
+        inst = gen_gaussian_instance(500, bench_params, seed=2)
+        policy = ThresholdPolicy.rms(1.0)
+        res = ist_run(inst, policy, max_iter=1000, tol=0.0)
+        assert res.stop == "cycle" and res.period == 3
+        scaled, c = _rescaled(inst, 0.95)
+        assert_same_run(res, hand_stepped(scaled, policy, 1000, 0.0, False), scaled, c)
+
+    def test_amp_at_zero_tolerance(self, bench_params):
+        inst = gen_gaussian_instance(100, bench_params, seed=0)
+        policy = ThresholdPolicy.rms(2.0)
+        res = amp_run(inst, policy, max_iter=300, tol=0.0)
+        assert res.stop == "cycle" and res.period == 3
+        assert_same_run(res, hand_stepped(inst, policy, 300, 0.0, True), inst)
+
+    def test_fixed_sequence_waits_for_its_stationary_tail(self, bench_params):
+        # thresholds above ||c^2 A'y||_inf keep x = 0 and r = y, so the state
+        # repeats from step 2 (step 1 signs the zeros) while the sequence is
+        # still changing; replaying then would keep x = 0 for good
+        inst = gen_gaussian_instance(200, bench_params, seed=0)
+        scaled, c = _rescaled(inst, 0.95)
+        big = 2.0 * float(np.max(np.abs(scaled.a.T @ scaled.y)))
+        policy = ThresholdPolicy.fixed([big] * 5 + [c * c])
+        stepped = hand_stepped(scaled, policy, 2000, 0.0, False)
+        states = stepped[0]
+        assert states[2].x.tobytes() == states[1].x.tobytes()
+        assert states[2].r.tobytes() == states[1].r.tobytes()
+        res = ist_run(inst, policy, max_iter=2000, tol=0.0)
+        assert res.stop == "cycle" and np.count_nonzero(res.x_hat) > 0
+        assert_same_run(res, stepped, scaled, c)
+
+    @pytest.mark.parametrize("memory, seed", [(False, 2), (True, 0)])
+    def test_observer_sees_every_state(self, bench_params, memory, seed):
+        inst = gen_gaussian_instance(500 if seed == 2 else 100, bench_params, seed=seed)
+        if not memory:
+            inst, _ = _rescaled(inst, 0.95)
+        policy = ThresholdPolicy.rms(1.0 if seed == 2 else 2.0)
+        seen = []
+        res = amp_module._iterate(inst, policy, 600, 0.0, memory, observe=seen.append)
+        assert res.stop == "cycle" and res.period == 3
+
+        def bits(s):
+            return (s.t, s.x.tobytes(), s.r.tobytes(), s.tau_hat, s.theta, s.b, s.memory)
+        states, _ = hand_stepped(inst, policy, 600, 0.0, memory)
+        assert [bits(s) for s in seen] == [bits(s) for s in states]
+
+    def test_signed_zeros_are_not_a_repeat(self, bench_params):
+        # step 1 turns x = 0 into zeros signed like A'y: equal values, other bits
+        inst = gen_gaussian_instance(200, bench_params, seed=0)
+        scaled, c = _rescaled(inst, 0.95)
+        policy = ThresholdPolicy.fixed([2.0 * float(np.max(np.abs(scaled.a.T @ scaled.y)))])
+        res = ist_run(inst, policy, max_iter=10, tol=0.0)
+        assert np.signbit(res.x_hat).any() and (res.stop, res.period) == ("cycle", 1)
+        assert_same_run(res, hand_stepped(scaled, policy, 10, 0.0, False), scaled, c)
+
+    @pytest.mark.parametrize("tol, stop", [(1e-15, "tol"), (1e-17, "cycle")])
+    def test_positive_tolerance(self, bench_params, tol, stop):
+        inst = gen_gaussian_instance(200, bench_params, seed=3)
+        res = ist_solve_lasso(inst, 1.0, max_iter=2000, tol=tol, trajectory=True)
+        assert res.stop == stop and (res.period > 0) == (stop == "cycle")
+        scaled, c = _rescaled(inst, 0.95)
+        policy = ThresholdPolicy.fixed([c * c])
+        assert_same_run(res, hand_stepped(scaled, policy, 2000, tol, False), scaled, c)
+
+    def test_stop_reports_max_iter_without_a_repeat(self, bench_params):
+        inst = gen_gaussian_instance(500, bench_params, seed=2)
+        res = ist_solve_lasso(inst, 1.0, max_iter=5)
+        assert (res.stop, res.period, res.iterations) == ("max_iter", 0, 5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_c4_reference_computes_fewer_steps(self, bench_params, monkeypatch, seed):
+        inst = gen_gaussian_instance(500, bench_params, seed=seed)
+        lam = c4_lambda(inst, bench_params)
+        steps = 0
+        step = amp_module.amp_step
+
+        def counted(*args):
+            nonlocal steps
+            steps += 1
+            return step(*args)
+
+        monkeypatch.setattr(amp_module, "amp_step", counted)
+        res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=10000)
+        assert res.iterations == 10000 and res.converged is False
+        assert res.stop == "cycle" and steps < 10000

@@ -87,9 +87,19 @@ class TestSolve:
         assert out["alpha"] == "none" and out["effective_lambda"] == "1"
         assert int(out["nnz"]) > 0 and out["converged"] == "True"
         assert float(out["kkt_gap"]) <= 1e-6
+        assert (out["stop"], out["period"]) == ("tol", "0")
         short = solve("--max-iter", "5")
         assert short["iterations"] == "5" and short["converged"] == "False"
+        assert (short["stop"], short["period"]) == ("max_iter", "0")
         assert int(solve("--tol", "1e-3")["iterations"]) < int(out["iterations"])
+
+    def test_reports_a_cycle_stop(self, capsys):
+        code = main(["solve", "--n", "200", "--seeds", "3", "--engine", "ist",
+                     "--lambda", "1.0", "--tol", "0", "--max-iter", "3000"])
+        assert code == 0
+        out = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+        assert (out["iterations"], out["converged"]) == ("3000", "False")
+        assert (out["stop"], out["period"]) == ("cycle", "4")
 
     def test_ist_lambda_lane_writes_its_trajectory(self, tmp_path, capsys):
         code = main(["solve", "--n", "500", "--seeds", "3", "--engine", "ist",

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,6 +83,14 @@ class TestMseVsLambda:
         row = run_mse_vs_lambda(spec).rows[0]
         assert abs(row["empirical_mse_mean"] - row["predicted_mse"]) \
             / row["predicted_mse"] < 0.15
+
+    def test_outcomes_record_the_stop_reason(self, small_params):
+        spec = ExperimentSpec(kind="MSE_VS_LAMBDA", n=200, params=small_params,
+                              lambdas=(1.0,), seeds=(0, 1), max_iter=500, tol=1e-7)
+        outcomes = run_mse_vs_lambda(spec).manifest["outcomes"]
+        assert [o["stop"] for o in outcomes] == ["tol", "tol"]
+        short = run_mse_vs_lambda(replace(spec, max_iter=3)).manifest["outcomes"]
+        assert [o["stop"] for o in short] == ["max_iter", "max_iter"]
 
     def test_zero_signal_lane_uses_fixed_alpha(self):
         params = ModelParams(delta=0.64, sigma2=0.2, prior=delta_prior())

@@ -174,6 +174,16 @@ class TestSerialization:
         for name in ("a", "x0", "w", "y"):
             assert np.array_equal(getattr(back, name), getattr(inst, name))
 
+    def test_dotted_stems_keep_their_own_files(self, bench_params, tmp_path):
+        first = gen_gaussian_instance(30, bench_params, seed=1)
+        second = gen_gaussian_instance(30, bench_params, seed=2)
+        paths = save_instance(first, tmp_path / "run.s1")
+        assert [p.name for p in paths] == ["run.s1.json", "run.s1.bin"]
+        save_instance(second, tmp_path / "run.s2")
+        for stem, inst in (("run.s1", first), ("run.s2", second)):
+            back = load_instance(tmp_path / stem)
+            assert back.seed == inst.seed and np.array_equal(back.a, inst.a)
+
     def test_truncated_payload_rejected(self, bench_params, tmp_path):
         inst = gen_gaussian_instance(30, bench_params, seed=14)
         _, bp = save_instance(inst, tmp_path / "bundle")
