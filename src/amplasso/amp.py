@@ -219,22 +219,24 @@ def _iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: fl
     state = replace(initial_state(instance, policy), memory=memory)
     if observe is not None:
         observe(state)
-    held: deque[AmpState] = deque(maxlen=_CYCLE_WINDOW)  # newest first
+    held: deque[_Held] = deque(maxlen=_CYCLE_WINDOW)  # newest first
+    entry = _Held(state)
     stop, period = "max_iter", 0
     for _ in range(max_iter):
         new = amp_step(state, instance, policy)
         if observe is not None:
             observe(new)
         dx = np.linalg.norm(new.x - state.x) / max(1.0, np.linalg.norm(state.x))
-        held.appendleft(state)
+        held.appendleft(entry)
         state = new
+        entry = _Held(state)
         if dx < tol:
             stop = "tol"
             break
-        period = _cycle_period(state, held, policy)
+        period = _cycle_period(entry, held, policy)
         if period:
             stop = "cycle"
-            cycle = [held[i] for i in range(period - 1, -1, -1)]  # cycle[0] == state
+            cycle = [held[i].state for i in range(period - 1, -1, -1)]  # cycle[0] == state
             start = state.t
             if observe is not None:
                 for t in range(start + 1, max_iter + 1):
@@ -253,11 +255,33 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _cycle_period(state: AmpState, held: deque, policy: ThresholdPolicy) -> int:
-    """Steps back to a held state in the stationary tail that ``state`` repeats, or 0."""
+class _Held:
+    """A state of the loop and the hash of its ``(x, r)`` bits, made on first use."""
+
+    __slots__ = ("state", "_key")
+
+    def __init__(self, state: AmpState):
+        self.state = state
+        self._key = None
+
+    def key(self) -> int:
+        if self._key is None:
+            self._key = hash((self.state.x.tobytes(), self.state.r.tobytes()))
+        return self._key
+
+
+def _cycle_period(entry: _Held, held: deque, policy: ThresholdPolicy) -> int:
+    """Steps back to a held state in the stationary tail that ``entry`` repeats, or 0.
+
+    ``tau_hat`` and then the cached hashes screen the candidates, so the
+    bits are compared in full only for a likely repeat.
+    """
+    state = entry.state
     for period, old in enumerate(held, start=1):
-        if (old.tau_hat == state.tau_hat and policy.stationary(old.t)
-                and _same_bits(old.x, state.x) and _same_bits(old.r, state.r)):
+        if (old.state.tau_hat == state.tau_hat and policy.stationary(old.state.t)
+                and old.key() == entry.key()
+                and _same_bits(old.state.x, state.x)
+                and _same_bits(old.state.r, state.r)):
             return period
     return 0
 

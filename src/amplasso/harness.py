@@ -72,6 +72,8 @@ class ExperimentSpec:
             raise ValueError("seeds must be nonempty")
         if any(lam <= 0 for lam in self.lambdas):
             raise ValueError("lambda grid values must be > 0")
+        if self.t_target < 0:
+            raise ValueError("t_target must be >= 0")
 
     def to_dict(self) -> dict:
         d = {
@@ -413,24 +415,79 @@ def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
     return _emit(spec, ExperimentResult(rows=rows, manifest=_manifest(spec, [])))
 
 
-def _conditioned_products(rng: np.random.Generator, v: np.ndarray,
-                          w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``g = A v`` and ``h = A'(w - g)`` for a fresh Gaussian ``A``, unformed.
+class _Span:
+    """Orthonormal directions (rows of ``basis``) and their known images under a map."""
 
-    ``A`` has i.i.d. N(0, 1/m) entries.  Given ``g``, the part of ``A`` that
-    acts orthogonally to ``v`` is still a fresh Gaussian, so
-    ``g = sqrt(|v|^2/m) xi_1`` and, with ``z = w - g``,
-    ``h = v (g.z)/|v|^2 + P_perp sqrt(|z|^2/m) xi_2`` (``h = sqrt(|z|^2/m) xi_2``
-    when ``v = 0``).  Draws ``xi_1`` (m normals), then ``xi_2`` (n normals).
+    def __init__(self, dim: int, image_dim: int, capacity: int):
+        self.basis = np.empty((capacity, dim))
+        self.image = np.empty((capacity, image_dim))
+        self.count = 0
+
+
+class _GaussianConditioning:
+    """Products with an i.i.d. N(0, 1/m) matrix ``A`` that is never formed.
+
+    It holds orthonormal bases ``Q_V`` (of the vectors ``A`` has been
+    applied to) and ``Q_Z`` (of those ``A'`` has been applied to) together
+    with the known products ``G = A Q_V`` and ``H = A'Q_Z``.  Given these,
+    ``A = G Q_V' + Q_Z H' P_V + P_Z B P_V`` with ``P_V``, ``P_Z`` the
+    projections orthogonal to the bases and ``B`` a fresh Gaussian (the
+    conditioning lemma behind the proof of state evolution: Bolthausen,
+    Commun. Math. Phys. 2014; Bayati and Montanari, IEEE Trans. Inf. Theory
+    2011, Lemma 10).  So a sequence of products has exactly the joint law
+    it has under one drawn ``A``; a product after k others costs
+    O((m + n) k) work and m or n normals.
+    :meth:`clear` forgets the history: the next products then see a fresh
+    matrix.  Each product adds at most one direction to its side, so
+    ``capacity`` products of each kind fit.
     """
-    m = w.size
-    vv = v @ v
-    g = np.sqrt(vv / m) * rng.standard_normal(m)
-    z = w - g
-    h = np.sqrt((z @ z) / m) * rng.standard_normal(v.size)
-    if vv > 0:
-        h += v * ((g @ z - v @ h) / vv)
-    return g, h
+
+    def __init__(self, m: int, n: int, capacity: int):
+        self._m = m
+        self._v = _Span(n, m, capacity)  # directions v and A v
+        self._z = _Span(m, n, capacity)  # directions z and A'z
+
+    def clear(self) -> None:
+        self._v.count = self._z.count = 0
+
+    def matvec(self, v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """``A v``; draws m normals unless ``v`` lies in the span seen so far."""
+        return self._product(v, self._v, self._z, rng)
+
+    def rmatvec(self, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """``A'z``; draws n normals unless ``z`` lies in the span seen so far."""
+        return self._product(z, self._z, self._v, rng)
+
+    def _product(self, x: np.ndarray, src: _Span, dst: _Span,
+                 rng: np.random.Generator) -> np.ndarray:
+        """``x`` times the map whose known images ``src`` holds.
+
+        ``dst`` holds the transposed map's known images.  Split ``x = Q c + nu q`` by projecting twice (classical Gram-Schmidt);
+        a remainder that the second pass halves is rounding, so ``nu = 0``
+        and nothing is drawn.  Otherwise the image of the new direction
+        ``q`` is ``Q_dst (H_dst' q) + P_dst xi / sqrt(m)``, computed from
+        that formula (never backed out of the product, so a small ``nu``
+        amplifies no rounding), and ``q`` joins ``src``.
+        """
+        basis, image = src.basis[:src.count], src.image[:src.count]
+        c = basis @ x
+        p = x - c @ basis
+        nu_first = np.linalg.norm(p)
+        c2 = basis @ p
+        p -= c2 @ basis
+        c += c2
+        nu = np.linalg.norm(p)
+        out = c @ image
+        if nu == 0.0 or nu < 0.5 * nu_first:
+            return out
+        q = np.divide(p, nu, out=src.basis[src.count])
+        new_image = rng.standard_normal(out=src.image[src.count])
+        new_image /= np.sqrt(self._m)
+        back, known = dst.basis[:dst.count], dst.image[:dst.count]
+        new_image += (known @ q - back @ new_image) @ back
+        src.count += 1
+        out += nu * new_image
+        return out
 
 
 def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
@@ -443,16 +500,14 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
     lanes.
 
     A step uses its matrix only through ``g = A v`` and ``h = A'(w - g)``,
-    ``v = x - x_true``.  For a fresh Gaussian ``A`` their joint law is
-    sampled exactly in O(m + n) work by conditioning on ``g`` (the lemma
-    behind the proof of state evolution: Bolthausen, Commun. Math. Phys.
-    2014; Bayati and Montanari, IEEE Trans. Inf. Theory 2011); see
-    :func:`_conditioned_products`.  So the Gaussian resampled lane forms no
-    matrix: step 0 takes its normals from the cell's first stream after
-    ``x_true`` and ``w``, step ``t`` from stream ``t``.  The fixed lane and
-    Rademacher specs draw explicit matrices into one buffer per cell.  Each
-    outcome names its ``sampler``: ``"gaussian_conditioning"`` or
-    ``"matrix_draw"``.
+    ``v = x - x_true``.  For a Gaussian ``A`` the harness samples these
+    products exactly in law without forming ``A``
+    (:class:`_GaussianConditioning`): the fixed lane conditions on every
+    product the trajectory has seen, the resampled lane forgets them after
+    each step.  Step 0 takes its normals from the cell's first stream after
+    ``x_true`` and ``w``, step ``t`` from stream ``t``.  Rademacher specs
+    draw explicit matrices into one buffer per cell.  Each outcome names
+    its ``sampler``: ``"gaussian_conditioning"`` or ``"matrix_draw"``.
     """
     params = spec.params
     alpha = _default_alpha(spec)
@@ -467,7 +522,6 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
 
     def one_seed(args) -> np.ndarray:
         seed_index, resample = args
-        conditioned = resample and gaussian
         seed = cell_seed(spec.base_seed, "resampled_oracle", seed_index,
                          resample, spec.ensemble)
         root = np.random.SeedSequence(seed)
@@ -476,7 +530,9 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
         x_true = sample_with_rng(params.prior, spec.n, rng0)
         w = (np.sqrt(params.sigma2) * rng0.standard_normal(m)
              if params.sigma2 > 0 else np.zeros(m))
-        if not conditioned:
+        if gaussian:
+            a = _GaussianConditioning(m, spec.n, 1 if resample else t_max)
+        else:
             a = draw_matrix(rng0, m, spec.n, spec.ensemble)
         x = np.zeros(spec.n)
         vals = np.empty(t_max + 1)
@@ -485,14 +541,15 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
             vals[t] = np.mean(v ** 2)
             if t == t_max:
                 break
-            if conditioned:
-                rng = rng0 if t == 0 else np.random.default_rng(streams[t])
-                h = _conditioned_products(rng, v, w)[1]
+            rng = rng0 if t == 0 else np.random.default_rng(streams[t])
+            if gaussian:
+                if resample:
+                    a.clear()
+                h = a.rmatvec(w - a.matvec(v, rng), rng)
             else:
                 if resample and t > 0:
                     # redrawn in place: the cell holds one (m, n) matrix, not two
-                    draw_matrix(np.random.default_rng(streams[t]), m, spec.n,
-                                spec.ensemble, out=a)
+                    draw_matrix(rng, m, spec.n, spec.ensemble, out=a)
                 h = a.T @ (w - a @ v)
             x = soft_threshold(x + h, thetas[t])
         return vals
@@ -511,8 +568,7 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
                                       if col.size > 1 else 0.0),
                 "tau2_se_prediction": params.delta * (tau2[t] - params.sigma2),
             })
-        sampler = ("gaussian_conditioning" if resample and gaussian
-                   else "matrix_draw")
+        sampler = "gaussian_conditioning" if gaussian else "matrix_draw"
         outcomes.append({"lane": lane, "seeds": len(spec.seeds),
                          "sampler": sampler})
     rows.sort(key=lambda r: (r["lane"], r["t"]))

@@ -509,3 +509,22 @@ class TestCycleReplay:
         res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=10000)
         assert res.iterations == 10000 and res.converged is False
         assert res.stop == "cycle" and steps < 10000
+
+    def test_bits_are_compared_only_for_a_likely_repeat(self, bench_params,
+                                                        monkeypatch):
+        # on C4's reference tau_hat matches a held state on most late steps;
+        # the cached hashes of (x, r) screen those before any full comparison
+        inst = gen_gaussian_instance(500, bench_params, seed=3)
+        lam = c4_lambda(inst, bench_params)
+        calls = 0
+        same_bits = amp_module._same_bits
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return same_bits(a, b)
+
+        monkeypatch.setattr(amp_module, "_same_bits", counted)
+        res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=10000)
+        assert res.stop == "cycle"
+        assert calls <= 10

@@ -203,3 +203,9 @@ class TestExperiment:
         spec_file.write_text(json.dumps({"kind": "CONVERGENCE", "n": 100}))
         assert main(["experiment", "--spec", str(spec_file)]) == 2
         assert "needs params" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["RESAMPLED_ORACLE", "SE_TRACKING"])
+    def test_negative_t_target_is_spec_error(self, kind, capsys):
+        assert main(["experiment", "--kind", kind, "--n", "100", "--delta", "0.64",
+                     "--sigma2", "0.2", "--t-target", "-1"]) == 2
+        assert "t_target must be >= 0" in capsys.readouterr().err

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from amplasso import ExperimentSpec, ModelParams, delta_prior, run_experiment, three_point
-from amplasso.harness import (_conditioned_products, cell_seed,
+from amplasso.harness import (KINDS, _GaussianConditioning, cell_seed,
                               iterations_to_mse, run_convergence,
                               run_mse_vs_lambda, run_noise_histogram,
                               run_phase_curve, run_resampled_oracle,
                               run_se_tracking)
 from amplasso.instances import draw_matrix
+from amplasso.scalar_risk import soft_threshold
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,16 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="needs params"):
             ExperimentSpec.from_dict({"kind": kind})
         assert ExperimentSpec(kind="PHASE_CURVE").params is None
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejects_negative_t_target(self, small_params, kind):
+        # RESAMPLED_ORACLE used to fail with IndexError, SE_TRACKING to
+        # return no rows
+        with pytest.raises(ValueError, match="t_target"):
+            ExperimentSpec(kind=kind, params=small_params, t_target=-1)
+        spec = ExperimentSpec(kind=kind, params=small_params).to_dict()
+        with pytest.raises(ValueError, match="t_target"):
+            ExperimentSpec.from_dict({**spec, "t_target": -1})
 
     def test_round_trip_via_dict(self, small_params):
         spec = ExperimentSpec(kind="MSE_VS_LAMBDA", n=321, params=small_params,
@@ -255,8 +266,8 @@ class TestResampledOracle:
         spec = ExperimentSpec(kind="RESAMPLED_ORACLE", n=101, params=small_params,
                               alpha=2.0, seeds=(0, 1, 2), t_target=3)
         run_resampled_oracle(spec)
-        # per seed: the fixed lane's one matrix; the resampled lane conditions
-        assert calls == ["gaussian"] * 3
+        # both Gaussian lanes condition; neither forms a matrix
+        assert calls == []
 
     @pytest.mark.parametrize("ensemble, resampled_sampler", [
         ("gaussian", "gaussian_conditioning"), ("rademacher", "matrix_draw")])
@@ -267,7 +278,21 @@ class TestResampledOracle:
                               t_target=2)
         outcomes = run_resampled_oracle(spec).manifest["outcomes"]
         assert {o["lane"]: o["sampler"] for o in outcomes} == {
-            "resampled": resampled_sampler, "fixed_ist": "matrix_draw"}
+            "resampled": resampled_sampler, "fixed_ist": resampled_sampler}
+
+    def test_zero_direction_then_a_nonzero_one(self):
+        # a zero prior gives v_0 = 0 (nothing to condition on), and the
+        # first threshold leaves some x_1 != 0, so v_1 is a first direction
+        params = ModelParams(delta=0.64, sigma2=0.2, prior=delta_prior())
+        spec = ExperimentSpec(kind="RESAMPLED_ORACLE", n=400, params=params,
+                              alpha=1.0, seeds=(0, 1), t_target=4)
+        rows = run_resampled_oracle(spec).rows
+        assert len(rows) == 2 * 5
+        for row in rows:
+            assert np.isfinite(row["tau2_empirical"])
+            assert np.isfinite(row["tau2_empirical_se"])
+        assert all(r["tau2_empirical"] == 0.0 for r in rows if r["t"] == 0)
+        assert all(r["tau2_empirical"] > 0.0 for r in rows if r["t"] == 1)
 
     def test_jobs_do_not_change_results(self, small_params):
         base = dict(kind="RESAMPLED_ORACLE", n=400, params=small_params,
@@ -289,31 +314,58 @@ class TestResampledOracle:
         finally:
             tracemalloc.stop()
         matrix_bytes = measurement_count(small_params.delta, 400) * 400 * 8
-        # each redraw fills the cell's one matrix; a fresh array per draw
-        # would hold two at once (three with an (m, n) int64 temporary)
-        assert peak <= 1.5 * matrix_bytes
+        if ensemble == "gaussian":
+            # conditioning holds no matrix: the fixed lane's history (four
+            # vectors per step, 2 * 5 * (m + n) * 8 B = 0.064 matrix here)
+            # plus the cell's working vectors
+            assert peak <= 0.125 * matrix_bytes
+        else:
+            # each redraw fills the cell's one matrix; a fresh array per draw
+            # would hold two at once (three with an (m, n) int64 temporary)
+            assert peak <= 1.5 * matrix_bytes
+
+
+def _trajectory(matvec, rmatvec, x_true, w, thetas):
+    """The fixed-matrix oracle recursion: (g_t, h_t, tau2_{t+1}) per step.
+
+    Vectors may carry leading batch axes; the result stacks along the last.
+    """
+    x = np.zeros_like(x_true)
+    out = []
+    for theta in thetas:
+        g = matvec(x - x_true)
+        h = rmatvec(w - g)
+        x = soft_threshold(x + h, theta)
+        out.extend([g, h, np.mean((x - x_true) ** 2, axis=-1)[..., None]])
+    return np.concatenate(out, axis=-1)
 
 
 class TestConditionedProducts:
-    """(g, h) = (A v, A'(w - A v)) sampled without forming a Gaussian A."""
+    """Products with a Gaussian A sampled by conditioning, without forming A."""
 
-    M, N, DRAWS = 6, 9, 40_000
+    M, N, DRAWS = 6, 9, 8_000
+    THETAS = (0.3, 0.3, 0.2, 0.2)
 
     def test_law_matches_explicit_draws(self):
+        # a fixed-matrix trajectory: every step conditions on all before it
         m, n, k = self.M, self.N, self.DRAWS
         fixed = np.random.default_rng(11)
-        v = fixed.standard_normal(n)
+        x_true = fixed.standard_normal(n) * (fixed.random(n) < 0.5)
         w = 0.5 * fixed.standard_normal(m)
-        # k explicit (m, n) matrices, as slices of one wide draw
+        # k explicit (m, n) matrices, as slices of one wide draw, stepped at once
         a = draw_matrix(np.random.default_rng(12), m, n * k,
                         "gaussian").reshape(m, k, n)
-        g = np.einsum("mkn,n->km", a, v)
-        h = np.einsum("mkn,km->kn", a, w - g)
-        explicit = np.hstack([g, h])
+        explicit = _trajectory(lambda v: np.einsum("mkn,kn->km", a, v),
+                               lambda z: np.einsum("mkn,km->kn", a, z),
+                               np.broadcast_to(x_true, (k, n)),
+                               np.broadcast_to(w, (k, m)), self.THETAS)
         rng = np.random.default_rng(13)
         conditioned = np.empty_like(explicit)
         for i in range(k):
-            conditioned[i, :m], conditioned[i, m:] = _conditioned_products(rng, v, w)
+            s = _GaussianConditioning(m, n, len(self.THETAS))
+            conditioned[i] = _trajectory(lambda v: s.matvec(v, rng),
+                                         lambda z: s.rmatvec(z, rng),
+                                         x_true, w, self.THETAS)
 
         def moments(sample):
             # sample means and upper-triangle covariances, with their SEs
@@ -334,13 +386,34 @@ class TestConditionedProducts:
         rng = np.random.default_rng(14)
         h = np.empty((k, n))
         for i in range(k):
-            g, h[i] = _conditioned_products(rng, np.zeros(n), w)
+            s = _GaussianConditioning(m, n, 1)
+            state = rng.bit_generator.state
+            g = s.matvec(np.zeros(n), rng)
             assert not g.any()
+            assert rng.bit_generator.state == state  # nothing drawn
+            h[i] = s.rmatvec(w - g, rng)
         assert np.isfinite(h).all()
         # coordinates are i.i.d. N(0, |z|^2/m) with z = w
         sq = (h**2).ravel()
         assert abs(sq.mean() - w @ w / m) <= 5.0 * sq.std(ddof=1) / np.sqrt(sq.size)
         assert abs(h.mean()) <= 5.0 * np.sqrt(w @ w / m / h.size)
+
+    def test_direction_in_the_span_is_known(self):
+        rng = np.random.default_rng(15)
+        s = _GaussianConditioning(self.M, self.N, 2)
+        v = rng.standard_normal(self.N)
+        g = s.matvec(v, rng)
+        # the same direction again, up to scale and rounding: A is known there
+        again = s.matvec(3.0 * v, rng)
+        assert np.linalg.norm(again - 3.0 * g) <= 1e-14 * np.linalg.norm(3.0 * g)
+
+    def test_clear_gives_a_fresh_matrix(self):
+        rng = np.random.default_rng(16)
+        s = _GaussianConditioning(self.M, self.N, 1)
+        v = rng.standard_normal(self.N)
+        g = s.matvec(v, rng)
+        s.clear()
+        assert not np.allclose(s.matvec(v, rng), g)
 
 
 class TestPhaseCurve:
