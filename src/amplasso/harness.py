@@ -74,6 +74,9 @@ class ExperimentSpec:
             raise ValueError("lambda grid values must be > 0")
         if self.t_target < 0:
             raise ValueError("t_target must be >= 0")
+        if self.kind == NOISE_HISTOGRAM and len(self.nnz_levels) > 1:
+            raise ValueError(f"{NOISE_HISTOGRAM} takes one nnz level, "
+                             f"got {len(self.nnz_levels)}")
 
     def to_dict(self) -> dict:
         d = {
@@ -469,22 +472,28 @@ class _GaussianConditioning:
         that formula (never backed out of the product, so a small ``nu``
         amplifies no rounding), and ``q`` joins ``src``.
         """
-        basis, image = src.basis[:src.count], src.image[:src.count]
-        c = basis @ x
-        p = x - c @ basis
-        nu_first = np.linalg.norm(p)
-        c2 = basis @ p
-        p -= c2 @ basis
-        c += c2
-        nu = np.linalg.norm(p)
-        out = c @ image
+        if src.count:
+            basis, image = src.basis[:src.count], src.image[:src.count]
+            c = basis @ x
+            p = x - c @ basis
+            nu_first = np.linalg.norm(p)
+            c2 = basis @ p
+            p -= c2 @ basis
+            c += c2
+            nu = np.linalg.norm(p)
+            out = c @ image
+        else:  # nothing to project on: x is its own remainder
+            p = x
+            nu = nu_first = np.linalg.norm(x)
+            out = np.zeros(src.image.shape[1])
         if nu == 0.0 or nu < 0.5 * nu_first:
             return out
         q = np.divide(p, nu, out=src.basis[src.count])
         new_image = rng.standard_normal(out=src.image[src.count])
         new_image /= np.sqrt(self._m)
-        back, known = dst.basis[:dst.count], dst.image[:dst.count]
-        new_image += (known @ q - back @ new_image) @ back
+        if dst.count:
+            back, known = dst.basis[:dst.count], dst.image[:dst.count]
+            new_image += (known @ q - back @ new_image) @ back
         src.count += 1
         out += nu * new_image
         return out

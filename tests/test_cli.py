@@ -99,7 +99,7 @@ class TestSolve:
         assert code == 0
         out = dict(tok.split("=") for tok in capsys.readouterr().out.split())
         assert (out["iterations"], out["converged"]) == ("3000", "False")
-        assert (out["stop"], out["period"]) == ("cycle", "4")
+        assert (out["stop"], out["period"]) == ("cycle", "2")
 
     def test_ist_lambda_lane_writes_its_trajectory(self, tmp_path, capsys):
         code = main(["solve", "--n", "500", "--seeds", "3", "--engine", "ist",
@@ -209,3 +209,8 @@ class TestExperiment:
         assert main(["experiment", "--kind", kind, "--n", "100", "--delta", "0.64",
                      "--sigma2", "0.2", "--t-target", "-1"]) == 2
         assert "t_target must be >= 0" in capsys.readouterr().err
+
+    def test_noise_histogram_with_two_nnz_levels_is_spec_error(self, capsys):
+        assert main(["experiment", "--kind", "NOISE_HISTOGRAM", "--n", "100",
+                     "--delta", "0.5", "--sigma2", "0", "--nnz-levels", "10", "20"]) == 2
+        assert "one nnz level" in capsys.readouterr().err

@@ -57,6 +57,19 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="t_target"):
             ExperimentSpec.from_dict({**spec, "t_target": -1})
 
+    def test_noise_histogram_takes_one_nnz_level(self, small_params):
+        # the protocol reads one level; a second one used to be ignored silently
+        with pytest.raises(ValueError, match="one nnz level"):
+            ExperimentSpec(kind="NOISE_HISTOGRAM", params=small_params,
+                           nnz_levels=(50, 100))
+        spec = ExperimentSpec(kind="NOISE_HISTOGRAM", params=small_params,
+                              nnz_levels=(50,)).to_dict()
+        with pytest.raises(ValueError, match="one nnz level"):
+            ExperimentSpec.from_dict({**spec, "nnz_levels": [50, 100]})
+        assert ExperimentSpec.from_dict(spec).nnz_levels == (50,)
+        assert ExperimentSpec(kind="CONVERGENCE", params=small_params,
+                              nnz_levels=(50, 100)).nnz_levels == (50, 100)
+
     def test_round_trip_via_dict(self, small_params):
         spec = ExperimentSpec(kind="MSE_VS_LAMBDA", n=321, params=small_params,
                               lambdas=(0.5, 1.0), seeds=(1, 2, 3), jobs=2)
