@@ -330,8 +330,10 @@ def operator_norm(a: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 1000,
     stops once rho <= rel_tol * theta and returns sqrt(theta + rho): with
     the top eigenvalue found, sqrt(theta) <= sigma_1 <= sqrt(theta + rho),
     so the result is at most ``rel_tol`` above the top singular value and
-    never below it, a safe bound for a unit step.  Deterministic for a
-    fixed seed; 0.0 for a zero matrix.
+    never below it, a safe bound for a unit step.  If ``max_iter`` steps
+    end before the stop rule holds (and before the Krylov space is
+    exhausted), nothing is certified and :class:`numpy.linalg.LinAlgError`
+    is raised.  Deterministic for a fixed seed; 0.0 for a zero matrix.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -371,6 +373,10 @@ def operator_norm(a: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 1000,
         if rho <= rel_tol * theta or betas[-1] == 0.0:
             break
         q_prev, q = q, w / betas[-1]
+    else:
+        if max_iter < k:  # stopped early: theta may not be the top eigenvalue yet
+            raise np.linalg.LinAlgError(
+                f"Lanczos did not certify the operator norm in {max_iter} steps")
     return math.sqrt(theta + rho)
 
 

@@ -52,7 +52,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="target regularization level")
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--engine", choices=("amp", "ist", "mp"), default="amp",
                    help="solver engine; mp replays the per-edge cross-check")
     p.add_argument("--out", type=str, default=None, help="output path stem")
@@ -192,8 +191,7 @@ def cmd_experiment(args) -> int:
             ensemble=args.ensemble, seeds=tuple(args.seeds), alpha=args.alpha,
             lambdas=tuple(args.lambdas or ()), max_iter=args.max_iter,
             tol=args.tol, t_target=args.t_target,
-            nnz_levels=tuple(args.nnz_levels or ()), jobs=args.jobs,
-            out=args.out,
+            nnz_levels=tuple(args.nnz_levels or ()), out=args.out,
         )
     result = run_experiment(spec)
     print(f"kind={spec.kind} rows={len(result.rows)} "

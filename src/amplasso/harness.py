@@ -4,8 +4,11 @@ Each ``run_*`` function realizes one benchmark protocol (risk-vs-lambda
 sweeps, convergence races, effective-noise histograms, the resampled-matrix
 recursion, phase curves), returns plain row dictionaries plus a manifest,
 and optionally writes CSV/JSON.  Per-cell seeds are derived by hashing the
-cell key, so enlarging a grid never perturbs existing cells, and trials can
-run on a thread pool with canonical (sorted) output order.
+cell key, so enlarging a grid never perturbs existing cells.  Cells run one
+after another on the calling thread, and the BLAS library's threads are the
+only parallelism: a cell is either memory-bound BLAS, which those threads
+already spread over the cores, or many small numpy calls that hold the GIL,
+so threads per cell would only oversubscribe the cores.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import csv
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,7 +45,12 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Full description of one experiment; everything needed to replay it."""
+    """Full description of one experiment; everything needed to replay it.
+
+    ``jobs`` is recorded in the manifest (and so in ``spec_sha256``) but
+    starts no threads: every protocol runs its cells on the calling thread.
+    It stays so that older specs and manifests still load and hash alike.
+    """
 
     kind: str
     n: int = 1000
@@ -133,13 +140,6 @@ def cell_seed(base: int, *parts) -> int:
     return (int(base) << 64) + word
 
 
-def _parallel_map(fn, items, jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _environment() -> dict:
     """What the bits of a result depend on besides the spec.
 
@@ -219,8 +219,9 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
     rows: list[dict] = []
     outcomes: list[dict] = []
 
-    def solve_cell(args):
-        lam, alpha, seed_index, seed = args
+    def solve_cell(lam, alpha, seed_index):
+        seed = cell_seed(spec.base_seed, "mse_vs_lambda", float(lam), seed_index,
+                         spec.ensemble)
         instance = gen_instance(spec.n, params, seed, spec.ensemble)
         try:
             res = amp_run(instance, ThresholdPolicy.rms(alpha),
@@ -247,12 +248,7 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
             tau_star = se.se_fixed_point(params, alpha)
             predicted_mse = params.delta * (tau_star**2 - params.sigma2)
 
-        tasks = [
-            (lam, alpha, idx, cell_seed(spec.base_seed, "mse_vs_lambda",
-                                        float(lam), idx, spec.ensemble))
-            for idx, _ in enumerate(spec.seeds)
-        ]
-        cells = _parallel_map(solve_cell, tasks, spec.jobs)
+        cells = [solve_cell(lam, alpha, idx) for idx in range(len(spec.seeds))]
         outcomes.extend(cells)
         mses = np.array([c["mse"] for c in cells if c["mse"] is not None])
         rows.append({
@@ -276,6 +272,8 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.params
     if params.sigma2 != 0:
         raise ValueError("convergence protocol is noiseless (sigma2 must be 0)")
+    if not spec.nnz_levels:
+        raise ValueError("convergence protocol needs at least one nnz level")
     delta = params.delta
     alpha_amp = _default_alpha(spec)
     rows: list[dict] = []
@@ -355,7 +353,7 @@ def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
 
     from scipy import stats  # loaded on use, kept out of `import amplasso`
 
-    pooled = _parallel_map(one_instance, range(len(spec.seeds)), spec.jobs)
+    pooled = [one_instance(idx) for idx in range(len(spec.seeds))]
     u_amp = np.concatenate([p[0] for p in pooled])
     u_ist = np.concatenate([p[1] for p in pooled])
 
@@ -404,7 +402,7 @@ def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
                 state = amp_step(state, instance, policy)
         return vals
 
-    samples = np.vstack(_parallel_map(one_seed, range(len(spec.seeds)), spec.jobs))
+    samples = np.vstack([one_seed(idx) for idx in range(len(spec.seeds))])
     rows = []
     for t in range(t_max + 1):
         col = samples[:, t]
@@ -529,8 +527,7 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
     m = measurement_count(params.delta, spec.n)
     gaussian = spec.ensemble == GAUSSIAN
 
-    def one_seed(args) -> np.ndarray:
-        seed_index, resample = args
+    def one_seed(seed_index: int, resample: bool) -> np.ndarray:
         seed = cell_seed(spec.base_seed, "resampled_oracle", seed_index,
                          resample, spec.ensemble)
         root = np.random.SeedSequence(seed)
@@ -566,8 +563,8 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
     rows = []
     outcomes = []
     for resample, lane in ((True, "resampled"), (False, "fixed_ist")):
-        tasks = [(idx, resample) for idx in range(len(spec.seeds))]
-        samples = np.vstack(_parallel_map(one_seed, tasks, spec.jobs))
+        samples = np.vstack([one_seed(idx, resample)
+                             for idx in range(len(spec.seeds))])
         for t in range(t_max + 1):
             col = samples[:, t]
             rows.append({

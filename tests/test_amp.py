@@ -362,6 +362,16 @@ class TestOperatorNorm:
         with pytest.raises(ValueError):
             operator_norm(np.ones((2, 3)), max_iter=0)
 
+    def test_stop_on_max_iter_is_a_typed_error(self):
+        # two steps leave the Ritz value below sigma_1 on this matrix, so the
+        # old result sqrt(theta + rho) was not an upper bound
+        a = np.random.default_rng(0).standard_normal((30, 60))
+        top = np.linalg.svd(a, compute_uv=False)[0]
+        with pytest.raises(np.linalg.LinAlgError, match="2 steps"):
+            operator_norm(a, max_iter=2)
+        # 30 steps exhaust the Krylov space of the 30 x 30 Gram operator
+        assert top <= operator_norm(a, max_iter=30) <= top * (1 + 1e-6)
+
     @settings(max_examples=150, deadline=None)
     @given(a=small_matrices())
     def test_certified_bound_holds_on_small_matrices(self, a):

@@ -214,3 +214,13 @@ class TestExperiment:
         assert main(["experiment", "--kind", "NOISE_HISTOGRAM", "--n", "100",
                      "--delta", "0.5", "--sigma2", "0", "--nnz-levels", "10", "20"]) == 2
         assert "one nnz level" in capsys.readouterr().err
+
+    def test_convergence_without_nnz_levels_is_spec_error(self, capsys):
+        # it used to print rows=0 and exit 0
+        assert main(["experiment", "--kind", "CONVERGENCE", "--n", "100",
+                     "--delta", "0.5", "--sigma2", "0"]) == 2
+        assert "at least one nnz level" in capsys.readouterr().err
+
+    def test_jobs_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["se", "--delta", "0.64", "--jobs", "2"])

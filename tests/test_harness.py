@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -199,6 +200,13 @@ class TestConvergence:
         spec = ExperimentSpec(kind="CONVERGENCE", n=100, params=small_params,
                               nnz_levels=(5,))
         with pytest.raises(ValueError):
+            run_convergence(spec)
+
+    def test_rejects_spec_without_nnz_levels(self):
+        # it used to return zero rows
+        params = ModelParams(delta=0.5, sigma2=0.0, prior=three_point(0.1))
+        spec = ExperimentSpec(kind="CONVERGENCE", n=100, params=params)
+        with pytest.raises(ValueError, match="at least one nnz level"):
             run_convergence(spec)
 
 
@@ -461,3 +469,19 @@ class TestDispatch:
         spec = ExperimentSpec(kind="PHASE_CURVE", params=small_params,
                               grid_points=3)
         assert len(run_experiment(spec).rows) == 3
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("MSE_VS_LAMBDA", dict(lambdas=(1.0,), max_iter=200, tol=1e-6)),
+        ("NOISE_HISTOGRAM", dict(t_target=3, nnz_levels=(20,))),
+        ("SE_TRACKING", dict(alpha=2.0, t_target=3)),
+        ("RESAMPLED_ORACLE", dict(alpha=2.0, t_target=3)),
+    ])
+    def test_protocols_start_no_thread(self, small_params, monkeypatch, kind, extra):
+        # cells run on the calling thread whatever `jobs` says
+        def refuse(self):
+            raise AssertionError("a protocol started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        spec = ExperimentSpec(kind=kind, n=160, params=small_params,
+                              seeds=(0, 1, 2), jobs=2, **extra)
+        assert run_experiment(spec).rows
