@@ -12,7 +12,7 @@ from .amp import (AmpState, NumericalBlowupError, SolverResult,
                   ThresholdPolicy, amp_run, amp_step, effective_lambda,
                   estimate_tau, initial_state, ist_run, ist_solve_lasso,
                   lasso_kkt_gap, lasso_objective, operator_norm)
-from .gaussians import Phi, Phi_inv, phi
+from .gaussians import Phi, phi
 from .harness import ExperimentResult, ExperimentSpec, run_experiment
 from .instances import (ConvergenceReport, Instance, ModelParams,
                         check_converging, gen_gaussian_instance, gen_instance,

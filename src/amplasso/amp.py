@@ -134,9 +134,9 @@ def initial_state(instance: Instance, policy: ThresholdPolicy) -> AmpState:
 
 
 def _check_blowup(x: np.ndarray, y: np.ndarray) -> None:
-    peak = float(np.max(np.abs(x))) if x.size else 0.0
-    if math.isfinite(peak) and peak <= _BLOWUP_FACTOR:
-        return  # within the smallest possible limit; skip the scan of y
+    if x @ x <= _BLOWUP_FACTOR**2:
+        return  # |x_i| <= ||x|| <= the smallest possible limit (NaN fails the test)
+    peak = float(np.max(np.abs(x)))
     limit = _BLOWUP_FACTOR * max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
     if not math.isfinite(peak) or peak > limit:
         raise NumericalBlowupError(f"|x| reached {peak:.3e} (limit {limit:.3e})")
@@ -147,12 +147,16 @@ def amp_step(state: AmpState, instance: Instance, policy: ThresholdPolicy) -> Am
 
     Without memory the residual is plain ``y - A x`` and ``b`` stays 0.
     For IST, ``instance`` is the co-scaled system of :func:`ist_run`, whose
-    ``a`` scales each vector it multiplies by c.
+    ``a`` scales each vector it multiplies by c.  Each product is a fresh
+    array that the step owns: ``A'r`` takes ``x`` in place to become the
+    pseudo-data, and ``A x_new`` becomes the residual.
     """
-    u = state.x + instance.a.T @ state.r
+    u = instance.a.T @ state.r
+    u += state.x
     x_new = soft_threshold(u, state.theta)
     _check_blowup(x_new, instance.y)
-    r_new = instance.y - instance.a @ x_new
+    r_new = instance.a @ x_new
+    np.subtract(instance.y, r_new, out=r_new)
     b_new = 0.0
     if state.memory:
         b_new = onsager_coefficient(x_new, instance.m)
@@ -226,11 +230,12 @@ def _iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: fl
     held: deque[_Held] = deque(maxlen=_CYCLE_WINDOW)  # newest first
     entry = _Held(state)
     stop, period = "max_iter", 0
+    norm_x = _norm(state.x)
     for _ in range(max_iter):
         new = amp_step(state, instance, policy)
         if observe is not None:
             observe(new)
-        dx = np.linalg.norm(new.x - state.x) / max(1.0, np.linalg.norm(state.x))
+        dx = _norm(new.x - state.x) / max(1.0, norm_x)
         held.appendleft(entry)
         state = new
         entry = _Held(state)
@@ -247,11 +252,17 @@ def _iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: fl
                     observe(replace(cycle[(t - start) % period], t=t))
             state = replace(cycle[(max_iter - start) % period], t=max_iter)
             break
+        norm_x = _norm(state.x)
     return SolverResult(x_hat=state.x, r_hat=state.r, converged=stop == "tol",
                         iterations=state.t, tau_hat=state.tau_hat,
                         theta=state.theta, b=state.b,
                         engine="amp" if memory else "ist", scale=scale,
                         stop=stop, period=period)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm by the formula ``np.linalg.norm`` uses for a real vector."""
+    return math.sqrt(v @ v)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -282,8 +293,8 @@ def _cycle_period(entry: _Held, held: deque, policy: ThresholdPolicy) -> int:
     """
     state = entry.state
     for period, old in enumerate(held, start=1):
-        if (old.state.tau_hat == state.tau_hat and policy.stationary(old.state.t)
-                and old.key() == entry.key()
+        if (old.state.tau_hat == state.tau_hat and old.key() == entry.key()
+                and policy.stationary(old.state.t)
                 and _same_bits(old.state.x, state.x)
                 and _same_bits(old.state.r, state.r)):
             return period
@@ -294,9 +305,11 @@ def _run_recorded(instance: Instance, policy: ThresholdPolicy, max_iter: int,
                   tol: float, memory: bool, scale: float = 1.0) -> SolverResult:
     """Run the loop with an observer that records a trajectory point per state."""
     trajectory: list[TrajectoryPoint] = []
+    x0, n = instance.x0, instance.n
 
     def observe(state: AmpState) -> None:
-        mse = float(np.mean((state.x - instance.x0) ** 2))
+        err = state.x - x0
+        mse = float(np.add.reduce(err * err) / n)  # the bits of np.mean(err ** 2)
         trajectory.append(TrajectoryPoint(t=state.t, tau_hat=state.tau_hat,
                                           theta=state.theta, b=state.b, mse=mse))
 
@@ -410,14 +423,12 @@ class _ScaledMatrix:
     55 without an exact cycle, ``A (c v)`` 18 and a scaled copy 28.
     """
 
-    __slots__ = ("_a", "_c")
+    __slots__ = ("_a", "_c", "T")
 
-    def __init__(self, a: np.ndarray, c: float):
-        self._a, self._c = a, c
-
-    @property
-    def T(self) -> "_ScaledMatrix":
-        return _ScaledMatrix(self._a.T, self._c)
+    def __init__(self, a: np.ndarray, c: float, transpose: "_ScaledMatrix | None" = None):
+        # the transpose is built once, as every step reads it; it holds no
+        # link back, since a reference cycle would keep A alive until a full GC
+        self._a, self._c, self.T = a, c, transpose
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self._a @ (self._c * v)
@@ -445,7 +456,8 @@ def _rescaled(instance: Instance,
     if norm == 0.0:
         raise ValueError("matrix has zero operator norm")
     c = rescale_opnorm / norm
-    scaled = _CoScaled(a=_ScaledMatrix(instance.a, c), y=c * instance.y,
+    a = _ScaledMatrix(instance.a, c, _ScaledMatrix(instance.a.T, c))
+    scaled = _CoScaled(a=a, y=c * instance.y,
                        x0=instance.x0, m=instance.m, n=instance.n)
     return scaled, c
 

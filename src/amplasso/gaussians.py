@@ -1,4 +1,4 @@
-"""Standard-normal density, distribution, and quantile functions.
+"""Standard-normal density and distribution functions.
 
 Every module in the package evaluates phi / Phi through these wrappers
 (backed by the complementary error function, |error| <= 1e-15) so that
@@ -22,16 +22,10 @@ def phi(z):
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore"):
         out = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    return float(out) if out.ndim == 0 else out
+    return out if out.ndim else float(out)
 
 
 def Phi(z):
     """Standard normal distribution function (via erfc)."""
     out = special.ndtr(np.asarray(z, dtype=float))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def Phi_inv(p):
-    """Standard normal quantile function."""
-    out = special.ndtri(np.asarray(p, dtype=float))
-    return float(out) if np.ndim(out) == 0 else out
+    return out if isinstance(out, np.ndarray) else float(out)

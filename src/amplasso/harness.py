@@ -4,7 +4,8 @@ Each ``run_*`` function realizes one benchmark protocol (risk-vs-lambda
 sweeps, convergence races, effective-noise histograms, the resampled-matrix
 recursion, phase curves), returns plain row dictionaries plus a manifest,
 and optionally writes CSV/JSON.  Per-cell seeds are derived by hashing the
-cell key, so enlarging a grid never perturbs existing cells.  Cells run one
+cell key, which holds the value of a seed from ``spec.seeds`` (not its
+position), so enlarging a grid never perturbs existing cells.  Cells run one
 after another on the calling thread, and the BLAS library's threads are the
 only parallelism: a cell is either memory-bound BLAS, which those threads
 already spread over the cores, or many small numpy calls that hold the GIL,
@@ -47,9 +48,11 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 class ExperimentSpec:
     """Full description of one experiment; everything needed to replay it.
 
-    ``jobs`` is recorded in the manifest (and so in ``spec_sha256``) but
-    starts no threads: every protocol runs its cells on the calling thread.
-    It stays so that older specs and manifests still load and hash alike.
+    Each value in ``seeds`` keys its own cells, so ``seeds=(5, 6, 7)``
+    draws other instances than ``seeds=(0, 1, 2)``.  ``jobs`` is recorded
+    in the manifest (and so in ``spec_sha256``) but starts no threads:
+    every protocol runs its cells on the calling thread.  It stays so that
+    older specs and manifests still load and hash alike.
     """
 
     kind: str
@@ -220,8 +223,8 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
     outcomes: list[dict] = []
 
     def solve_cell(lam, alpha, seed_index):
-        seed = cell_seed(spec.base_seed, "mse_vs_lambda", float(lam), seed_index,
-                         spec.ensemble)
+        seed = cell_seed(spec.base_seed, "mse_vs_lambda", float(lam),
+                         spec.seeds[seed_index], spec.ensemble)
         instance = gen_instance(spec.n, params, seed, spec.ensemble)
         try:
             res = amp_run(instance, ThresholdPolicy.rms(alpha),
@@ -279,9 +282,8 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
     rows: list[dict] = []
     outcomes: list[dict] = []
     for nnz in spec.nnz_levels:
-        for seed_index, _ in enumerate(spec.seeds):
-            seed = cell_seed(spec.base_seed, "convergence", nnz, seed_index,
-                             spec.ensemble)
+        for seed_index, value in enumerate(spec.seeds):
+            seed = cell_seed(spec.base_seed, "convergence", nnz, value, spec.ensemble)
             instance = gen_planted_instance(spec.n, delta, nnz, seed,
                                             ensemble=spec.ensemble)
             amp_res = amp_run(instance, ThresholdPolicy.rms(alpha_amp),
@@ -331,9 +333,8 @@ def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
     policy_amp = ThresholdPolicy.rms(alpha_amp)
     policy_ist = ThresholdPolicy.rms(spec.alpha_ist)
 
-    def one_instance(seed_index: int) -> tuple[np.ndarray, np.ndarray]:
-        seed = cell_seed(spec.base_seed, "noise_histogram", seed_index,
-                         spec.ensemble)
+    def one_instance(value: int) -> tuple[np.ndarray, np.ndarray]:
+        seed = cell_seed(spec.base_seed, "noise_histogram", value, spec.ensemble)
         instance = gen_planted_instance(spec.n, spec.params.delta, nnz, seed,
                                         ensemble=spec.ensemble,
                                         sigma2=spec.params.sigma2)
@@ -353,7 +354,7 @@ def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
 
     from scipy import stats  # loaded on use, kept out of `import amplasso`
 
-    pooled = [one_instance(idx) for idx in range(len(spec.seeds))]
+    pooled = [one_instance(value) for value in spec.seeds]
     u_amp = np.concatenate([p[0] for p in pooled])
     u_ist = np.concatenate([p[1] for p in pooled])
 
@@ -390,8 +391,8 @@ def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
     while len(tau2) < t_max + 1:
         tau2.append(tau2[-1])
 
-    def one_seed(seed_index: int) -> np.ndarray:
-        seed = cell_seed(spec.base_seed, "se_tracking", seed_index, spec.ensemble)
+    def one_seed(value: int) -> np.ndarray:
+        seed = cell_seed(spec.base_seed, "se_tracking", value, spec.ensemble)
         instance = gen_instance(spec.n, params, seed, spec.ensemble)
         state = initial_state(instance, policy)
         vals = np.empty(t_max + 1)
@@ -402,7 +403,7 @@ def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
                 state = amp_step(state, instance, policy)
         return vals
 
-    samples = np.vstack([one_seed(idx) for idx in range(len(spec.seeds))])
+    samples = np.vstack([one_seed(value) for value in spec.seeds])
     rows = []
     for t in range(t_max + 1):
         col = samples[:, t]
@@ -527,9 +528,9 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
     m = measurement_count(params.delta, spec.n)
     gaussian = spec.ensemble == GAUSSIAN
 
-    def one_seed(seed_index: int, resample: bool) -> np.ndarray:
-        seed = cell_seed(spec.base_seed, "resampled_oracle", seed_index,
-                         resample, spec.ensemble)
+    def one_seed(value: int, resample: bool) -> np.ndarray:
+        seed = cell_seed(spec.base_seed, "resampled_oracle", value, resample,
+                         spec.ensemble)
         root = np.random.SeedSequence(seed)
         streams = root.spawn(t_max + 1)
         rng0 = np.random.default_rng(streams[0])
@@ -563,8 +564,7 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
     rows = []
     outcomes = []
     for resample, lane in ((True, "resampled"), (False, "fixed_ist")):
-        samples = np.vstack([one_seed(idx, resample)
-                             for idx in range(len(spec.seeds))])
+        samples = np.vstack([one_seed(value, resample) for value in spec.seeds])
         for t in range(t_max + 1):
             col = samples[:, t]
             rows.append({

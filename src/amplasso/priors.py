@@ -17,6 +17,7 @@ import numpy as np
 from .gaussians import Phi, phi
 
 _WEIGHT_SUM_TOL = 1e-12
+_SIGNS = np.array([[1.0], [-1.0]])  # the thresholds theta and -theta, as rows
 
 
 @dataclass(frozen=True)
@@ -104,11 +105,17 @@ def _check_channel(tau: float, theta: float) -> None:
         raise ValueError("theta must be >= 0")
 
 
-def _zphi(z: np.ndarray) -> np.ndarray:
-    # z*phi(z) with the far tail forced to exact 0 (avoids inf*0 -> nan
-    # when tau is tiny and the normalized thresholds overflow).
-    zc = np.clip(z, -40.0, 40.0)
-    return zc * phi(zc)
+def _channel(prior: DiscretePrior, tau: float, theta: float):
+    """The atoms, the normalized thresholds and their Gaussian tails.
+
+    Returns ``x``, ``ab`` with rows a = (theta - x)/tau and
+    b = (-theta - x)/tau, and ``cdf`` with rows Phi(-a), Phi(a), Phi(b),
+    from a single call of Phi.
+    """
+    _check_channel(tau, theta)
+    x = prior.atom_array
+    ab = (_SIGNS * theta - x) / tau
+    return x, ab, Phi(np.concatenate((-ab[:1], ab)))
 
 
 def st_mse(prior: DiscretePrior, tau: float, theta: float) -> float:
@@ -116,24 +123,23 @@ def st_mse(prior: DiscretePrior, tau: float, theta: float) -> float:
 
     For each atom x0 the error splits over the three soft-threshold
     branches; with a = (theta - x0)/tau and b = (-theta - x0)/tau every
-    piece reduces to phi/Phi evaluated at a and b.
+    piece reduces to phi/Phi evaluated at a and b.  The rows of
+    ``branches`` are the upper (x0 + tau*Z > theta) and the lower branch.
     """
-    _check_channel(tau, theta)
-    x = prior.atom_array
-    w = prior.weight_array
-    a = (theta - x) / tau
-    b = (-theta - x) / tau
-    upper = tau**2 * (_zphi(a) + Phi(-a)) - 2 * tau * theta * phi(a) + theta**2 * Phi(-a)
-    lower = tau**2 * (Phi(b) - _zphi(b)) - 2 * tau * theta * phi(b) + theta**2 * Phi(b)
-    dead = x**2 * (Phi(a) - Phi(b))
-    return float(np.dot(w, upper + lower + dead))
+    x, ab, cdf = _channel(prior, tau, theta)
+    tails = cdf[::2]  # Phi(-a), Phi(b): the mass beyond each threshold
+    dens = phi(ab)
+    # z*phi(z) with the far tail forced to exact 0 (avoids inf*0 -> nan when
+    # tau is tiny and the normalized thresholds overflow); phi vanishes
+    # wherever the clip bites, so the density at the unclipped z serves.
+    zphi = np.clip(ab, -40.0, 40.0) * dens
+    branches = (tau**2 * (tails + _SIGNS * zphi) - 2 * tau * theta * dens
+                + theta**2 * tails)
+    dead = x**2 * (cdf[1] - cdf[2])
+    return float(np.dot(prior.weight_array, branches[0] + branches[1] + dead))
 
 
 def st_keep_prob(prior: DiscretePrior, tau: float, theta: float) -> float:
     """Exact P{|X0 + tau*Z| >= theta}, the fraction surviving the threshold."""
-    _check_channel(tau, theta)
-    x = prior.atom_array
-    w = prior.weight_array
-    a = (theta - x) / tau
-    b = (-theta - x) / tau
-    return float(np.dot(w, Phi(-a) + Phi(b)))
+    _, _, cdf = _channel(prior, tau, theta)
+    return float(np.dot(prior.weight_array, cdf[0] + cdf[2]))

@@ -23,14 +23,20 @@ def soft_threshold(y, theta):
     """Shrink toward zero by ``theta`` with dead zone [-theta, theta].
 
     ``y`` may be a scalar or array; ``theta`` a nonnegative scalar or an
-    array broadcastable against ``y``.
+    array broadcastable against ``y``.  The product order
+    ``sign(y) * max(|y| - theta, 0)`` makes a zero output negative exactly
+    where ``y < 0``; the iteration's cycle check tells -0.0 from 0.0.
     """
-    theta_arr = np.asarray(theta, dtype=float)
-    if np.any(theta_arr < 0):
+    if isinstance(theta, float):  # the solvers' case: one Python comparison
+        negative = theta < 0
+    else:
+        theta = np.asarray(theta, dtype=float)
+        negative = np.any(theta < 0)
+    if negative:
         raise ValueError("theta must be >= 0")
-    y_arr = np.asarray(y, dtype=float)
-    out = np.sign(y_arr) * np.maximum(np.abs(y_arr) - theta_arr, 0.0)
-    return float(out) if out.ndim == 0 else out
+    y = np.asarray(y, dtype=float)
+    out = np.sign(y) * np.maximum(np.abs(y) - theta, 0.0)
+    return out if out.ndim else float(out)
 
 
 def soft_threshold_derivative(y, theta):

@@ -467,6 +467,65 @@ def assert_same_run(res, stepped, instance, scale=1.0, trajectory=True):
             for s in states]
 
 
+def reference_states(matvec, rmatvec, y, n, policy, steps, memory):
+    """States ``(x, r, tau_hat)`` of the step as first written, a fresh array per term:
+    x <- sign(u) * max(|u| - theta, 0) with u = x + A'r, and r <- y - A x (+ b r)."""
+    m = y.size
+    x, r = np.zeros(n), y.copy()
+    tau = np.sqrt(np.dot(r, r) / m)
+    states = [(x, r, tau)]
+    for t in range(steps):
+        u = x + rmatvec(r)
+        x_new = np.sign(u) * np.maximum(np.abs(u) - policy.theta(t, tau), 0.0)
+        r_new = y - matvec(x_new)
+        if memory:
+            r_new += float(np.count_nonzero(x_new)) / m * r
+        x, r = x_new, r_new
+        tau = np.sqrt(np.dot(r, r) / m)
+        states.append((x, r, tau))
+    return states
+
+
+def assert_reference_bits(seen, trajectory, reference):
+    """Every observed state and trajectory point equals the reference bit for bit."""
+    assert len(seen) == len(trajectory) == len(reference)
+    for state, point, (x, r, tau) in zip(seen, trajectory, reference):
+        assert state.x.tobytes() == x.tobytes() and state.r.tobytes() == r.tobytes()
+        assert state.tau_hat == point.tau_hat == tau
+
+
+class TestReferenceStep:
+    """The step's in-place kernels against the reference formulas, signed zeros included."""
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_amp(self, bench_params, seed):
+        inst = gen_gaussian_instance(200, bench_params, seed=seed)
+        policy = ThresholdPolicy.rms(alpha_of_lambda(1.0, bench_params))
+        seen = []
+        amp_module._iterate(inst, policy, 150, 0.0, True, observe=seen.append)
+        res = amp_run(inst, policy, max_iter=150, tol=0.0)
+        ref = reference_states(lambda v: inst.a @ v, lambda v: inst.a.T @ v, inst.y,
+                               inst.n, policy, 150, True)
+        assert_reference_bits(seen, res.trajectory, ref)
+        assert res.x_hat.tobytes() == ref[-1][0].tobytes()
+        assert any(np.signbit(x[x == 0]).any() for x, _, _ in ref)
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_ist_solve_lasso(self, bench_params, seed):
+        # the co-scaled system: x + A'(c r) and c y - A (c x)
+        inst = gen_gaussian_instance(300, bench_params, seed=seed)
+        scaled, c = _rescaled(inst, 0.95)
+        policy = ThresholdPolicy.fixed([c * c])
+        seen = []
+        amp_module._iterate(scaled, policy, 400, 0.0, False, observe=seen.append)
+        res = ist_solve_lasso(inst, 1.0, max_iter=400, trajectory=True)
+        ref = reference_states(lambda v: inst.a @ (c * v), lambda v: inst.a.T @ (c * v),
+                               c * inst.y, inst.n, policy, 400, False)
+        assert_reference_bits(seen, res.trajectory, ref)
+        assert res.r_hat.tobytes() == ref[-1][1].tobytes()
+        assert any(np.signbit(x[x == 0]).any() for x, _, _ in ref)
+
+
 def c4_lambda(instance, params):
     """The level C4 certifies: the effective lambda of AMP's fixed point at lambda = 1."""
     res = amp_run(instance, ThresholdPolicy.rms(alpha_of_lambda(1.0, params)),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from amplasso import ExperimentSpec, ModelParams, delta_prior, run_experiment, three_point
+from amplasso import harness
 from amplasso.harness import (KINDS, _GaussianConditioning, cell_seed,
                               iterations_to_mse, run_convergence,
                               run_mse_vs_lambda, run_noise_histogram,
@@ -86,6 +87,45 @@ class TestCellSeeds:
         s4 = cell_seed(1, "mse_vs_lambda", 1.0, 3, "gaussian")
         assert s1 == s2
         assert len({s1, s3, s4}) == 3
+
+
+# Each protocol's cell keys for the given seeds, in the order it draws them.
+CELL_KEYS = {
+    "MSE_VS_LAMBDA": lambda seeds: [("mse_vs_lambda", 1.0, v, "gaussian") for v in seeds],
+    "CONVERGENCE": lambda seeds: [("convergence", 20, v, "gaussian") for v in seeds],
+    "NOISE_HISTOGRAM": lambda seeds: [("noise_histogram", v, "gaussian") for v in seeds],
+    "SE_TRACKING": lambda seeds: [("se_tracking", v, "gaussian") for v in seeds],
+    "RESAMPLED_ORACLE": lambda seeds: [("resampled_oracle", v, resample, "gaussian")
+                                       for resample in (True, False) for v in seeds],
+}
+
+
+class TestSeedValues:
+    @pytest.mark.parametrize("kind", sorted(CELL_KEYS))
+    def test_cells_are_keyed_by_seed_value(self, small_params, monkeypatch, kind):
+        # seeds (5, 6, 7) draw their own cells; for seeds = range(k) each value
+        # equals its index, so the keys, and every row, are the ones that
+        # keying by the index into `seeds` gave
+        params = (ModelParams(delta=0.5, sigma2=0.0, prior=three_point(0.1))
+                  if kind == "CONVERGENCE" else small_params)
+        keys = []
+
+        def spy(base, *parts):
+            keys.append(parts)
+            return cell_seed(base, *parts)
+
+        monkeypatch.setattr(harness, "cell_seed", spy)
+
+        def rows(seeds):
+            keys.clear()
+            spec = ExperimentSpec(kind=kind, n=160, params=params, seeds=seeds,
+                                  alpha=2.0, lambdas=(1.0,), max_iter=60, t_target=3,
+                                  nnz_levels=(20,))
+            out = run_experiment(spec).rows
+            assert keys == CELL_KEYS[kind](seeds)
+            return out
+
+        assert rows((5, 6, 7)) != rows((0, 1, 2))
 
 
 class TestMseVsLambda:

@@ -108,6 +108,46 @@ class TestStMseClosedForm:
             st_mse(delta_prior(), 1.0, -0.5)
 
 
+def st_mse_reference(prior, tau, theta):
+    """The channel MSE as first written: phi and Phi per branch, z*phi(z) clipped."""
+    def zphi(z):
+        zc = np.clip(z, -40.0, 40.0)
+        return zc * phi(zc)
+    x, w = prior.atom_array, prior.weight_array
+    a, b = (theta - x) / tau, (-theta - x) / tau
+    upper = tau**2 * (zphi(a) + Phi(-a)) - 2 * tau * theta * phi(a) + theta**2 * Phi(-a)
+    lower = tau**2 * (Phi(b) - zphi(b)) - 2 * tau * theta * phi(b) + theta**2 * Phi(b)
+    dead = x**2 * (Phi(a) - Phi(b))
+    return float(np.dot(w, upper + lower + dead))
+
+
+def st_keep_prob_reference(prior, tau, theta):
+    x, w = prior.atom_array, prior.weight_array
+    a, b = (theta - x) / tau, (-theta - x) / tau
+    return float(np.dot(w, Phi(-a) + Phi(b)))
+
+
+class TestReferenceFormulas:
+    """The channel sums equal, bit for bit, the per-branch expressions above."""
+
+    PRIORS = (three_point(0.128), delta_prior(), DiscretePrior((2.5,), (1.0,)),
+              DiscretePrior((-2.0, 0.0, 0.5, 3.0), (0.1, 0.6, 0.2, 0.1)))
+
+    @pytest.mark.parametrize("prior", PRIORS, ids=range(len(PRIORS)))
+    def test_bitwise_on_a_log_grid(self, prior):
+        # tiny tau puts the normalized thresholds far past the clip at |z| = 40,
+        # and tau = 1e-310 makes them overflow to inf, where the clip matters
+        taus = np.append(np.logspace(-8, 3, 45), 1e-310)
+        thetas = np.concatenate(([0.0], np.logspace(-8, 3, 23)))
+        grid = [(float(t), float(th)) for t in taus for th in thetas]
+        assert any(abs(th - x) / t > 40 for t, th in grid for x in prior.atoms)
+        with np.errstate(over="ignore"):  # the overflow to inf is the point
+            for fn, ref in ((st_mse, st_mse_reference),
+                            (st_keep_prob, st_keep_prob_reference)):
+                assert [fn(prior, t, th).hex() for t, th in grid] == \
+                    [ref(prior, t, th).hex() for t, th in grid]
+
+
 class TestStKeepProb:
     def test_zero_threshold(self):
         assert st_keep_prob(three_point(0.2), 0.7, 0.0) == pytest.approx(1.0, abs=1e-14)
