@@ -6,7 +6,8 @@ that correction is what keeps the effective noise Gaussian and makes the
 scalar state evolution exact in the high-dimensional limit.  Iterative
 soft thresholding (IST) is the same step with the memory term switched off,
 run on a co-scaled system; it serves as a baseline and as a LASSO reference
-solver.  One loop drives all three.
+solver.  One loop, :func:`iterate`, drives all three, and the harness
+protocols run through it too: each is the loop plus an observer.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ class AmpState:
     """Iteration state: estimate, residual, and the step's threshold data.
 
     ``memory`` switches the Onsager term ``b * r`` on (AMP) or off (IST).
+    ``u`` is the pseudo-data ``x_prev + A'r_prev`` that the step from the
+    previous state thresholded into ``x``; it is ``None`` at t = 0.
     """
 
     x: np.ndarray
@@ -124,6 +127,7 @@ class AmpState:
     theta: float
     b: float
     memory: bool = True
+    u: np.ndarray | None = None
 
 
 def initial_state(instance: Instance, policy: ThresholdPolicy) -> AmpState:
@@ -149,7 +153,8 @@ def amp_step(state: AmpState, instance: Instance, policy: ThresholdPolicy) -> Am
     For IST, ``instance`` is the co-scaled system of :func:`ist_run`, whose
     ``a`` scales each vector it multiplies by c.  Each product is a fresh
     array that the step owns: ``A'r`` takes ``x`` in place to become the
-    pseudo-data, and ``A x_new`` becomes the residual.
+    pseudo-data, kept in the new state as ``u``, and ``A x_new`` becomes
+    the residual.
     """
     u = instance.a.T @ state.r
     u += state.x
@@ -165,7 +170,7 @@ def amp_step(state: AmpState, instance: Instance, policy: ThresholdPolicy) -> Am
     t_new = state.t + 1
     return AmpState(
         x=x_new, r=r_new, t=t_new, tau_hat=tau_new,
-        theta=policy.theta(t_new, tau_new), b=b_new, memory=state.memory,
+        theta=policy.theta(t_new, tau_new), b=b_new, memory=state.memory, u=u,
     )
 
 
@@ -204,13 +209,17 @@ class SolverResult:
     period: int = 0
 
 
-def _iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: float,
-             memory: bool, observe: Callable[[AmpState], None] | None = None,
-             scale: float = 1.0) -> SolverResult:
-    """The iteration loop behind every solver: step until x settles.
+def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: float,
+            memory: bool, observe: Callable[[AmpState], None] | None = None,
+            scale: float = 1.0) -> SolverResult:
+    """The iteration loop behind every solver and protocol: step until x settles.
 
-    ``memory`` selects AMP (on) or IST (off); ``observe`` is called with
-    the initial state and with every new state.
+    ``memory`` selects AMP (on) or IST (off).  The loop stops once
+    ||x_{t+1} - x_t|| / max(1, ||x_t||) drops below ``tol`` (never for
+    ``tol <= 0``) or after ``max_iter`` steps; ``scale`` is only recorded in
+    the result.  ``observe``, if given, is called with the initial state
+    and then with every new state in order of ``t``; it reads the states
+    and must not write to their arrays, which the loop keeps using.
 
     A step reads only ``(x, r, theta)``, and in the policy's stationary
     tail ``theta`` depends only on ``r``.  So once a new state equals, bit
@@ -220,7 +229,9 @@ def _iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: fl
     loop then stops stepping and replays the cycle (observer calls
     included) up to ``max_iter``: every output is the one full stepping
     gives, provided a step is a deterministic function of its state
-    (fixed BLAS threading within a run).
+    (fixed BLAS threading within a run).  Replay draws on the ``period``
+    states that end with the new one, whose predecessors, and so whose
+    ``u``, lie in the cycle too.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -230,29 +241,28 @@ def _iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: fl
     held: deque[_Held] = deque(maxlen=_CYCLE_WINDOW)  # newest first
     entry = _Held(state)
     stop, period = "max_iter", 0
-    norm_x = _norm(state.x)
     for _ in range(max_iter):
         new = amp_step(state, instance, policy)
         if observe is not None:
             observe(new)
-        dx = _norm(new.x - state.x) / max(1.0, norm_x)
+        settled = tol > 0 and _norm(new.x - state.x) / max(1.0, _norm(state.x)) < tol
         held.appendleft(entry)
         state = new
         entry = _Held(state)
-        if dx < tol:
+        if settled:
             stop = "tol"
             break
         period = _cycle_period(entry, held, policy)
         if period:
             stop = "cycle"
-            cycle = [held[i].state for i in range(period - 1, -1, -1)]  # cycle[0] == state
+            # not the held repeat itself: its u may come from a state before the cycle
+            cycle = [held[i].state for i in range(period - 2, -1, -1)] + [state]
             start = state.t
             if observe is not None:
                 for t in range(start + 1, max_iter + 1):
-                    observe(replace(cycle[(t - start) % period], t=t))
-            state = replace(cycle[(max_iter - start) % period], t=max_iter)
+                    observe(replace(cycle[(t - start - 1) % period], t=t))
+            state = replace(cycle[(max_iter - start - 1) % period], t=max_iter)
             break
-        norm_x = _norm(state.x)
     return SolverResult(x_hat=state.x, r_hat=state.r, converged=stop == "tol",
                         iterations=state.t, tau_hat=state.tau_hat,
                         theta=state.theta, b=state.b,
@@ -313,7 +323,7 @@ def _run_recorded(instance: Instance, policy: ThresholdPolicy, max_iter: int,
         trajectory.append(TrajectoryPoint(t=state.t, tau_hat=state.tau_hat,
                                           theta=state.theta, b=state.b, mse=mse))
 
-    result = _iterate(instance, policy, max_iter, tol, memory, observe, scale)
+    result = iterate(instance, policy, max_iter, tol, memory, observe, scale)
     result.trajectory = trajectory
     return result
 
@@ -495,7 +505,7 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     if lam <= 0:
         raise ValueError("lam must be > 0")
     scaled, c = _rescaled(instance, rescale_opnorm)
-    run = _run_recorded if trajectory else _iterate
+    run = _run_recorded if trajectory else iterate
     return run(scaled, ThresholdPolicy.fixed([lam * c * c]), max_iter, tol,
                memory=False, scale=c)
 

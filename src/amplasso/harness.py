@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import state_evolution as se
-from .amp import (NumericalBlowupError, ThresholdPolicy, amp_run, amp_step,
-                  effective_lambda, initial_state, ist_run)
-from .instances import (GAUSSIAN, Instance, ModelParams, draw_matrix,
-                        gen_instance, gen_planted_instance, measurement_count)
+from .amp import (NumericalBlowupError, ThresholdPolicy, amp_run, effective_lambda,
+                  ist_run, iterate)
+from .instances import (GAUSSIAN, ModelParams, draw_matrix, gen_instance,
+                        gen_planted_instance, measurement_count)
 from .priors import DiscretePrior, sample_with_rng
 from .scalar_risk import soft_threshold
 
@@ -314,10 +314,6 @@ def iterations_to_mse(rows: list[dict], engine: str, nnz: int,
     return min(hits) if hits else None
 
 
-def _pseudo_data(instance: Instance, state) -> np.ndarray:
-    return state.x + instance.a.T @ state.r
-
-
 def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
     """Distribution of un-thresholded estimates on the true +1 coordinates.
 
@@ -340,10 +336,8 @@ def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
                                         sigma2=spec.params.sigma2)
         plus = instance.x0 == 1.0
 
-        state = initial_state(instance, policy_amp)
-        for _ in range(spec.t_target):
-            state = amp_step(state, instance, policy_amp)
-        u_amp = _pseudo_data(instance, state)[plus]
+        amp_res = iterate(instance, policy_amp, spec.t_target, 0.0, True)
+        u_amp = (amp_res.x_hat + instance.a.T @ amp_res.r_hat)[plus]
 
         ist_res = ist_run(instance, policy_ist, rescale_opnorm=spec.ist_rescale,
                           max_iter=spec.t_target, tol=0.0)
@@ -394,13 +388,13 @@ def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
     def one_seed(value: int) -> np.ndarray:
         seed = cell_seed(spec.base_seed, "se_tracking", value, spec.ensemble)
         instance = gen_instance(spec.n, params, seed, spec.ensemble)
-        state = initial_state(instance, policy)
         vals = np.empty(t_max + 1)
-        for t in range(t_max + 1):
-            u = _pseudo_data(instance, state)
-            vals[t] = np.mean((u - instance.x0) ** 2)
-            if t < t_max:
-                state = amp_step(state, instance, policy)
+
+        def observe(state):  # the step to t thresholded the pseudo-data of t - 1
+            if state.t:
+                vals[state.t - 1] = np.mean((state.u - instance.x0) ** 2)
+
+        iterate(instance, policy, t_max + 1, 0.0, True, observe=observe)
         return vals
 
     samples = np.vstack([one_seed(value) for value in spec.seeds])

@@ -1,4 +1,4 @@
-"""Problem-instance generation and converging-sequence diagnostics.
+"""Problem-instance generation and serialization.
 
 An :class:`Instance` bundles one realization of ``y = A x0 + w`` together
 with its dimensions and seed.  Generators produce Gaussian or Rademacher
@@ -135,11 +135,6 @@ def gen_gaussian_instance(n: int, params: ModelParams, seed: int) -> Instance:
     return gen_instance(n, params, seed, GAUSSIAN)
 
 
-def gen_rademacher_instance(n: int, params: ModelParams, seed: int) -> Instance:
-    """Instance with i.i.d. +-1/sqrt(m) matrix entries (unit column norms)."""
-    return gen_instance(n, params, seed, RADEMACHER)
-
-
 def gen_planted_instance(n: int, delta: float, nnz: int, seed: int,
                          ensemble: str = GAUSSIAN, sigma2: float = 0.0) -> Instance:
     """Instance whose signal has exactly ``nnz`` +-1 entries on a random support.
@@ -158,61 +153,6 @@ def gen_planted_instance(n: int, delta: float, nnz: int, seed: int,
     x0[support] = 2.0 * rng.integers(0, 2, size=nnz) - 1.0
     w = np.sqrt(sigma2) * rng.standard_normal(m) if sigma2 > 0 else np.zeros(m)
     return _assemble(a, x0, w, m, n, delta, sigma2, seed)
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Finite-size diagnostics against the asymptotic model."""
-
-    min_col_norm: float
-    max_col_norm: float
-    norm_tol: float
-    norms_pass: bool
-    signal_second_moment: float
-    signal_target: float
-    signal_tol: float
-    signal_pass: bool
-    noise_variance: float
-    noise_target: float
-    noise_tol: float
-    noise_pass: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.norms_pass and self.signal_pass and self.noise_pass
-
-
-def check_converging(instance: Instance, params: ModelParams) -> ConvergenceReport:
-    """Check column norms and empirical moments at finite-size tolerances.
-
-    Norms must lie within 5/sqrt(m) of 1; empirical second moments within
-    five standard errors of their model targets.
-    """
-    col_norms = np.linalg.norm(instance.a, axis=0)
-    norm_tol = 5.0 / np.sqrt(instance.m)
-    min_norm, max_norm = float(col_norms.min()), float(col_norms.max())
-    norms_pass = (1.0 - norm_tol) <= min_norm and max_norm <= (1.0 + norm_tol)
-
-    prior = params.prior
-    x2 = float(np.mean(instance.x0**2))
-    x2_target = prior.second_moment
-    var_x2 = max(prior.fourth_moment - x2_target**2, 0.0)
-    x2_tol = 5.0 * np.sqrt(var_x2 / instance.n)
-    signal_pass = abs(x2 - x2_target) <= x2_tol
-
-    w2 = float(np.mean(instance.w**2))
-    var_w2 = 2.0 * params.sigma2**2
-    w2_tol = 5.0 * np.sqrt(var_w2 / instance.m)
-    noise_pass = abs(w2 - params.sigma2) <= w2_tol
-
-    return ConvergenceReport(
-        min_col_norm=min_norm, max_col_norm=max_norm, norm_tol=norm_tol,
-        norms_pass=norms_pass,
-        signal_second_moment=x2, signal_target=x2_target, signal_tol=x2_tol,
-        signal_pass=signal_pass,
-        noise_variance=w2, noise_target=params.sigma2, noise_tol=w2_tol,
-        noise_pass=noise_pass,
-    )
 
 
 _LAYOUT = ("a", "x0", "w", "y")

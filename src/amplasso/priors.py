@@ -62,10 +62,6 @@ class DiscretePrior:
         return float(np.dot(self.weight_array, self.atom_array**2))
 
     @property
-    def fourth_moment(self) -> float:
-        return float(np.dot(self.weight_array, self.atom_array**4))
-
-    @property
     def sparsity(self) -> float:
         """Mass off zero: 1 - P{X0 = 0} (1.0 when 0 is not an atom)."""
         for a, w in zip(self.atoms, self.weights):

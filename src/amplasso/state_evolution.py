@@ -51,19 +51,6 @@ class LassoRiskPrediction:
     lam: float
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """One (delta, rho) location with its boundary value and worst-case risk.
-
-    ``m_star`` is finite exactly when ``rho < rho_c``.
-    """
-
-    delta: float
-    rho: float
-    rho_c: float
-    m_star: float
-
-
 def tau0_squared(params: ModelParams) -> float:
     """Starting point sigma^2 + E{X0^2}/delta."""
     return params.sigma2 + params.prior.second_moment / params.delta
@@ -261,12 +248,6 @@ def minimax_risk_star(delta: float, rho: float) -> float:
     if m_sharp >= delta:
         return math.inf
     return m_sharp / (1.0 - m_sharp / delta)
-
-
-def phase_point(delta: float, rho: float) -> PhasePoint:
-    """Evaluate the boundary and worst-case noise sensitivity at (delta, rho)."""
-    return PhasePoint(delta=delta, rho=rho, rho_c=rho_c(delta),
-                      m_star=minimax_risk_star(delta, rho))
 
 
 def parametric_boundary(alpha: float) -> tuple[float, float]:

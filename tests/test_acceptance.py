@@ -21,14 +21,15 @@ import pytest
 
 from amplasso import (ExperimentSpec, ModelParams, ThresholdPolicy, amp_run,
                       boundary_alpha, effective_lambda, gen_gaussian_instance,
-                      gen_planted_instance, gen_rademacher_instance,
-                      initial_state, amp_step, ist_run, ist_solve_lasso,
+                      gen_instance, gen_planted_instance, initial_state,
+                      amp_step, ist_run, ist_solve_lasso,
                       lasso_kkt_gap, lasso_objective, alpha_of_lambda,
                       minimax_soft_threshold, parametric_boundary, rho_c,
                       st_keep_prob, st_mse, three_point)
 from amplasso.harness import (iterations_to_mse, run_convergence,
                               run_mse_vs_lambda, run_noise_histogram,
                               run_resampled_oracle, run_se_tracking)
+from amplasso.instances import RADEMACHER
 from amplasso.message_passing import reduced_mp_estimate, reduced_mp_step
 from amplasso.priors import DiscretePrior, sample_with_rng
 
@@ -239,7 +240,7 @@ def test_c10a_closed_forms_vs_monte_carlo():
 
 def test_c10b_reduced_messages_track_solver():
     t0 = time.time()
-    inst = gen_rademacher_instance(200, BENCH, seed=3)
+    inst = gen_instance(200, BENCH, 3, RADEMACHER)
     policy = ThresholdPolicy.rms(2.0)
     state = initial_state(inst, policy)
     thetas = [state.theta]

@@ -13,12 +13,39 @@ from amplasso import amp as amp_module
 from amplasso import (ModelParams, NumericalBlowupError, ThresholdPolicy,
                       alpha_of_lambda, amp_run, amp_step, delta_prior, effective_lambda,
                       estimate_tau, gen_gaussian_instance, gen_planted_instance,
-                      initial_state, ist_run, ist_solve_lasso, lasso_kkt_gap,
+                      initial_state, ist_run, ist_solve_lasso, iterate, lasso_kkt_gap,
                       lasso_objective, operator_norm, se_fixed_point,
-                      soft_threshold, soft_threshold_derivative, three_point)
+                      soft_threshold, three_point)
 from amplasso.amp import _rescaled, onsager_coefficient
 from amplasso.instances import Instance
 from amplasso.state_evolution import calibrate_lambda
+
+
+def soft_threshold_derivative(y, theta):
+    """d/dy of soft thresholding: 1 outside the dead zone, else 0.
+
+    The kink |y| = theta is assigned derivative 0 so that the derivative
+    sum equals the nonzero count of the thresholded vector exactly.
+    """
+    return (np.abs(np.asarray(y, dtype=float)) > theta).astype(float)
+
+
+class TestSoftThresholdDerivative:
+    def test_values(self):
+        assert soft_threshold_derivative(2.0, 1.0) == 1.0
+        assert soft_threshold_derivative(0.5, 1.0) == 0.0
+        assert soft_threshold_derivative(1.0, 1.0) == 0.0  # kink convention
+
+    def test_matches_finite_differences_off_kink(self):
+        step = 1e-6
+        ys = np.linspace(-3, 3, 101)
+        theta = 0.8
+        for y in ys:
+            if abs(abs(y) - theta) <= 10 * step:
+                continue
+            fd = (soft_threshold(y + step, theta)
+                  - soft_threshold(y - step, theta)) / (2 * step)
+            assert soft_threshold_derivative(y, theta) == pytest.approx(fd, abs=1e-9)
 
 
 def onsager_from_derivative(u, theta, m):
@@ -468,12 +495,13 @@ def assert_same_run(res, stepped, instance, scale=1.0, trajectory=True):
 
 
 def reference_states(matvec, rmatvec, y, n, policy, steps, memory):
-    """States ``(x, r, tau_hat)`` of the step as first written, a fresh array per term:
-    x <- sign(u) * max(|u| - theta, 0) with u = x + A'r, and r <- y - A x (+ b r)."""
+    """States ``(x, r, tau_hat, u)`` of the step as first written, a fresh array per
+    term: x <- sign(u) * max(|u| - theta, 0) with u = x + A'r, and r <- y - A x (+ b r).
+    ``u`` is the pseudo-data that gave ``x``; None at t = 0."""
     m = y.size
     x, r = np.zeros(n), y.copy()
     tau = np.sqrt(np.dot(r, r) / m)
-    states = [(x, r, tau)]
+    states = [(x, r, tau, None)]
     for t in range(steps):
         u = x + rmatvec(r)
         x_new = np.sign(u) * np.maximum(np.abs(u) - policy.theta(t, tau), 0.0)
@@ -482,16 +510,17 @@ def reference_states(matvec, rmatvec, y, n, policy, steps, memory):
             r_new += float(np.count_nonzero(x_new)) / m * r
         x, r = x_new, r_new
         tau = np.sqrt(np.dot(r, r) / m)
-        states.append((x, r, tau))
+        states.append((x, r, tau, u))
     return states
 
 
 def assert_reference_bits(seen, trajectory, reference):
     """Every observed state and trajectory point equals the reference bit for bit."""
     assert len(seen) == len(trajectory) == len(reference)
-    for state, point, (x, r, tau) in zip(seen, trajectory, reference):
+    for state, point, (x, r, tau, u) in zip(seen, trajectory, reference):
         assert state.x.tobytes() == x.tobytes() and state.r.tobytes() == r.tobytes()
         assert state.tau_hat == point.tau_hat == tau
+        assert (state.u is None) if u is None else state.u.tobytes() == u.tobytes()
 
 
 class TestReferenceStep:
@@ -502,13 +531,13 @@ class TestReferenceStep:
         inst = gen_gaussian_instance(200, bench_params, seed=seed)
         policy = ThresholdPolicy.rms(alpha_of_lambda(1.0, bench_params))
         seen = []
-        amp_module._iterate(inst, policy, 150, 0.0, True, observe=seen.append)
+        iterate(inst, policy, 150, 0.0, True, observe=seen.append)
         res = amp_run(inst, policy, max_iter=150, tol=0.0)
         ref = reference_states(lambda v: inst.a @ v, lambda v: inst.a.T @ v, inst.y,
                                inst.n, policy, 150, True)
         assert_reference_bits(seen, res.trajectory, ref)
         assert res.x_hat.tobytes() == ref[-1][0].tobytes()
-        assert any(np.signbit(x[x == 0]).any() for x, _, _ in ref)
+        assert any(np.signbit(x[x == 0]).any() for x, _, _, _ in ref)
 
     @pytest.mark.parametrize("seed", [1, 3])
     def test_ist_solve_lasso(self, bench_params, seed):
@@ -517,13 +546,13 @@ class TestReferenceStep:
         scaled, c = _rescaled(inst, 0.95)
         policy = ThresholdPolicy.fixed([c * c])
         seen = []
-        amp_module._iterate(scaled, policy, 400, 0.0, False, observe=seen.append)
+        iterate(scaled, policy, 400, 0.0, False, observe=seen.append)
         res = ist_solve_lasso(inst, 1.0, max_iter=400, trajectory=True)
         ref = reference_states(lambda v: inst.a @ (c * v), lambda v: inst.a.T @ (c * v),
                                c * inst.y, inst.n, policy, 400, False)
         assert_reference_bits(seen, res.trajectory, ref)
         assert res.r_hat.tobytes() == ref[-1][1].tobytes()
-        assert any(np.signbit(x[x == 0]).any() for x, _, _ in ref)
+        assert any(np.signbit(x[x == 0]).any() for x, _, _, _ in ref)
 
 
 def c4_lambda(instance, params):
@@ -594,11 +623,12 @@ class TestCycleReplay:
             inst, _ = _rescaled(inst, 0.95)
         policy = ThresholdPolicy.rms(2.0 if memory else 1.0)
         seen = []
-        res = amp_module._iterate(inst, policy, 600, 0.0, memory, observe=seen.append)
+        res = iterate(inst, policy, 600, 0.0, memory, observe=seen.append)
         assert res.stop == "cycle" and res.period == (3 if memory else 4)
 
         def bits(s):
-            return (s.t, s.x.tobytes(), s.r.tobytes(), s.tau_hat, s.theta, s.b, s.memory)
+            return (s.t, s.x.tobytes(), s.r.tobytes(), s.tau_hat, s.theta, s.b, s.memory,
+                    None if s.u is None else s.u.tobytes())
         states, _ = hand_stepped(inst, policy, 600, 0.0, memory)
         assert [bits(s) for s in seen] == [bits(s) for s in states]
 

@@ -14,7 +14,8 @@ from amplasso.cli import main, parse_prior
 
 
 def test_import_leaves_out_scipy_stats_and_integrate():
-    # start-up cost: each is imported by the one call that uses it
+    # start-up cost: scipy.stats is imported by the one call that uses it, and
+    # nothing in the package uses scipy.integrate
     src = str(Path(amplasso.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, amplasso, amplasso.cli; "

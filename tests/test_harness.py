@@ -9,8 +9,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from amplasso import ExperimentSpec, ModelParams, delta_prior, run_experiment, three_point
+from amplasso import (ExperimentSpec, ModelParams, ThresholdPolicy, amp_step, delta_prior,
+                      gen_instance, gen_planted_instance, initial_state, ist_run,
+                      run_experiment, se_run, three_point)
 from amplasso import harness
 from amplasso.harness import (KINDS, _GaussianConditioning, cell_seed,
                               iterations_to_mse, run_convergence,
@@ -275,6 +278,76 @@ class TestSeTracking:
         for row in rows:
             assert abs(row["empirical_mean"] - row["tau2_prediction"]) \
                 <= max(6 * row["empirical_se"], 0.05)
+
+
+def hand_pseudo_data(instance, policy, steps):
+    """``x_t + A'r_t`` for t = 0..steps, stepping ``amp_step`` by hand."""
+    state = initial_state(instance, policy)
+    out = [state.x + instance.a.T @ state.r]
+    for _ in range(steps):
+        state = amp_step(state, instance, policy)
+        out.append(state.x + instance.a.T @ state.r)
+    return out
+
+
+class TestHandSteppedReference:
+    """Both AMP protocols equal, value for value, a hand-stepped ``amp_step`` run."""
+
+    # n = 60 (Gaussian) and n = 100 (Rademacher) reach exact cycles within 300
+    # steps, so replayed states are covered
+    @pytest.mark.parametrize("ensemble, n, t_target", [
+        ("gaussian", 60, 300), ("gaussian", 300, 8),
+        ("rademacher", 100, 300), ("rademacher", 300, 8),
+    ])
+    def test_se_tracking(self, small_params, ensemble, n, t_target):
+        spec = ExperimentSpec(kind="SE_TRACKING", n=n, params=small_params, alpha=2.0,
+                              ensemble=ensemble, seeds=(0, 1, 2, 3), t_target=t_target)
+        policy = ThresholdPolicy.rms(2.0)
+        samples = []
+        for value in spec.seeds:
+            inst = gen_instance(n, small_params, cell_seed(0, "se_tracking", value, ensemble),
+                                ensemble)
+            samples.append([np.mean((u - inst.x0) ** 2)
+                            for u in hand_pseudo_data(inst, policy, t_target)])
+        samples = np.array(samples)
+        tau2 = list(se_run(small_params, 2.0, max_iter=max(t_target + 1, 50)).tau2_sequence)
+        tau2 += [tau2[-1]] * (t_target + 1 - len(tau2))
+        expected = [{"t": t, "empirical_mean": float(col.mean()),
+                     "empirical_se": float(col.std(ddof=1) / np.sqrt(col.size)),
+                     "tau2_prediction": tau2[t]} for t, col in enumerate(samples.T)]
+        assert repr(run_se_tracking(spec).rows) == repr(expected)
+
+    @pytest.mark.parametrize("ensemble", ["gaussian", "rademacher"])
+    def test_noise_histogram(self, ensemble):
+        params = ModelParams(delta=0.5, sigma2=0.1, prior=three_point(0.125))
+        spec = ExperimentSpec(kind="NOISE_HISTOGRAM", n=240, params=params, alpha=1.6,
+                              ensemble=ensemble, seeds=(0, 1, 2), t_target=6,
+                              nnz_levels=(30,))
+        policy_ist = ThresholdPolicy.rms(spec.alpha_ist)
+        pooled = {"amp": [], "ist": []}
+        for value in spec.seeds:
+            inst = gen_planted_instance(240, 0.5, 30, cell_seed(0, "noise_histogram", value,
+                                                                ensemble),
+                                        ensemble=ensemble, sigma2=0.1)
+            plus = inst.x0 == 1.0
+            pooled["amp"].append(hand_pseudo_data(inst, ThresholdPolicy.rms(1.6), 6)[-1][plus])
+            ist = ist_run(inst, policy_ist, rescale_opnorm=spec.ist_rescale, max_iter=6,
+                          tol=0.0)
+            pooled["ist"].append((ist.x_hat + ist.scale * (inst.a.T @ ist.r_hat))[plus])
+        rows, summaries = [], {}
+        for engine, values in pooled.items():
+            values = np.concatenate(values)
+            mean, sd = float(values.mean()), float(values.std(ddof=1))
+            ks_stat, ks_p = stats.kstest(values, "norm", args=(mean, sd))
+            summaries[engine] = {"mean": mean, "sd": sd, "count": int(values.size),
+                                 "se_mean": sd / np.sqrt(values.size),
+                                 "ks_stat": float(ks_stat), "ks_p": float(ks_p)}
+            counts, edges = np.histogram(values, bins=81)
+            rows.extend({"engine": engine, "bin_center": float(c), "count": int(k)}
+                        for c, k in zip(0.5 * (edges[:-1] + edges[1:]), counts))
+        res = run_noise_histogram(spec)
+        assert repr(res.rows) == repr(rows)
+        assert repr(res.extra["summaries"]) == repr(summaries)
 
 
 class TestResampledOracle:

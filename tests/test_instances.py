@@ -1,13 +1,12 @@
-"""Instance generation, diagnostics, and serialization."""
+"""Instance generation and serialization."""
 
 import numpy as np
 import pytest
 
-from amplasso import (ModelParams, check_converging, delta_prior,
-                      gen_gaussian_instance, gen_planted_instance,
-                      gen_rademacher_instance, load_instance,
+from amplasso import (ModelParams, delta_prior, gen_gaussian_instance,
+                      gen_instance, gen_planted_instance, load_instance,
                       measurement_count, save_instance, three_point)
-from amplasso.instances import ENSEMBLES, GAUSSIAN, Instance, draw_matrix
+from amplasso.instances import ENSEMBLES, GAUSSIAN, RADEMACHER, Instance, draw_matrix
 
 
 class TestMeasurementCount:
@@ -74,20 +73,20 @@ class TestGaussianInstance:
 
 class TestRademacherInstance:
     def test_unit_columns_exactly(self, bench_params):
-        inst = gen_rademacher_instance(300, bench_params, seed=5)
+        inst = gen_instance(300, bench_params, 5, RADEMACHER)
         np.testing.assert_allclose(np.linalg.norm(inst.a, axis=0), 1.0, atol=1e-12)
 
     def test_entry_values(self):
         params = ModelParams(delta=0.5, sigma2=0.0, prior=three_point(0.1))
-        inst = gen_rademacher_instance(4000, params, seed=6)
+        inst = gen_instance(4000, params, 6, RADEMACHER)
         magnitudes = np.unique(np.abs(inst.a))
         assert magnitudes.size == 1
         assert magnitudes[0] == pytest.approx(1 / np.sqrt(2000), rel=1e-15)
         assert np.all(np.isin(np.sign(inst.a), (-1.0, 1.0)))
 
     def test_determinism(self, bench_params):
-        a = gen_rademacher_instance(100, bench_params, seed=7)
-        b = gen_rademacher_instance(100, bench_params, seed=7)
+        a = gen_instance(100, bench_params, 7, RADEMACHER)
+        b = gen_instance(100, bench_params, 7, RADEMACHER)
         assert np.array_equal(a.a, b.a)
 
 
@@ -136,31 +135,6 @@ class TestPlantedInstance:
         inst = gen_planted_instance(200, 0.5, 20, seed=9)
         assert np.array_equal(inst.w, np.zeros(inst.m))
         assert np.array_equal(inst.y, inst.a @ inst.x0 + inst.w)
-
-
-class TestCheckConverging:
-    def test_rademacher_norms_exact(self, bench_params):
-        inst = gen_rademacher_instance(400, bench_params, seed=0)
-        report = check_converging(inst, bench_params)
-        assert report.min_col_norm == pytest.approx(1.0, abs=1e-12)
-        assert report.max_col_norm == pytest.approx(1.0, abs=1e-12)
-        assert report.norms_pass and report.passed
-
-    def test_gaussian_large_instance_passes(self):
-        params = ModelParams(delta=0.2, sigma2=0.1, prior=three_point(0.2))
-        inst = gen_gaussian_instance(8000, params, seed=1)
-        assert check_converging(inst, params).passed
-
-    def test_zero_column_fails_norms(self, bench_params):
-        base = gen_gaussian_instance(100, bench_params, seed=2)
-        a = base.a.copy()
-        a[:, 0] = 0.0
-        bad = Instance(a=a, x0=base.x0.copy(), w=base.w.copy(), y=a @ base.x0 + base.w,
-                       m=base.m, n=base.n, delta=base.delta, sigma2=base.sigma2,
-                       seed=base.seed)
-        report = check_converging(bad, bench_params)
-        assert not report.norms_pass
-        assert not report.passed
 
 
 class TestSerialization:

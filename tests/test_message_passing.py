@@ -7,9 +7,8 @@ import pytest
 from scipy import optimize
 
 from amplasso import (ModelParams, ThresholdPolicy, amp_step, gen_gaussian_instance,
-                      gen_rademacher_instance, initial_state, soft_threshold,
-                      three_point)
-from amplasso.instances import Instance
+                      gen_instance, initial_state, soft_threshold, three_point)
+from amplasso.instances import RADEMACHER, Instance
 from amplasso.message_passing import reduced_mp_estimate, reduced_mp_step
 
 
@@ -116,7 +115,7 @@ class TestReducedMp:
     def test_tracks_first_order_solver_on_unit_column_ensemble(self, bench_params):
         # ten iterations at n=200 with a shared threshold sequence; the
         # per-variable estimates agree within the stated max-norm budget
-        inst = gen_rademacher_instance(200, bench_params, seed=3)
+        inst = gen_instance(200, bench_params, 3, RADEMACHER)
         policy = ThresholdPolicy.rms(2.0)
         state = initial_state(inst, policy)
         thetas = [state.theta]

@@ -1,15 +1,11 @@
-"""Soft thresholding, worst-case risk, minimax constants, MMSE benchmark."""
+"""Soft thresholding, worst-case risk, minimax constants."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amplasso import (delta_prior, minimax_soft_threshold, mmse_estimate,
-                      mmse_risk, risk_M, soft_threshold,
-                      soft_threshold_derivative, three_point)
-from amplasso.gaussians import phi
-from amplasso.priors import st_mse
+from amplasso import minimax_soft_threshold, risk_M, soft_threshold
 
 
 class TestSoftThreshold:
@@ -38,24 +34,6 @@ class TestSoftThreshold:
     def test_lipschitz(self, y1, y2, theta):
         d = abs(soft_threshold(y1, theta) - soft_threshold(y2, theta))
         assert d <= abs(y1 - y2) + 1e-12
-
-
-class TestSoftThresholdDerivative:
-    def test_values(self):
-        assert soft_threshold_derivative(2.0, 1.0) == 1.0
-        assert soft_threshold_derivative(0.5, 1.0) == 0.0
-        assert soft_threshold_derivative(1.0, 1.0) == 0.0  # kink convention
-
-    def test_matches_finite_differences_off_kink(self):
-        step = 1e-6
-        ys = np.linspace(-3, 3, 101)
-        theta = 0.8
-        for y in ys:
-            if abs(abs(y) - theta) <= 10 * step:
-                continue
-            fd = (soft_threshold(y + step, theta)
-                  - soft_threshold(y - step, theta)) / (2 * step)
-            assert soft_threshold_derivative(y, theta) == pytest.approx(fd, abs=1e-9)
 
 
 class TestRiskM:
@@ -105,64 +83,3 @@ class TestMinimax:
         for eps in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 minimax_soft_threshold(eps)
-
-
-class TestMmseEstimate:
-    def test_symmetric_prior_at_zero(self):
-        assert mmse_estimate(three_point(0.1), 0.3, 0.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_point_mass_is_constant(self):
-        prior = delta_prior(2.5)
-        for y in (-10.0, 0.0, 3.0):
-            assert mmse_estimate(prior, 0.7, y) == pytest.approx(2.5, rel=1e-14)
-
-    def test_against_quadrature_posterior(self):
-        # independent oracle: posterior mean as a ratio of direct integrals
-        prior = three_point(0.1)
-        sigma = 0.3
-        for y in (0.4, 1.0, 2.0):
-            num = sum(w * a * phi((y - a) / sigma)
-                      for a, w in zip(prior.atoms, prior.weights))
-            den = sum(w * phi((y - a) / sigma)
-                      for a, w in zip(prior.atoms, prior.weights))
-            assert mmse_estimate(prior, sigma, y) == pytest.approx(num / den, rel=1e-12)
-
-    def test_far_from_atoms_stays_finite(self):
-        val = mmse_estimate(three_point(0.1), 0.1, 50.0)
-        assert np.isfinite(val)
-        assert val == pytest.approx(1.0, abs=1e-6)  # closest atom dominates
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            mmse_estimate(three_point(0.1), 0.0, 1.0)
-
-
-class TestMmseRisk:
-    def test_large_noise_limit(self):
-        # risk approaches the prior variance eps
-        assert mmse_risk(three_point(0.1), 100.0) == pytest.approx(0.1, abs=1e-3)
-
-    def test_small_noise_limit(self):
-        assert mmse_risk(three_point(0.1), 0.01) <= 1e-3
-
-    def test_below_soft_threshold_risk(self):
-        prior = three_point(0.1)
-        alpha = minimax_soft_threshold(0.1).alpha_sharp
-        for sigma in (0.1, 0.3, 1.0):
-            assert mmse_risk(prior, sigma) <= st_mse(prior, sigma, alpha * sigma) + 1e-12
-
-    def test_below_minimax_envelope_on_log_grid(self):
-        prior = three_point(0.1)
-        m_sharp = minimax_soft_threshold(0.1).m_sharp
-        for sigma in np.logspace(-1, 1, 5):
-            assert mmse_risk(prior, sigma) <= sigma**2 * m_sharp + 1e-10
-
-    def test_quadrature_matches_monte_carlo(self):
-        prior = three_point(0.1)
-        sigma = 0.3
-        rng = np.random.default_rng(5)
-        x = rng.choice(prior.atom_array, size=10**6, p=prior.weight_array)
-        y = x + sigma * rng.standard_normal(x.size)
-        err = (mmse_estimate(prior, sigma, y) - x) ** 2
-        se = err.std(ddof=1) / np.sqrt(err.size)
-        assert mmse_risk(prior, sigma) == pytest.approx(err.mean(), abs=4 * se)

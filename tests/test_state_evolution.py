@@ -255,18 +255,6 @@ class TestPhaseGeometry:
         assert d == pytest.approx(0.37, abs=1e-10)
 
 
-class TestPhasePoint:
-    def test_finite_iff_below_boundary(self):
-        from amplasso import phase_point
-        for delta in (0.3, 0.64):
-            rc = rho_c(delta)
-            below = phase_point(delta, 0.9 * rc)
-            above = phase_point(delta, 1.1 * rc)
-            assert below.rho_c == pytest.approx(rc)
-            assert math.isfinite(below.m_star) and below.rho < below.rho_c
-            assert math.isinf(above.m_star) and above.rho > above.rho_c
-
-
 class TestMinimaxRiskStar:
     def test_vanishes_with_sparsity(self):
         assert minimax_risk_star(0.64, 1e-4) < 1e-2
@@ -277,8 +265,12 @@ class TestMinimaxRiskStar:
             0.64, 0.5 * rc)
 
     def test_infinite_above_boundary(self):
-        rc = rho_c(0.64)
-        assert minimax_risk_star(0.64, rc * 1.0001) == math.inf
+        # finite exactly below rho_c
+        for delta in (0.3, 0.64):
+            rc = rho_c(delta)
+            assert math.isfinite(minimax_risk_star(delta, 0.9 * rc))
+            assert minimax_risk_star(delta, rc * 1.0001) == math.inf
+            assert minimax_risk_star(delta, 1.1 * rc) == math.inf
         assert minimax_risk_star(0.64, 1.2) == math.inf
 
     def test_formula_below_boundary(self):
