@@ -13,7 +13,6 @@ protocols run through it too: each is the loop plus an observer.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -30,7 +29,7 @@ FIXED_SEQUENCE = "fixed"
 
 _BLOWUP_FACTOR = 1e6
 _EPS = float(np.finfo(float).eps)
-_CYCLE_WINDOW = 8  # past states the loop holds to spot an exact repeat
+_CYCLE_WINDOW = 8  # steps per checkpoint lap: the longest period the loop spots
 _LANCZOS_BLOCK = 64  # Lanczos vectors per block of the basis; blocks are never copied
 
 
@@ -210,64 +209,65 @@ class SolverResult:
 
 
 def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: float,
-            memory: bool, observe: Callable[[AmpState], None] | None = None,
-            scale: float = 1.0) -> SolverResult:
+            memory: bool, observe: Callable[[AmpState], None] | None = None) -> SolverResult:
     """The iteration loop behind every solver and protocol: step until x settles.
 
     ``memory`` selects AMP (on) or IST (off).  The loop stops once
     ||x_{t+1} - x_t|| / max(1, ||x_t||) drops below ``tol`` (never for
-    ``tol <= 0``) or after ``max_iter`` steps; ``scale`` is only recorded in
-    the result.  ``observe``, if given, is called with the initial state
-    and then with every new state in order of ``t``; it reads the states
-    and must not write to their arrays, which the loop keeps using.
+    ``tol <= 0``) or after ``max_iter`` steps.  ``observe``, if given, is
+    called with the initial state and then with every new state in order
+    of ``t``; it reads the states and must not write to their arrays,
+    which the loop keeps using.
 
     A step reads only ``(x, r, theta)``, and in the policy's stationary
-    tail ``theta`` depends only on ``r``.  So once a new state equals, bit
-    for bit, one of the last ``_CYCLE_WINDOW`` states and that older state
-    lies in the tail, the run repeats with that period to the end; every
-    transition of the cycle has already passed the ``tol`` check.  The
-    loop then stops stepping and replays the cycle (observer calls
-    included) up to ``max_iter``: every output is the one full stepping
-    gives, provided a step is a deterministic function of its state
-    (fixed BLAS threading within a run).  Replay draws on the ``period``
-    states that end with the new one, whose predecessors, and so whose
-    ``u``, lie in the cycle too.
+    tail ``theta`` depends only on ``r``.  The loop keeps one checkpoint
+    state, ``mark``, and the ``lap`` of states since it (a fixed-lap form
+    of Brent's cycle finding).  Once a new state equals ``mark`` bit for
+    bit and ``mark`` lies in the tail, the run repeats with period
+    ``len(lap)`` to the end, and every transition of the cycle has already
+    passed the ``tol`` check.  The loop then stops stepping and replays
+    ``lap``, whose predecessors, and so whose ``u``, lie in the cycle too
+    (observer calls included), up to ``max_iter``: every output is the one
+    full stepping gives, provided a step is a deterministic function of
+    its state (fixed BLAS threading within a run).  After
+    ``_CYCLE_WINDOW`` steps without a match the newest state becomes
+    ``mark``, so marks sit at t = 0, 8, 16, ...: every period up to 8 is
+    found, at most 7 steps after the state first repeats.  A run whose
+    first repeat comes within those last steps before ``max_iter`` reports
+    ``stop="max_iter"`` and ``period=0``, with the same vectors.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     state = replace(initial_state(instance, policy), memory=memory)
     if observe is not None:
         observe(state)
-    held: deque[_Held] = deque(maxlen=_CYCLE_WINDOW)  # newest first
-    entry = _Held(state)
+    mark, lap = state, []
     stop, period = "max_iter", 0
     for _ in range(max_iter):
         new = amp_step(state, instance, policy)
         if observe is not None:
             observe(new)
         settled = tol > 0 and _norm(new.x - state.x) / max(1.0, _norm(state.x)) < tol
-        held.appendleft(entry)
         state = new
-        entry = _Held(state)
         if settled:
             stop = "tol"
             break
-        period = _cycle_period(entry, held, policy)
-        if period:
-            stop = "cycle"
-            # not the held repeat itself: its u may come from a state before the cycle
-            cycle = [held[i].state for i in range(period - 2, -1, -1)] + [state]
+        lap.append(state)
+        if (state.tau_hat == mark.tau_hat and policy.stationary(mark.t)
+                and _same_bits(state.x, mark.x) and _same_bits(state.r, mark.r)):
+            stop, period = "cycle", len(lap)
             start = state.t
             if observe is not None:
                 for t in range(start + 1, max_iter + 1):
-                    observe(replace(cycle[(t - start - 1) % period], t=t))
-            state = replace(cycle[(max_iter - start - 1) % period], t=max_iter)
+                    observe(replace(lap[(t - start - 1) % period], t=t))
+            state = replace(lap[(max_iter - start - 1) % period], t=max_iter)
             break
+        if len(lap) == _CYCLE_WINDOW:
+            mark, lap = state, []
     return SolverResult(x_hat=state.x, r_hat=state.r, converged=stop == "tol",
                         iterations=state.t, tau_hat=state.tau_hat,
                         theta=state.theta, b=state.b,
-                        engine="amp" if memory else "ist", scale=scale,
-                        stop=stop, period=period)
+                        engine="amp" if memory else "ist", stop=stop, period=period)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -277,42 +277,11 @@ def _norm(v: np.ndarray) -> float:
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Bitwise equality: tells -0.0 from 0.0, which soft thresholding emits."""
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-class _Held:
-    """A state of the loop and the hash of its ``(x, r)`` bits, made on first use."""
-
-    __slots__ = ("state", "_key")
-
-    def __init__(self, state: AmpState):
-        self.state = state
-        self._key = None
-
-    def key(self) -> int:
-        if self._key is None:
-            self._key = hash((self.state.x.tobytes(), self.state.r.tobytes()))
-        return self._key
-
-
-def _cycle_period(entry: _Held, held: deque, policy: ThresholdPolicy) -> int:
-    """Steps back to a held state in the stationary tail that ``entry`` repeats, or 0.
-
-    ``tau_hat`` and then the cached hashes screen the candidates, so the
-    bits are compared in full only for a likely repeat.
-    """
-    state = entry.state
-    for period, old in enumerate(held, start=1):
-        if (old.state.tau_hat == state.tau_hat and old.key() == entry.key()
-                and policy.stationary(old.state.t)
-                and _same_bits(old.state.x, state.x)
-                and _same_bits(old.state.r, state.r)):
-            return period
-    return 0
+    return a.tobytes() == b.tobytes()
 
 
 def _run_recorded(instance: Instance, policy: ThresholdPolicy, max_iter: int,
-                  tol: float, memory: bool, scale: float = 1.0) -> SolverResult:
+                  tol: float, memory: bool) -> SolverResult:
     """Run the loop with an observer that records a trajectory point per state."""
     trajectory: list[TrajectoryPoint] = []
     x0, n = instance.x0, instance.n
@@ -323,7 +292,7 @@ def _run_recorded(instance: Instance, policy: ThresholdPolicy, max_iter: int,
         trajectory.append(TrajectoryPoint(t=state.t, tau_hat=state.tau_hat,
                                           theta=state.theta, b=state.b, mse=mse))
 
-    result = iterate(instance, policy, max_iter, tol, memory, observe, scale)
+    result = iterate(instance, policy, max_iter, tol, memory, observe)
     result.trajectory = trajectory
     return result
 
@@ -485,7 +454,9 @@ def ist_run(instance: Instance, policy: ThresholdPolicy, rescale_opnorm: float |
     against the unscaled ground truth, which co-scaling preserves.
     """
     scaled, c = _rescaled(instance, rescale_opnorm)
-    return _run_recorded(scaled, policy, max_iter, tol, memory=False, scale=c)
+    result = _run_recorded(scaled, policy, max_iter, tol, memory=False)
+    result.scale = c
+    return result
 
 
 def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95,
@@ -506,8 +477,9 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
         raise ValueError("lam must be > 0")
     scaled, c = _rescaled(instance, rescale_opnorm)
     run = _run_recorded if trajectory else iterate
-    return run(scaled, ThresholdPolicy.fixed([lam * c * c]), max_iter, tol,
-               memory=False, scale=c)
+    result = run(scaled, ThresholdPolicy.fixed([lam * c * c]), max_iter, tol, memory=False)
+    result.scale = c
+    return result
 
 
 def lasso_objective(instance: Instance, x: np.ndarray, lam: float) -> float:

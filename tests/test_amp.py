@@ -672,21 +672,69 @@ class TestCycleReplay:
         assert res.iterations == 10000 and res.converged is False
         assert res.stop == "cycle" and steps < 10000
 
-    def test_bits_are_compared_only_for_a_likely_repeat(self, bench_params,
-                                                        monkeypatch):
-        # on C4's reference tau_hat matches a held state on most late steps;
-        # the cached hashes of (x, r) screen those before any full comparison
-        inst = gen_gaussian_instance(500, bench_params, seed=3)
-        lam = c4_lambda(inst, bench_params)
-        calls = 0
-        same_bits = amp_module._same_bits
+    def test_cycle_is_spotted_within_one_lap(self, c4_runs, monkeypatch):
+        # the checkpoint moves every _CYCLE_WINDOW steps, so the loop spots
+        # a cycle at most _CYCLE_WINDOW - 1 steps after the first repeat
+        inst, lam, _, _, (states, _) = c4_runs[3]
+        window = amp_module._CYCLE_WINDOW
+        bits = [(s.x.tobytes(), s.r.tobytes()) for s in states]
+        first_repeat = next(t for t in range(1, len(bits))
+                            if bits[t] in bits[max(0, t - window):t])
+        steps = comparisons = 0
+        step, same_bits = amp_module.amp_step, amp_module._same_bits
 
-        def counted(a, b):
-            nonlocal calls
-            calls += 1
+        def counted_step(*args):
+            nonlocal steps
+            steps += 1
+            return step(*args)
+
+        def counted_bits(a, b):
+            nonlocal comparisons
+            comparisons += 1
             return same_bits(a, b)
 
-        monkeypatch.setattr(amp_module, "_same_bits", counted)
-        res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=10000)
+        monkeypatch.setattr(amp_module, "amp_step", counted_step)
+        monkeypatch.setattr(amp_module, "_same_bits", counted_bits)
+        res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=3000)
         assert res.stop == "cycle"
-        assert calls <= 10
+        assert first_repeat <= steps <= first_repeat + window - 1
+        assert comparisons <= 2 * steps
+
+
+def _zero_data_instance():
+    return gen_gaussian_instance(60, ModelParams(delta=0.5, sigma2=0.0, prior=delta_prior()),
+                                 seed=1)
+
+
+def _one_measurement_instance():
+    return gen_gaussian_instance(2, ModelParams(delta=0.5, sigma2=0.2, prior=three_point(0.5)),
+                                 seed=0)
+
+
+class TestDegenerateRuns:
+    """Degenerate inputs give the run that full stepping gives, for both engines."""
+
+    @pytest.mark.parametrize("memory", [True, False])
+    def test_zero_data_is_a_fixed_point(self, memory):
+        inst = _zero_data_instance()
+        assert not inst.y.any()
+        res = self._check(inst, memory)
+        assert (res.stop, res.period) == ("cycle", 1) and not res.x_hat.any()
+
+    @pytest.mark.parametrize("memory", [True, False])
+    def test_one_measurement(self, memory):
+        inst = _one_measurement_instance()
+        assert (inst.m, inst.n) == (1, 2)
+        assert self._check(inst, memory).stop == "cycle"
+
+    @staticmethod
+    def _check(inst, memory):
+        policy = ThresholdPolicy.rms(2.0)
+        if memory:
+            res = amp_run(inst, policy, max_iter=100, tol=0.0)
+            assert_same_run(res, hand_stepped(inst, policy, 100, 0.0, True), inst)
+        else:
+            res = ist_run(inst, policy, max_iter=100, tol=0.0)
+            scaled, c = _rescaled(inst, 0.95)
+            assert_same_run(res, hand_stepped(scaled, policy, 100, 0.0, False), scaled, c)
+        return res
