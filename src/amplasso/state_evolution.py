@@ -22,13 +22,6 @@ from .instances import ModelParams
 from .priors import st_keep_prob, st_mse
 from .scalar_risk import minimax_soft_threshold
 
-_RESIDUAL_RTOL = 1e-12
-# Plain fixed-point steps before the bracketing solve.  Near alpha_min the
-# iteration converges linearly at a rate close to 1 (12 184 steps at
-# alpha_min + 1e-3 for delta = 0.64); every call in the tests and the
-# benchmark settles within 1 352 steps, so their values do not depend on it.
-_FIXED_POINT_STEPS = 2000
-
 
 @dataclass(frozen=True)
 class SETrajectory:
@@ -114,9 +107,9 @@ def _alpha_floor(delta: float) -> float:
 def se_fixed_point(params: ModelParams, alpha: float) -> float:
     """Unique tau_* > 0 solving tau^2 = F(tau^2, alpha*tau).
 
-    Plain fixed-point iteration (damped on oscillation) for at most
-    2000 steps, then a bracketing root solve; the result satisfies the
-    equation to 1e-12 relative residual.  Requires sigma^2 > 0 and alpha above
+    One bracketing root solve from [sigma^2, tau_0^2], the upper end
+    doubled until it brackets the root; the result satisfies the equation
+    to 1e-12 relative residual.  Requires sigma^2 > 0 and alpha above
     :func:`alpha_min`, where uniqueness holds.
     """
     if params.sigma2 <= 0:
@@ -128,20 +121,8 @@ def se_fixed_point(params: ModelParams, alpha: float) -> float:
     def g(tau2):
         return se_map(tau2, alpha * math.sqrt(tau2), params) - tau2
 
-    tau2 = tau0_squared(params)
-    damping = 1.0
-    prev_step = 0.0
-    for _ in range(_FIXED_POINT_STEPS):
-        step = g(tau2)
-        if abs(step) <= _RESIDUAL_RTOL * tau2:
-            return math.sqrt(tau2)
-        if prev_step * step < 0:
-            damping = 0.5
-        prev_step = step
-        tau2 = tau2 + damping * step
-
     lo = params.sigma2  # g(sigma^2) = st_mse/delta >= 0
-    hi = max(tau0_squared(params), tau2)
+    hi = tau0_squared(params)
     while g(hi) > 0:
         hi *= 2.0
         if hi > 1e12:
