@@ -18,7 +18,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -89,44 +89,25 @@ class ExperimentSpec:
                              f"got {len(self.nnz_levels)}")
 
     def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind, "n": self.n, "ensemble": self.ensemble,
-            "seeds": list(self.seeds), "alpha": self.alpha,
-            "lambdas": list(self.lambdas), "max_iter": self.max_iter,
-            "tol": self.tol, "t_target": self.t_target,
-            "nnz_levels": list(self.nnz_levels), "alpha_ist": self.alpha_ist,
-            "ist_rescale": self.ist_rescale, "grid_points": self.grid_points,
-            "base_seed": self.base_seed, "jobs": self.jobs, "out": self.out,
-        }
-        if self.params is not None:
-            d["params"] = {
-                "delta": self.params.delta, "sigma2": self.params.sigma2,
-                "prior": {"atoms": list(self.params.prior.atoms),
-                          "weights": list(self.params.prior.weights)},
-            }
-        return d
+        """The spec in JSON types (tuples become lists); ``params`` only when set."""
+        d = asdict(self)
+        if self.params is None:
+            del d["params"]
+        return json.loads(json.dumps(d))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        d = dict(d)
-        params = None
-        if d.get("params") is not None:
-            p = d["params"]
-            params = ModelParams(
+        """Inverse of :meth:`to_dict`; keys that name no field are ignored."""
+        kwargs = {f.name: tuple(d[f.name]) if f.type.startswith("tuple") else d[f.name]
+                  for f in fields(cls) if f.name in d}
+        p = kwargs.get("params")
+        if p is not None:
+            kwargs["params"] = ModelParams(
                 delta=float(p["delta"]), sigma2=float(p["sigma2"]),
                 prior=DiscretePrior(tuple(p["prior"]["atoms"]),
                                     tuple(p["prior"]["weights"])),
             )
-        kwargs = {}
-        for name in ("kind", "n", "ensemble", "alpha", "max_iter", "tol",
-                     "t_target", "alpha_ist", "ist_rescale", "grid_points",
-                     "base_seed", "jobs", "out"):
-            if name in d:
-                kwargs[name] = d[name]
-        for name in ("seeds", "lambdas", "nnz_levels"):
-            if name in d:
-                kwargs[name] = tuple(d[name])
-        return cls(params=params, **kwargs)
+        return cls(**kwargs)
 
 
 @dataclass
@@ -374,16 +355,25 @@ def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
                                         extra={"summaries": summaries}))
 
 
+def _predicted_tau2(params: ModelParams, alpha: float, t_max: int) -> list[float]:
+    """tau_t^2 of the scalar recursion for t = 0..t_max, its limit repeated once it settles."""
+    tau2 = list(se.se_run(params, alpha, max_iter=max(t_max + 1, 50)).tau2_sequence)
+    return tau2 + [tau2[-1]] * (t_max + 1 - len(tau2))
+
+
+def _mean_and_se(col: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single value)."""
+    sem = float(col.std(ddof=1) / np.sqrt(col.size)) if col.size > 1 else 0.0
+    return float(col.mean()), sem
+
+
 def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
     """Empirical effective-noise energy per iteration vs the scalar recursion."""
     params = spec.params
     alpha = _default_alpha(spec)
     policy = ThresholdPolicy.rms(alpha)
     t_max = spec.t_target
-    prediction = se.se_run(params, alpha, max_iter=max(t_max + 1, 50))
-    tau2 = list(prediction.tau2_sequence)
-    while len(tau2) < t_max + 1:
-        tau2.append(tau2[-1])
+    tau2 = _predicted_tau2(params, alpha, t_max)
 
     def one_seed(value: int) -> np.ndarray:
         seed = cell_seed(spec.base_seed, "se_tracking", value, spec.ensemble)
@@ -400,14 +390,9 @@ def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
     samples = np.vstack([one_seed(value) for value in spec.seeds])
     rows = []
     for t in range(t_max + 1):
-        col = samples[:, t]
-        rows.append({
-            "t": t,
-            "empirical_mean": float(col.mean()),
-            "empirical_se": (float(col.std(ddof=1) / np.sqrt(col.size))
-                             if col.size > 1 else 0.0),
-            "tau2_prediction": tau2[t],
-        })
+        mean, sem = _mean_and_se(samples[:, t])
+        rows.append({"t": t, "empirical_mean": mean, "empirical_se": sem,
+                     "tau2_prediction": tau2[t]})
     return _emit(spec, ExperimentResult(rows=rows, manifest=_manifest(spec, [])))
 
 
@@ -514,10 +499,7 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.params
     alpha = _default_alpha(spec)
     t_max = spec.t_target
-    prediction = se.se_run(params, alpha, max_iter=max(t_max + 2, 50))
-    tau2 = list(prediction.tau2_sequence)
-    while len(tau2) < t_max + 1:
-        tau2.append(tau2[-1])
+    tau2 = _predicted_tau2(params, alpha, t_max)
     thetas = [alpha * np.sqrt(v) for v in tau2]
     m = measurement_count(params.delta, spec.n)
     gaussian = spec.ensemble == GAUSSIAN
@@ -560,14 +542,10 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
     for resample, lane in ((True, "resampled"), (False, "fixed_ist")):
         samples = np.vstack([one_seed(value, resample) for value in spec.seeds])
         for t in range(t_max + 1):
-            col = samples[:, t]
-            rows.append({
-                "t": t, "lane": lane,
-                "tau2_empirical": float(col.mean()),
-                "tau2_empirical_se": (float(col.std(ddof=1) / np.sqrt(col.size))
-                                      if col.size > 1 else 0.0),
-                "tau2_se_prediction": params.delta * (tau2[t] - params.sigma2),
-            })
+            mean, sem = _mean_and_se(samples[:, t])
+            rows.append({"t": t, "lane": lane, "tau2_empirical": mean,
+                         "tau2_empirical_se": sem,
+                         "tau2_se_prediction": params.delta * (tau2[t] - params.sigma2)})
         sampler = "gaussian_conditioning" if gaussian else "matrix_draw"
         outcomes.append({"lane": lane, "seeds": len(spec.seeds),
                          "sampler": sampler})

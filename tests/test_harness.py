@@ -76,10 +76,34 @@ class TestExperimentSpec:
                               nnz_levels=(50, 100)).nnz_levels == (50, 100)
 
     def test_round_trip_via_dict(self, small_params):
-        spec = ExperimentSpec(kind="MSE_VS_LAMBDA", n=321, params=small_params,
-                              lambdas=(0.5, 1.0), seeds=(1, 2, 3), jobs=2)
-        back = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-        assert back == spec
+        # one spec of each kind, and the spec_sha256 its manifest has always had
+        noiseless = ModelParams(delta=0.5, sigma2=0.0, prior=three_point(0.125))
+        for kwargs, sha256 in SPEC_HASHES:
+            params = {"CONVERGENCE": noiseless, "PHASE_CURVE": None}.get(kwargs["kind"],
+                                                                         small_params)
+            spec = ExperimentSpec(params=params, **kwargs)
+            d = spec.to_dict()
+            assert ("params" in d) == (params is not None)
+            back = ExperimentSpec.from_dict(json.loads(json.dumps({**d, "unknown": 1})))
+            assert back == spec
+            assert harness._manifest(spec, [])["spec_sha256"] == sha256
+
+
+SPEC_HASHES = [
+    (dict(kind="MSE_VS_LAMBDA", n=321, lambdas=(0.5, 1.0), seeds=(1, 2, 3), jobs=2),
+     "791da32b53dee919a49a2831dde9f429ffdcbc10321654716d59e8acf684bb79"),
+    (dict(kind="CONVERGENCE", n=200, nnz_levels=(20, 40), max_iter=100, alpha=1.5),
+     "2275ecf33cabc0dc0f5077a9ca2a9949f0196426d7b8f4965851bd0318396cdb"),
+    (dict(kind="NOISE_HISTOGRAM", ensemble="rademacher", nnz_levels=(50,), t_target=5,
+          alpha_ist=1.7),
+     "c94e155d779361a5e9642088cc2b8c1184ccf347ebf1ae4c4df5ce72edd98154"),
+    (dict(kind="SE_TRACKING", alpha=2.0, t_target=12, base_seed=3),
+     "a6903be66ef8514307338d629af0d216aeb9aa1707fbd1d7a0f8864ba0259d6c"),
+    (dict(kind="RESAMPLED_ORACLE", ist_rescale=0.9, out="runs/oracle"),
+     "f464e9f1ea0727254c966a3b205d9c1d1d652ce4acd267c8653b84b127629505"),
+    (dict(kind="PHASE_CURVE", grid_points=7),
+     "0a1271da3dd751524217cc4702bb4d488d51792545134a2cba5a47960577ff0b"),
+]
 
 
 class TestCellSeeds:
