@@ -222,19 +222,19 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
     A step reads only ``(x, r, theta)``, and in the policy's stationary
     tail ``theta`` depends only on ``r``.  The loop keeps one checkpoint
     state, ``mark``, and the ``lap`` of states since it (a fixed-lap form
-    of Brent's cycle finding).  Once a new state equals ``mark`` bit for
-    bit and ``mark`` lies in the tail, the run repeats with period
-    ``len(lap)`` to the end, and every transition of the cycle has already
-    passed the ``tol`` check.  The loop then stops stepping and replays
-    ``lap``, whose predecessors, and so whose ``u``, lie in the cycle too
-    (observer calls included), up to ``max_iter``: every output is the one
-    full stepping gives, provided a step is a deterministic function of
-    its state (fixed BLAS threading within a run).  After
-    ``_CYCLE_WINDOW`` steps without a match the newest state becomes
-    ``mark``, so marks sit at t = 0, 8, 16, ...: every period up to 8 is
-    found, at most 7 steps after the state first repeats.  A run whose
-    first repeat comes within those last steps before ``max_iter`` reports
-    ``stop="max_iter"`` and ``period=0``, with the same vectors.
+    of Brent's cycle finding, BIT 20, 1980).  Once a new state equals
+    ``mark`` bit for bit and ``mark`` lies in the tail, the run repeats
+    with period ``len(lap)`` to the end, and every transition of the cycle
+    has already passed the ``tol`` check.  The loop then stops stepping
+    and replays ``lap`` up to ``max_iter``, observer calls included; the
+    predecessors of its states, and so their ``u``, lie in the cycle too.
+    Every output is the one full stepping gives, provided a step is a
+    deterministic function of its state (fixed BLAS threading within a
+    run).  After ``_CYCLE_WINDOW`` steps without a match the newest state
+    becomes ``mark``, so marks sit at t = 0, 8, 16, ...: every period up
+    to 8 is found, at most 7 steps after the state first repeats.  A run
+    whose first repeat falls within those last steps before ``max_iter``
+    reports ``stop="max_iter"`` and ``period=0``, with the same vectors.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")

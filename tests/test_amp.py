@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +247,25 @@ class TestDegenerateDimensions:
         res = amp_run(inst, ThresholdPolicy.median(1.5), max_iter=100, tol=1e-10)
         assert np.all(np.isfinite(res.x_hat))
         assert res.trajectory[0].t == 0
+
+    @pytest.mark.parametrize("memory", [True, False])
+    @pytest.mark.parametrize("n, prior, sigma2", [
+        (60, delta_prior(), 0.0),        # y = 0: no signal and no noise
+        (2, three_point(0.5), 0.2),      # m = 1 at delta = 0.5
+    ], ids=["y_zero", "m_one"])
+    def test_loop_matches_full_stepping(self, memory, n, prior, sigma2):
+        inst = gen_gaussian_instance(n, ModelParams(delta=0.5, sigma2=sigma2, prior=prior),
+                                     seed=0)
+        assert inst.m == 1 or not inst.y.any()
+        policy = ThresholdPolicy.rms(2.0)
+        if memory:
+            res = amp_run(inst, policy, max_iter=100, tol=0.0)
+            assert_same_run(res, hand_stepped(inst, policy, 100, 0.0, True), inst)
+        else:
+            res = ist_run(inst, policy, max_iter=100, tol=0.0)
+            scaled, c = _rescaled(inst, 0.95)
+            assert_same_run(res, hand_stepped(scaled, policy, 100, 0.0, False), scaled, c)
+        assert (res.stop, res.period) == ("cycle", 1)
 
 
 class TestIst:
@@ -677,9 +697,14 @@ class TestCycleReplay:
         # a cycle at most _CYCLE_WINDOW - 1 steps after the first repeat
         inst, lam, _, _, (states, _) = c4_runs[3]
         window = amp_module._CYCLE_WINDOW
-        bits = [(s.x.tobytes(), s.r.tobytes()) for s in states]
-        first_repeat = next(t for t in range(1, len(bits))
-                            if bits[t] in bits[max(0, t - window):t])
+        recent = deque(maxlen=window)  # the bits of the last `window` states
+        for first_repeat, state in enumerate(states):
+            bits = (state.x.tobytes(), state.r.tobytes())
+            if bits in recent:
+                break
+            recent.append(bits)
+        else:
+            pytest.fail("no repeat within the stepped states")
         steps = comparisons = 0
         step, same_bits = amp_module.amp_step, amp_module._same_bits
 
@@ -700,41 +725,3 @@ class TestCycleReplay:
         assert first_repeat <= steps <= first_repeat + window - 1
         assert comparisons <= 2 * steps
 
-
-def _zero_data_instance():
-    return gen_gaussian_instance(60, ModelParams(delta=0.5, sigma2=0.0, prior=delta_prior()),
-                                 seed=1)
-
-
-def _one_measurement_instance():
-    return gen_gaussian_instance(2, ModelParams(delta=0.5, sigma2=0.2, prior=three_point(0.5)),
-                                 seed=0)
-
-
-class TestDegenerateRuns:
-    """Degenerate inputs give the run that full stepping gives, for both engines."""
-
-    @pytest.mark.parametrize("memory", [True, False])
-    def test_zero_data_is_a_fixed_point(self, memory):
-        inst = _zero_data_instance()
-        assert not inst.y.any()
-        res = self._check(inst, memory)
-        assert (res.stop, res.period) == ("cycle", 1) and not res.x_hat.any()
-
-    @pytest.mark.parametrize("memory", [True, False])
-    def test_one_measurement(self, memory):
-        inst = _one_measurement_instance()
-        assert (inst.m, inst.n) == (1, 2)
-        assert self._check(inst, memory).stop == "cycle"
-
-    @staticmethod
-    def _check(inst, memory):
-        policy = ThresholdPolicy.rms(2.0)
-        if memory:
-            res = amp_run(inst, policy, max_iter=100, tol=0.0)
-            assert_same_run(res, hand_stepped(inst, policy, 100, 0.0, True), inst)
-        else:
-            res = ist_run(inst, policy, max_iter=100, tol=0.0)
-            scaled, c = _rescaled(inst, 0.95)
-            assert_same_run(res, hand_stepped(scaled, policy, 100, 0.0, False), scaled, c)
-        return res
