@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
 from .gaussians import MEDIAN_ABS_GAUSS
-from .instances import Instance
+from .instances import Instance, _norm
 from .scalar_risk import soft_threshold
 
 RMS = "rms"
@@ -212,6 +212,13 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
             memory: bool, observe: Callable[[AmpState], None] | None = None) -> SolverResult:
     """The iteration loop behind every solver and protocol: step until x settles.
 
+    ``instance`` is what the loop reads of ``y = A x0 + w``: ``a``, with
+    ``a @ v`` and ``a.T @ z``, and ``y``, ``x0``, ``m``, ``n``.  That is an
+    :class:`~amplasso.instances.Instance`, the co-scaled system IST runs on
+    (``_CoScaled``), or a :class:`~amplasso.instances.LazyInstance`, whose
+    Gaussian ``A`` draws each product as the run makes it.  Only recorded
+    runs read ``x0``.
+
     ``memory`` selects AMP (on) or IST (off).  The loop stops once
     ||x_{t+1} - x_t|| / max(1, ||x_t||) drops below ``tol`` (never for
     ``tol <= 0``) or after ``max_iter`` steps.  ``observe``, if given, is
@@ -230,7 +237,9 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
     predecessors of its states, and so their ``u``, lie in the cycle too.
     Every output is the one full stepping gives, provided a step is a
     deterministic function of its state (fixed BLAS threading within a
-    run).  After ``_CYCLE_WINDOW`` steps without a match the newest state
+    run; for a ``LazyInstance``, once its ``A`` is drawn: before that, a
+    repeated vector's product comes from the span and agrees to rounding).
+    After ``_CYCLE_WINDOW`` steps without a match the newest state
     becomes ``mark``, so marks sit at t = 0, 8, 16, ...: every period up
     to 8 is found, at most 7 steps after the state first repeats.  A run
     whose first repeat falls within those last steps before ``max_iter``
@@ -268,11 +277,6 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
                         iterations=state.t, tau_hat=state.tau_hat,
                         theta=state.theta, b=state.b,
                         engine="amp" if memory else "ist", stop=stop, period=period)
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm by the formula ``np.linalg.norm`` uses for a real vector."""
-    return math.sqrt(v @ v)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -415,7 +419,7 @@ class _ScaledMatrix:
 
 @dataclass(frozen=True)
 class _CoScaled:
-    """What the loop reads of the co-scaled system (c A, c y): A is shared, not copied."""
+    """The co-scaled system (c A, c y) in the loop's input shape: A is shared, not copied."""
 
     a: _ScaledMatrix
     y: np.ndarray

@@ -26,8 +26,9 @@ import numpy as np
 from . import state_evolution as se
 from .amp import (NumericalBlowupError, ThresholdPolicy, amp_run, effective_lambda,
                   ist_run, iterate)
-from .instances import (GAUSSIAN, ModelParams, draw_matrix, gen_instance,
-                        gen_planted_instance, measurement_count)
+from .instances import (GAUSSIAN, ConditionedGaussian, ModelParams, draw_matrix,
+                        gen_instance, gen_lazy_instance, gen_planted_instance,
+                        measurement_count)
 from .priors import DiscretePrior, sample_with_rng
 from .scalar_risk import soft_threshold
 
@@ -191,22 +192,37 @@ def _default_alpha(spec: ExperimentSpec) -> float:
     return se.boundary_alpha(spec.params.delta)
 
 
+def _sampler(spec: ExperimentSpec) -> str:
+    """How a cell's matrix products are made: recorded in the manifest outcomes."""
+    return "gaussian_conditioning" if spec.ensemble == GAUSSIAN else "matrix_draw"
+
+
+def _gen_cell_instance(spec: ExperimentSpec, seed: int):
+    """The cell's system: a Gaussian one draws only the products its run makes."""
+    if spec.ensemble == GAUSSIAN:
+        return gen_lazy_instance(spec.n, spec.params, seed)
+    return gen_instance(spec.n, spec.params, seed, spec.ensemble)
+
+
 def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
     """Empirical reconstruction MSE across a lambda grid vs the prediction.
 
     Each lambda is mapped to its threshold multiplier once; the solver then
     runs adaptively and the realized effective lambda is recorded for
     audit.  Per-seed failures are recorded without aborting the sweep.
+    Gaussian cells run on a :class:`~amplasso.instances.LazyInstance`;
+    each outcome names its ``sampler``.
     """
     params = spec.params
     signal_mass = params.prior.has_signal_mass
+    sampler = _sampler(spec)
     rows: list[dict] = []
     outcomes: list[dict] = []
 
     def solve_cell(lam, alpha, seed_index):
         seed = cell_seed(spec.base_seed, "mse_vs_lambda", float(lam),
                          spec.seeds[seed_index], spec.ensemble)
-        instance = gen_instance(spec.n, params, seed, spec.ensemble)
+        instance = _gen_cell_instance(spec, seed)
         try:
             res = amp_run(instance, ThresholdPolicy.rms(alpha),
                           max_iter=spec.max_iter, tol=spec.tol)
@@ -214,11 +230,13 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
             lam_eff = effective_lambda(res.x_hat, res.theta, instance.m)
             return {"lambda": lam, "seed_index": seed_index, "mse": mse,
                     "effective_lambda": lam_eff, "converged": res.converged,
-                    "iterations": res.iterations, "stop": res.stop, "error": None}
+                    "iterations": res.iterations, "stop": res.stop, "error": None,
+                    "sampler": sampler}
         except NumericalBlowupError as exc:
             return {"lambda": lam, "seed_index": seed_index, "mse": None,
                     "effective_lambda": None, "converged": False,
-                    "iterations": None, "stop": None, "error": str(exc)}
+                    "iterations": None, "stop": None, "error": str(exc),
+                    "sampler": sampler}
 
     for lam in spec.lambdas:
         if signal_mass:
@@ -361,14 +379,18 @@ def _predicted_tau2(params: ModelParams, alpha: float, t_max: int) -> list[float
     return tau2 + [tau2[-1]] * (t_max + 1 - len(tau2))
 
 
-def _mean_and_se(col: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error (0 for a single value)."""
-    sem = float(col.std(ddof=1) / np.sqrt(col.size)) if col.size > 1 else 0.0
+def _mean_and_se(col: np.ndarray) -> tuple[float, float | None]:
+    """Sample mean and its standard error (``None`` for a single value, which has none)."""
+    sem = float(col.std(ddof=1) / np.sqrt(col.size)) if col.size > 1 else None
     return float(col.mean()), sem
 
 
 def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
-    """Empirical effective-noise energy per iteration vs the scalar recursion."""
+    """Empirical effective-noise energy per iteration vs the scalar recursion.
+
+    Gaussian cells run on a :class:`~amplasso.instances.LazyInstance`; the
+    manifest's one outcome names the ``sampler``.
+    """
     params = spec.params
     alpha = _default_alpha(spec)
     policy = ThresholdPolicy.rms(alpha)
@@ -377,7 +399,7 @@ def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
 
     def one_seed(value: int) -> np.ndarray:
         seed = cell_seed(spec.base_seed, "se_tracking", value, spec.ensemble)
-        instance = gen_instance(spec.n, params, seed, spec.ensemble)
+        instance = _gen_cell_instance(spec, seed)
         vals = np.empty(t_max + 1)
 
         def observe(state):  # the step to t thresholded the pseudo-data of t - 1
@@ -393,88 +415,8 @@ def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
         mean, sem = _mean_and_se(samples[:, t])
         rows.append({"t": t, "empirical_mean": mean, "empirical_se": sem,
                      "tau2_prediction": tau2[t]})
-    return _emit(spec, ExperimentResult(rows=rows, manifest=_manifest(spec, [])))
-
-
-class _Span:
-    """Orthonormal directions (rows of ``basis``) and their known images under a map."""
-
-    def __init__(self, dim: int, image_dim: int, capacity: int):
-        self.basis = np.empty((capacity, dim))
-        self.image = np.empty((capacity, image_dim))
-        self.count = 0
-
-
-class _GaussianConditioning:
-    """Products with an i.i.d. N(0, 1/m) matrix ``A`` that is never formed.
-
-    It holds orthonormal bases ``Q_V`` (of the vectors ``A`` has been
-    applied to) and ``Q_Z`` (of those ``A'`` has been applied to) together
-    with the known products ``G = A Q_V`` and ``H = A'Q_Z``.  Given these,
-    ``A = G Q_V' + Q_Z H' P_V + P_Z B P_V`` with ``P_V``, ``P_Z`` the
-    projections orthogonal to the bases and ``B`` a fresh Gaussian (the
-    conditioning lemma behind the proof of state evolution: Bolthausen,
-    Commun. Math. Phys. 2014; Bayati and Montanari, IEEE Trans. Inf. Theory
-    2011, Lemma 10).  So a sequence of products has exactly the joint law
-    it has under one drawn ``A``; a product after k others costs
-    O((m + n) k) work and m or n normals.
-    :meth:`clear` forgets the history: the next products then see a fresh
-    matrix.  Each product adds at most one direction to its side, so
-    ``capacity`` products of each kind fit.
-    """
-
-    def __init__(self, m: int, n: int, capacity: int):
-        self._m = m
-        self._v = _Span(n, m, capacity)  # directions v and A v
-        self._z = _Span(m, n, capacity)  # directions z and A'z
-
-    def clear(self) -> None:
-        self._v.count = self._z.count = 0
-
-    def matvec(self, v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """``A v``; draws m normals unless ``v`` lies in the span seen so far."""
-        return self._product(v, self._v, self._z, rng)
-
-    def rmatvec(self, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """``A'z``; draws n normals unless ``z`` lies in the span seen so far."""
-        return self._product(z, self._z, self._v, rng)
-
-    def _product(self, x: np.ndarray, src: _Span, dst: _Span,
-                 rng: np.random.Generator) -> np.ndarray:
-        """``x`` times the map whose known images ``src`` holds.
-
-        ``dst`` holds the transposed map's known images.  Split ``x = Q c + nu q`` by projecting twice (classical Gram-Schmidt);
-        a remainder that the second pass halves is rounding, so ``nu = 0``
-        and nothing is drawn.  Otherwise the image of the new direction
-        ``q`` is ``Q_dst (H_dst' q) + P_dst xi / sqrt(m)``, computed from
-        that formula (never backed out of the product, so a small ``nu``
-        amplifies no rounding), and ``q`` joins ``src``.
-        """
-        if src.count:
-            basis, image = src.basis[:src.count], src.image[:src.count]
-            c = basis @ x
-            p = x - c @ basis
-            nu_first = np.linalg.norm(p)
-            c2 = basis @ p
-            p -= c2 @ basis
-            c += c2
-            nu = np.linalg.norm(p)
-            out = c @ image
-        else:  # nothing to project on: x is its own remainder
-            p = x
-            nu = nu_first = np.linalg.norm(x)
-            out = np.zeros(src.image.shape[1])
-        if nu == 0.0 or nu < 0.5 * nu_first:
-            return out
-        q = np.divide(p, nu, out=src.basis[src.count])
-        new_image = rng.standard_normal(out=src.image[src.count])
-        new_image /= np.sqrt(self._m)
-        if dst.count:
-            back, known = dst.basis[:dst.count], dst.image[:dst.count]
-            new_image += (known @ q - back @ new_image) @ back
-        src.count += 1
-        out += nu * new_image
-        return out
+    outcomes = [{"seeds": len(spec.seeds), "sampler": _sampler(spec)}]
+    return _emit(spec, ExperimentResult(rows=rows, manifest=_manifest(spec, outcomes)))
 
 
 def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
@@ -489,10 +431,11 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
     A step uses its matrix only through ``g = A v`` and ``h = A'(w - g)``,
     ``v = x - x_true``.  For a Gaussian ``A`` the harness samples these
     products exactly in law without forming ``A``
-    (:class:`_GaussianConditioning`): the fixed lane conditions on every
-    product the trajectory has seen, the resampled lane forgets them after
-    each step.  Step 0 takes its normals from the cell's first stream after
-    ``x_true`` and ``w``, step ``t`` from stream ``t``.  Rademacher specs
+    (:class:`~amplasso.instances.ConditionedGaussian`, with room for every
+    product a lane makes): the fixed lane conditions on every product the
+    trajectory has seen, the resampled lane forgets them after each step.
+    Step 0 takes its normals from the cell's first stream after ``x_true``
+    and ``w``, step ``t`` from stream ``t``.  Rademacher specs
     draw explicit matrices into one buffer per cell.  Each outcome names
     its ``sampler``: ``"gaussian_conditioning"`` or ``"matrix_draw"``.
     """
@@ -514,7 +457,7 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
         w = (np.sqrt(params.sigma2) * rng0.standard_normal(m)
              if params.sigma2 > 0 else np.zeros(m))
         if gaussian:
-            a = _GaussianConditioning(m, spec.n, 1 if resample else t_max)
+            a = ConditionedGaussian(m, spec.n, rng0, 1 if resample else t_max)
         else:
             a = draw_matrix(rng0, m, spec.n, spec.ensemble)
         x = np.zeros(spec.n)
@@ -528,12 +471,11 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
             if gaussian:
                 if resample:
                     a.clear()
-                h = a.rmatvec(w - a.matvec(v, rng), rng)
-            else:
-                if resample and t > 0:
-                    # redrawn in place: the cell holds one (m, n) matrix, not two
-                    draw_matrix(rng, m, spec.n, spec.ensemble, out=a)
-                h = a.T @ (w - a @ v)
+                a.rng = rng
+            elif resample and t > 0:
+                # redrawn in place: the cell holds one (m, n) matrix, not two
+                draw_matrix(rng, m, spec.n, spec.ensemble, out=a)
+            h = a.T @ (w - a @ v)
             x = soft_threshold(x + h, thetas[t])
         return vals
 
@@ -546,9 +488,8 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
             rows.append({"t": t, "lane": lane, "tau2_empirical": mean,
                          "tau2_empirical_se": sem,
                          "tau2_se_prediction": params.delta * (tau2[t] - params.sigma2)})
-        sampler = "gaussian_conditioning" if gaussian else "matrix_draw"
         outcomes.append({"lane": lane, "seeds": len(spec.seeds),
-                         "sampler": sampler})
+                         "sampler": _sampler(spec)})
     rows.sort(key=lambda r: (r["lane"], r["t"]))
     return _emit(spec, ExperimentResult(rows=rows, manifest=_manifest(spec, outcomes)))
 

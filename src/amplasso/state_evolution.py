@@ -112,9 +112,13 @@ def se_fixed_point(params: ModelParams, alpha: float) -> float:
     to 1e-12 relative residual.  Requires sigma^2 > 0 and alpha above
     :func:`alpha_min`, where uniqueness holds.
     """
+    return _fixed_point(params, alpha, _alpha_floor(params.delta))
+
+
+def _fixed_point(params: ModelParams, alpha: float, floor: float) -> float:
+    """:func:`se_fixed_point` with the alpha floor of ``params.delta`` given."""
     if params.sigma2 <= 0:
         raise ValueError("sigma2 must be > 0 for the fixed point")
-    floor = _alpha_floor(params.delta)
     if alpha <= floor:
         raise ValueError(f"alpha must exceed alpha_min = {floor:.6f}")
 
@@ -138,7 +142,12 @@ def calibrate_lambda(alpha: float, params: ModelParams) -> float:
     negative values occur just above alpha_min and are returned as-is (the
     usable branch is where the value is positive).
     """
-    tau_star = se_fixed_point(params, alpha)
+    return _calibrate(alpha, params, _alpha_floor(params.delta))
+
+
+def _calibrate(alpha: float, params: ModelParams, floor: float) -> float:
+    """:func:`calibrate_lambda` with the alpha floor of ``params.delta`` given."""
+    tau_star = _fixed_point(params, alpha, floor)
     theta_star = alpha * tau_star
     keep = st_keep_prob(params.prior, tau_star, theta_star)
     return theta_star * (1.0 - keep / params.delta)
@@ -151,6 +160,7 @@ def alpha_of_lambda(lam: float, params: ModelParams, alpha_tol: float = 1e-8,
     Brackets from just above alpha_min (where the calibration dives
     negative) and grows the upper end geometrically until it clears
     ``lam``; fails loudly if no bracket exists below ``alpha_cap``.
+    alpha_min is solved once per call and shared by every calibration.
     """
     if lam <= 0:
         raise ValueError("lam must be > 0")
@@ -158,19 +168,19 @@ def alpha_of_lambda(lam: float, params: ModelParams, alpha_tol: float = 1e-8,
 
     offset = 0.5
     lo = floor + offset
-    while calibrate_lambda(lo, params) >= lam:
+    while _calibrate(lo, params, floor) >= lam:
         offset *= 0.25
         if offset < 1e-9:
             raise RuntimeError("could not bracket alpha from below; lam too small?")
         lo = floor + offset
 
     hi = max(2.0 * lo, lo + 1.0)
-    while calibrate_lambda(hi, params) < lam:
+    while _calibrate(hi, params, floor) < lam:
         hi *= 2.0
         if hi > alpha_cap:
             raise RuntimeError(f"no alpha below {alpha_cap} reaches lam={lam}")
 
-    root = optimize.brentq(lambda a: calibrate_lambda(a, params) - lam,
+    root = optimize.brentq(lambda a: _calibrate(a, params, floor) - lam,
                            lo, hi, xtol=alpha_tol, rtol=8.9e-16)
     return float(root)
 

@@ -15,12 +15,12 @@ from amplasso import (ExperimentSpec, ModelParams, ThresholdPolicy, amp_step, de
                       gen_instance, gen_planted_instance, initial_state, ist_run,
                       run_experiment, se_run, three_point)
 from amplasso import harness
-from amplasso.harness import (KINDS, _GaussianConditioning, cell_seed,
+from amplasso.harness import (KINDS, cell_seed,
                               iterations_to_mse, run_convergence,
                               run_mse_vs_lambda, run_noise_histogram,
                               run_phase_curve, run_resampled_oracle,
                               run_se_tracking)
-from amplasso.instances import draw_matrix
+from amplasso.instances import ConditionedGaussian, draw_matrix, gen_lazy_instance
 from amplasso.scalar_risk import soft_threshold
 
 
@@ -185,9 +185,12 @@ class TestMseVsLambda:
         assert [o["stop"] for o in short] == ["max_iter", "max_iter"]
 
     def test_zero_signal_lane_uses_fixed_alpha(self):
+        # a cell's MSE has a spread of about 1.1x the prediction here, so the
+        # 50% check needs 80 seeds to sit at 4 SE (with 3 it failed on 45% of
+        # seed sets, whether the matrix was drawn or conditioned)
         params = ModelParams(delta=0.64, sigma2=0.2, prior=delta_prior())
         spec = ExperimentSpec(kind="MSE_VS_LAMBDA", n=300, params=params,
-                              lambdas=(1.0,), seeds=(0, 1, 2), alpha=2.5,
+                              lambdas=(1.0,), seeds=tuple(range(80)), alpha=2.5,
                               max_iter=400, tol=1e-8)
         row = run_mse_vs_lambda(spec).rows[0]
         assert row["predicted_mse"] > 0
@@ -230,6 +233,42 @@ class TestMseVsLambda:
         h1 = run_mse_vs_lambda(spec).manifest["spec_sha256"]
         h2 = run_mse_vs_lambda(spec).manifest["spec_sha256"]
         assert h1 == h2
+
+
+class TestOneSeed:
+    @pytest.mark.parametrize("kind, se_key", [
+        ("MSE_VS_LAMBDA", "empirical_mse_se"), ("SE_TRACKING", "empirical_se"),
+        ("RESAMPLED_ORACLE", "tau2_empirical_se")])
+    def test_a_single_sample_has_no_standard_error(self, small_params, kind, se_key):
+        spec = ExperimentSpec(kind=kind, n=50, params=small_params, alpha=2.0,
+                              lambdas=(1.0,), seeds=(0,), t_target=3, max_iter=50)
+        rows = run_experiment(spec).rows
+        assert rows and all(r[se_key] is None for r in rows)
+
+
+class TestSampler:
+    """Gaussian cells of MSE_VS_LAMBDA and SE_TRACKING draw only the products they make."""
+
+    @pytest.mark.parametrize("kind", ["MSE_VS_LAMBDA", "SE_TRACKING"])
+    @pytest.mark.parametrize("ensemble, sampler", [
+        ("gaussian", "gaussian_conditioning"), ("rademacher", "matrix_draw")])
+    def test_outcomes_name_it_and_short_gaussian_runs_draw_no_matrix(
+            self, small_params, monkeypatch, kind, ensemble, sampler):
+        import amplasso.instances as instances
+        drawn = []
+
+        def spy(rng, m, n, ensemble, out=None):
+            drawn.append(ensemble)
+            return draw_matrix(rng, m, n, ensemble, out=out)
+
+        monkeypatch.setattr(instances, "draw_matrix", spy)
+        # n = 400 holds 39 directions per side: more than 6 steps make
+        spec = ExperimentSpec(kind=kind, n=400, params=small_params, alpha=2.0,
+                              ensemble=ensemble, lambdas=(1.0,), seeds=(0, 1, 2),
+                              t_target=5, max_iter=6)
+        outcomes = run_experiment(spec).manifest["outcomes"]
+        assert outcomes and {o["sampler"] for o in outcomes} == {sampler}
+        assert drawn == ([] if ensemble == "gaussian" else [ensemble] * 3)
 
 
 class TestConvergence:
@@ -314,6 +353,20 @@ def hand_pseudo_data(instance, policy, steps):
     return out
 
 
+def stepped_pseudo_data(instance, policy, steps):
+    """``x_t + A'r_t`` for t = 0..steps as ``amp_step`` computes it, stepping by hand.
+
+    Each step makes only its own two products, so a lazy instance draws
+    what the protocol's run draws.
+    """
+    state = initial_state(instance, policy)
+    out = []
+    for _ in range(steps + 1):
+        state = amp_step(state, instance, policy)
+        out.append(state.u)
+    return out
+
+
 class TestHandSteppedReference:
     """Both AMP protocols equal, value for value, a hand-stepped ``amp_step`` run."""
 
@@ -329,10 +382,14 @@ class TestHandSteppedReference:
         policy = ThresholdPolicy.rms(2.0)
         samples = []
         for value in spec.seeds:
-            inst = gen_instance(n, small_params, cell_seed(0, "se_tracking", value, ensemble),
-                                ensemble)
-            samples.append([np.mean((u - inst.x0) ** 2)
-                            for u in hand_pseudo_data(inst, policy, t_target)])
+            seed = cell_seed(0, "se_tracking", value, ensemble)
+            if ensemble == "gaussian":  # the protocol's lazy instance, stepped afresh
+                inst = gen_lazy_instance(n, small_params, seed)
+                pseudo = stepped_pseudo_data(inst, policy, t_target)
+            else:
+                inst = gen_instance(n, small_params, seed, ensemble)
+                pseudo = hand_pseudo_data(inst, policy, t_target)
+            samples.append([np.mean((u - inst.x0) ** 2) for u in pseudo])
         samples = np.array(samples)
         tau2 = list(se_run(small_params, 2.0, max_iter=max(t_target + 1, 50)).tau2_sequence)
         tau2 += [tau2[-1]] * (t_target + 1 - len(tau2))
@@ -520,9 +577,8 @@ class TestConditionedProducts:
         rng = np.random.default_rng(13)
         conditioned = np.empty_like(explicit)
         for i in range(k):
-            s = _GaussianConditioning(m, n, len(self.THETAS))
-            conditioned[i] = _trajectory(lambda v: s.matvec(v, rng),
-                                         lambda z: s.rmatvec(z, rng),
+            s = ConditionedGaussian(m, n, rng, len(self.THETAS))
+            conditioned[i] = _trajectory(lambda v: s @ v, lambda z: s.T @ z,
                                          x_true, w, self.THETAS)
 
         def moments(sample):
@@ -544,12 +600,12 @@ class TestConditionedProducts:
         rng = np.random.default_rng(14)
         h = np.empty((k, n))
         for i in range(k):
-            s = _GaussianConditioning(m, n, 1)
+            s = ConditionedGaussian(m, n, rng, 1)
             state = rng.bit_generator.state
-            g = s.matvec(np.zeros(n), rng)
+            g = s @ np.zeros(n)
             assert not g.any()
             assert rng.bit_generator.state == state  # nothing drawn
-            h[i] = s.rmatvec(w - g, rng)
+            h[i] = s.T @ (w - g)
         assert np.isfinite(h).all()
         # coordinates are i.i.d. N(0, |z|^2/m) with z = w
         sq = (h**2).ravel()
@@ -558,20 +614,20 @@ class TestConditionedProducts:
 
     def test_direction_in_the_span_is_known(self):
         rng = np.random.default_rng(15)
-        s = _GaussianConditioning(self.M, self.N, 2)
+        s = ConditionedGaussian(self.M, self.N, rng, 2)
         v = rng.standard_normal(self.N)
-        g = s.matvec(v, rng)
+        g = s @ v
         # the same direction again, up to scale and rounding: A is known there
-        again = s.matvec(3.0 * v, rng)
+        again = s @ (3.0 * v)
         assert np.linalg.norm(again - 3.0 * g) <= 1e-14 * np.linalg.norm(3.0 * g)
 
     def test_clear_gives_a_fresh_matrix(self):
         rng = np.random.default_rng(16)
-        s = _GaussianConditioning(self.M, self.N, 1)
+        s = ConditionedGaussian(self.M, self.N, rng, 1)
         v = rng.standard_normal(self.N)
-        g = s.matvec(v, rng)
+        g = s @ v
         s.clear()
-        assert not np.allclose(s.matvec(v, rng), g)
+        assert not np.allclose(s @ v, g)
 
 
 class TestPhaseCurve:

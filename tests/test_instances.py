@@ -1,12 +1,19 @@
 """Instance generation and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amplasso import (ModelParams, delta_prior, gen_gaussian_instance,
-                      gen_instance, gen_planted_instance, load_instance,
-                      measurement_count, save_instance, three_point)
-from amplasso.instances import ENSEMBLES, GAUSSIAN, RADEMACHER, Instance, draw_matrix
+from amplasso import (ModelParams, ThresholdPolicy, amp_run, delta_prior,
+                      gen_gaussian_instance, gen_instance, gen_planted_instance,
+                      load_instance, measurement_count, sample_with_rng, save_instance,
+                      three_point)
+from amplasso.instances import (ENSEMBLES, GAUSSIAN, RADEMACHER, ConditionedGaussian,
+                                Instance, conditioning_capacity, draw_matrix,
+                                gen_lazy_instance)
 
 
 class TestMeasurementCount:
@@ -123,6 +130,132 @@ class TestDrawMatrix:
     def test_rejects_unknown_ensemble(self):
         with pytest.raises(ValueError):
             draw_matrix(np.random.default_rng(0), 4, 3, "bernoulli")
+
+
+@st.composite
+def product_sequences(draw):
+    """Shapes, a capacity, and products: new vectors, zeros, and vectors in the span."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    capacity = draw(st.integers(0, 8))
+    steps = draw(st.lists(st.tuples(st.sampled_from("vz"),
+                                    st.sampled_from(("new", "zero", "span")),
+                                    st.integers(0, 2**32 - 1)), max_size=16))
+    return m, n, capacity, steps
+
+
+def _make_products(a, m, n, steps):
+    """Apply ``a`` or ``a.T`` per step; returns (side, vector, product) triples."""
+    made = []
+    for side, kind, seed in steps:
+        rng = np.random.default_rng(seed)
+        dim = n if side == "v" else m
+        earlier = [x for s, x, _ in made if s == side]
+        if kind == "new":
+            x = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+        elif kind == "span" and earlier:
+            x = rng.standard_normal(len(earlier)) @ np.array(earlier)
+        else:
+            x = np.zeros(dim)
+        made.append((side, x, a @ x if side == "v" else a.T @ x))
+    return made
+
+
+class TestConditionedGaussian:
+    @settings(max_examples=300, deadline=None)
+    @given(product_sequences())
+    def test_drawn_matrix_reproduces_every_earlier_product(self, case):
+        m, n, capacity, steps = case
+        a = ConditionedGaussian(m, n, np.random.default_rng(0), capacity)
+        made = _make_products(a, m, n, steps)
+        if a._dense is None:
+            a._draw()
+        dense = a._dense
+        assert dense.shape == (m, n)
+        for side, x, out in made:
+            expected = dense @ x if side == "v" else dense.T @ x
+            bound = 1e-13 * np.linalg.norm(x) * (1.0 + np.linalg.norm(dense))
+            assert np.abs(out - expected).max() <= bound
+
+    def test_draws_once_a_side_is_full_and_then_multiplies(self):
+        m, n = 7, 11
+        a = ConditionedGaussian(m, n, np.random.default_rng(1), 3)
+        made = _make_products(a, m, n, [("v", "new", i) for i in range(3)]
+                              + [("z", "new", 10 + i) for i in range(2)])
+        assert a._dense is None  # three directions fill v's side, but nothing overflowed
+        v = np.random.default_rng(2).standard_normal(n)
+        g = a @ v
+        assert a._dense is not None and np.array_equal(g, a._dense @ v)
+        z = np.random.default_rng(3).standard_normal(m)
+        assert np.array_equal(a.T @ z, a._dense.T @ z)
+        for side, x, out in made:
+            expected = a._dense @ x if side == "v" else a._dense.T @ x
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13)
+
+    def test_draw_holds_one_matrix(self):
+        m, n = 256, 400
+        capacity = conditioning_capacity(m, n)
+        a = ConditionedGaussian(m, n, np.random.default_rng(4), capacity)
+        _make_products(a, m, n, [(side, "new", i) for i in range(capacity)
+                                 for side in "vz"])
+        tracemalloc.start()
+        try:
+            a._draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the matrix, one span's worth of projections, and row-block temporaries;
+        # one (m, n) temporary would add a second matrix
+        assert peak <= 8 * (m * n + capacity * (m + n) + 4 * 32 * n)
+
+    def test_capacity_is_the_flop_crossover(self):
+        assert conditioning_capacity(640, 1000) == 97
+        assert conditioning_capacity(2560, 4000) == 390
+        assert conditioning_capacity(1, 1) == 1
+
+
+class TestLazyInstance:
+    def test_y_is_the_first_product(self, bench_params):
+        inst = gen_lazy_instance(300, bench_params, seed=3)
+        assert (inst.m, inst.n) == (192, 300)
+        assert inst.a._dense is None
+        # the generator draws the signal, then the noise, then A's products
+        rng = np.random.default_rng(3)
+        x0 = sample_with_rng(bench_params.prior, 300, rng)
+        w = np.sqrt(0.2) * rng.standard_normal(192)
+        assert np.array_equal(inst.x0, x0)
+        inst.a._draw()
+        np.testing.assert_allclose(inst.y, inst.a._dense @ x0 + w, rtol=0, atol=1e-12)
+
+    def test_determinism_and_read_only(self, bench_params):
+        a = gen_lazy_instance(200, bench_params, seed=9)
+        b = gen_lazy_instance(200, bench_params, seed=9)
+        assert np.array_equal(a.y, b.y) and np.array_equal(a.x0, b.x0)
+        r = np.random.default_rng(0).standard_normal(a.m)
+        assert np.array_equal(a.a.T @ r, b.a.T @ r)
+        with pytest.raises(ValueError):
+            a.y[0] = 1.0
+
+    def test_rejects_tiny_n(self, bench_params):
+        with pytest.raises(ValueError):
+            gen_lazy_instance(1, bench_params, seed=0)
+
+    def test_amp_law_matches_drawn_matrices(self, bench_params):
+        # AMP to tol at n = 200, where K(m, n) = 19 and most runs outlast it:
+        # conditioned products, then a drawn matrix, against a drawn matrix
+        policy = ThresholdPolicy.rms(2.0)
+        stats = {}
+        for name, gen in (("drawn", lambda s: gen_instance(200, bench_params, s)),
+                          ("lazy", lambda s: gen_lazy_instance(200, bench_params, 10_000 + s))):
+            mse, steps = [], []
+            for seed in range(150):
+                inst = gen(seed)
+                res = amp_run(inst, policy, max_iter=300, tol=1e-8)
+                mse.append(np.mean((res.x_hat - inst.x0) ** 2))
+                steps.append(res.iterations)
+            stats[name] = [(np.mean(v), np.std(v, ddof=1) / np.sqrt(len(v)))
+                           for v in (mse, steps)]
+        for (mean_d, se_d), (mean_l, se_l) in zip(stats["drawn"], stats["lazy"]):
+            assert abs(mean_d - mean_l) <= 4.0 * np.hypot(se_d, se_l)
 
 
 class TestPlantedInstance:

@@ -194,6 +194,22 @@ class TestCalibration:
         with pytest.raises(ValueError):
             alpha_of_lambda(0.0, bench_params)
 
+    def test_one_alpha_min_per_inversion(self, bench_params, monkeypatch):
+        import amplasso.state_evolution as se
+        calls = []
+
+        def counted(delta):
+            calls.append(delta)
+            return alpha_min(delta)
+
+        monkeypatch.setattr(se, "alpha_min", counted)
+        for lam in (1e-3, 1.0, 5.0):
+            calls.clear()
+            alpha_of_lambda(lam, bench_params)
+            assert calls == [0.64]
+        # the value a floor solved per calibration gave, to the bit
+        assert alpha_of_lambda(1.0, bench_params) == 1.9458458093547715
+
 
 class TestLassoRisk:
     def test_internal_identity(self, bench_params):
