@@ -22,8 +22,8 @@ from .priors import (DiscretePrior, delta_prior, sample_with_rng, st_keep_prob,
                      st_mse, three_point)
 from .scalar_risk import (MinimaxResult, minimax_soft_threshold, risk_M,
                           soft_threshold)
-from .state_evolution import (LassoRiskPrediction, SETrajectory, alpha_min,
-                              alpha_of_lambda, boundary_alpha,
+from .state_evolution import (LassoRiskPrediction, SETrajectory, TheoryError,
+                              alpha_min, alpha_of_lambda, boundary_alpha,
                               calibrate_lambda, lasso_risk, minimax_risk_star,
                               parametric_boundary, rho_c, se_fixed_point,
                               se_map, se_run)

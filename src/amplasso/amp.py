@@ -464,7 +464,7 @@ def ist_run(instance: Instance, policy: ThresholdPolicy, rescale_opnorm: float |
 
 
 def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95,
-                    max_iter: int = 10000, tol: float = 0.0,
+                    max_iter: int = 10000, tol: float = 1e-15,
                     trajectory: bool = False) -> SolverResult:
     """Solve the LASSO at regularization ``lam`` by plain thresholded descent.
 
@@ -472,10 +472,26 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     whose fixed point is exactly the stationary point of
     ``0.5*||y - A x||^2 + lam*||x||_1`` on the original data; its fixed
     point does not involve the memory term, so it serves as the reference.
-    With ``tol=0`` it reports ``max_iter`` steps, but the loop stops
-    stepping once the iterate settles into an exact cycle (typically of
-    period 1, 2 or 4) and replays it.  The trajectory, an MSE per step,
-    is recorded only when asked for.
+    The trajectory, an MSE per step, is recorded only when asked for.
+
+    IST converges linearly (Daubechies, Defrise and De Mol, CPAM 2004), and
+    the default ``tol=1e-15`` on the loop's relative change of x stops it
+    once the steps are rounding-level jitter.  Measured at C4's composition
+    (BENCH model, lambda_eff of AMP's fixed point at lambda = 1): on 60
+    Gaussian n = 500 instances (seeds 0-59), 20 Rademacher n = 500 (seeds
+    0-19), 5 Gaussian and 4 Rademacher n = 2000, every run stops on ``tol``
+    by step 479 (median about 380), where ``tol=0`` ran to an exact cycle
+    or to all 10 000 steps.  The objective moved by at most 4.1e-16
+    relative and x by at most 2.4e-14, and each set of references took
+    3-23x less time on a 2-core host (the five Gaussian n = 2000: 2.4 s
+    against 55.7 s).  A stop that came too early could only make a
+    certificate's objective gap larger, never hide one.
+
+    ``tol=0`` keeps the older meaning: ``max_iter`` steps are reported, but
+    the loop stops stepping once the iterate settles into an exact cycle
+    (typically of period 1, 2 or 4) and replays it.  Cycle replay and
+    ``max_iter`` remain the fallback for a run whose jitter stays above a
+    positive ``tol``.
     """
     if lam <= 0:
         raise ValueError("lam must be > 0")

@@ -3,8 +3,9 @@
 Subcommands: ``solve`` (one instance end to end), ``se`` (scalar recursion
 and fixed point), ``calibrate`` (threshold <-> regularization mapping),
 ``phase`` (boundary and level curves), and ``experiment`` (a full protocol
-from flags or a JSON spec).  Exit codes: 0 success, 2 malformed request,
-3 numerical failure.
+from flags or a JSON spec).  Exit codes: 0 success, 2 malformed request
+(including a calibration the model cannot reach,
+:class:`~amplasso.state_evolution.TheoryError`), 3 numerical failure.
 """
 
 from __future__ import annotations

@@ -23,6 +23,15 @@ from .priors import st_keep_prob, st_mse
 from .scalar_risk import minimax_soft_threshold
 
 
+class TheoryError(ValueError):
+    """A calibration or fixed point the model cannot reach (e.g. lambda too large).
+
+    A ``ValueError``: the request is well formed but asks for a quantity
+    that does not exist for these parameters, so the CLI reports it with
+    exit code 2.
+    """
+
+
 @dataclass(frozen=True)
 class SETrajectory:
     """State evolution trace: tau_t^2 values, thresholds, and the limit."""
@@ -62,7 +71,9 @@ def se_run(params: ModelParams, alpha: float, max_iter: int = 10000,
 
     The map tau^2 -> F(tau^2, alpha*tau) is nondecreasing and concave, so
     the iterates are monotone; the returned limit satisfies the fixed
-    point equation to ~tol relative residual.
+    point equation to ~tol relative residual.  Below alpha_min the
+    iterates can grow until tau^2 overflows; the run stops at the first
+    non-finite tau^2, which ends the sequence, with ``converged=False``.
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
@@ -74,6 +85,8 @@ def se_run(params: ModelParams, alpha: float, max_iter: int = 10000,
         tau2_next = se_map(tau2, alpha * math.sqrt(tau2), params)
         tau2_seq.append(tau2_next)
         theta_seq.append(alpha * math.sqrt(tau2_next) if tau2_next > 0 else 0.0)
+        if not math.isfinite(tau2_next):
+            break
         done = abs(tau2_next - tau2) <= tol * max(tau2, 1e-300)
         tau2 = tau2_next
         if done:
@@ -130,7 +143,7 @@ def _fixed_point(params: ModelParams, alpha: float, floor: float) -> float:
     while g(hi) > 0:
         hi *= 2.0
         if hi > 1e12:
-            raise RuntimeError("no bracket for the fixed point")
+            raise TheoryError("no bracket for the fixed point")
     root = optimize.brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
     return math.sqrt(float(root))
 
@@ -171,14 +184,14 @@ def alpha_of_lambda(lam: float, params: ModelParams, alpha_tol: float = 1e-8,
     while _calibrate(lo, params, floor) >= lam:
         offset *= 0.25
         if offset < 1e-9:
-            raise RuntimeError("could not bracket alpha from below; lam too small?")
+            raise TheoryError("could not bracket alpha from below; lam too small?")
         lo = floor + offset
 
     hi = max(2.0 * lo, lo + 1.0)
     while _calibrate(hi, params, floor) < lam:
         hi *= 2.0
         if hi > alpha_cap:
-            raise RuntimeError(f"no alpha below {alpha_cap} reaches lam={lam}")
+            raise TheoryError(f"no alpha below {alpha_cap} reaches lam={lam}")
 
     root = optimize.brentq(lambda a: _calibrate(a, params, floor) - lam,
                            lo, hi, xtol=alpha_tol, rtol=8.9e-16)
@@ -204,7 +217,7 @@ def lasso_risk(lam: float, params: ModelParams) -> LassoRiskPrediction:
     mse = params.delta * (tau_star**2 - params.sigma2)
     channel_mse = st_mse(params.prior, tau_star, theta_star)
     if abs(mse - channel_mse) > 1e-10 * max(1.0, abs(mse)):
-        raise RuntimeError(
+        raise TheoryError(
             f"fixed point identity violated: {mse!r} vs {channel_mse!r}")
     return LassoRiskPrediction(mse=mse, tau_star=tau_star, theta_star=theta_star,
                                alpha=alpha, lam=lam)

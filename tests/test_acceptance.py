@@ -96,7 +96,7 @@ def test_c4_fixed_point_is_lasso_optimum():
     ok = worst_gap_ratio <= 1e-4 and worst_obj_ratio <= 1e-6
     report("C4", ok,
            f"max kkt_gap/lambda = {worst_gap_ratio:.2e} (<=1e-4); "
-           f"max objective rel diff vs long IST = {worst_obj_ratio:.2e} (<=1e-6)",
+           f"max objective rel diff vs IST reference = {worst_obj_ratio:.2e} (<=1e-6)",
            time.time() - t0, 120.0)
 
 

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from amplasso import amp as amp_module
 from amplasso import (ModelParams, NumericalBlowupError, ThresholdPolicy,
                       alpha_of_lambda, amp_run, amp_step, delta_prior, effective_lambda,
-                      estimate_tau, gen_gaussian_instance, gen_planted_instance,
+                      estimate_tau, gen_gaussian_instance, gen_instance, gen_planted_instance,
                       initial_state, ist_run, ist_solve_lasso, iterate, lasso_kkt_gap,
                       lasso_objective, operator_norm, se_fixed_point,
                       soft_threshold, three_point)
 from amplasso.amp import _rescaled, onsager_coefficient
-from amplasso.instances import Instance
+from amplasso.instances import RADEMACHER, Instance
 from amplasso.state_evolution import calibrate_lambda
 
 
@@ -567,7 +567,7 @@ class TestReferenceStep:
         policy = ThresholdPolicy.fixed([c * c])
         seen = []
         iterate(scaled, policy, 400, 0.0, False, observe=seen.append)
-        res = ist_solve_lasso(inst, 1.0, max_iter=400, trajectory=True)
+        res = ist_solve_lasso(inst, 1.0, max_iter=400, tol=0.0, trajectory=True)
         ref = reference_states(lambda v: inst.a @ (c * v), lambda v: inst.a.T @ (c * v),
                                c * inst.y, inst.n, policy, 400, False)
         assert_reference_bits(seen, res.trajectory, ref)
@@ -600,7 +600,7 @@ class TestCycleReplay:
     @pytest.mark.parametrize("seed", [2, 3])
     def test_lasso_reference_at_c4_size(self, c4_runs, seed, trajectory):
         inst, lam, scaled, c, stepped = c4_runs[seed]
-        res = ist_solve_lasso(inst, lam, max_iter=3000, trajectory=trajectory)
+        res = ist_solve_lasso(inst, lam, max_iter=3000, tol=0.0, trajectory=trajectory)
         assert res.stop == "cycle" and res.period > 0
         assert_same_run(res, stepped, scaled, c, trajectory)
         assert len(res.trajectory) == (3001 if trajectory else 0)
@@ -670,6 +670,23 @@ class TestCycleReplay:
         policy = ThresholdPolicy.fixed([c * c])
         assert_same_run(res, hand_stepped(scaled, policy, 2000, tol, False), scaled, c)
 
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_default_reference_stops_at_rounding_level(self, bench_params, c4_runs, seed):
+        # C4's reference stops on tol = 1e-15 long before tol = 0 reaches an
+        # exact cycle, with the objective of the tol = 0 reference to 1e-15:
+        # Gaussian seed 2 from the fixture, Rademacher seed 7 (cycles by step 641)
+        if seed in c4_runs:
+            inst, lam, _, _, (states, _) = c4_runs[seed]
+            x_exact = states[-1].x
+        else:
+            inst = gen_instance(500, bench_params, seed, RADEMACHER)
+            lam = c4_lambda(inst, bench_params)
+            x_exact = ist_solve_lasso(inst, lam, tol=0.0).x_hat
+        res = ist_solve_lasso(inst, lam)
+        assert res.stop == "tol" and res.converged and res.iterations <= 500
+        c_exact = lasso_objective(inst, x_exact, lam)
+        assert abs(lasso_objective(inst, res.x_hat, lam) - c_exact) <= 1e-15 * c_exact
+
     def test_stop_reports_max_iter_without_a_repeat(self, bench_params):
         inst = gen_gaussian_instance(500, bench_params, seed=2)
         res = ist_solve_lasso(inst, 1.0, max_iter=5)
@@ -688,7 +705,7 @@ class TestCycleReplay:
             return step(*args)
 
         monkeypatch.setattr(amp_module, "amp_step", counted)
-        res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=10000)
+        res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=10000, tol=0.0)
         assert res.iterations == 10000 and res.converged is False
         assert res.stop == "cycle" and steps < 10000
 
@@ -720,7 +737,7 @@ class TestCycleReplay:
 
         monkeypatch.setattr(amp_module, "amp_step", counted_step)
         monkeypatch.setattr(amp_module, "_same_bits", counted_bits)
-        res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=3000)
+        res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=3000, tol=0.0)
         assert res.stop == "cycle"
         assert first_repeat <= steps <= first_repeat + window - 1
         assert comparisons <= 2 * steps

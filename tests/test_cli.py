@@ -157,6 +157,13 @@ class TestCalibrate:
     def test_needs_one_flag(self):
         assert main(["calibrate", "--delta", "0.64", "--sigma2", "0.2"]) == 2
 
+    @pytest.mark.parametrize("command", ["calibrate", "solve"])
+    def test_unreachable_lambda_is_spec_error(self, command, capsys):
+        # it used to end in a RuntimeError traceback with exit 1
+        assert main([command, "--n", "100", "--lambda", "1e9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no alpha below") and err.count("\n") == 1
+
 
 class TestPhase:
     def test_point_query(self, capsys):

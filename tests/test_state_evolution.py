@@ -1,13 +1,14 @@
 """Scalar recursion, calibration, risk prediction, and phase geometry."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from amplasso import (ModelParams, alpha_min, alpha_of_lambda, boundary_alpha,
-                      calibrate_lambda, delta_prior, lasso_risk,
+from amplasso import (ModelParams, TheoryError, alpha_min, alpha_of_lambda,
+                      boundary_alpha, calibrate_lambda, delta_prior, lasso_risk,
                       minimax_risk_star, minimax_soft_threshold,
                       parametric_boundary, rho_c, risk_M, se_fixed_point,
                       se_map, se_run, st_mse, three_point)
@@ -78,6 +79,17 @@ class TestSeRun:
         traj = se_run(bench_params, alpha=2.0)
         for t2, th in zip(traj.tau2_sequence, traj.theta_sequence):
             assert th == pytest.approx(2.0 * math.sqrt(t2), rel=1e-14)
+
+    def test_stops_at_first_nonfinite_tau2(self, bench_params):
+        # far below alpha_min the iterates grow until tau^2 overflows; the
+        # run ends there instead of mapping inf to nan (a numpy warning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = se_run(bench_params, alpha=1e-3)
+        assert not traj.converged and traj.tau_star is None
+        assert len(traj.tau2_sequence) < 10001
+        assert traj.tau2_sequence[-1] == math.inf
+        assert all(math.isfinite(t2) for t2 in traj.tau2_sequence[:-1])
 
 
 class TestAlphaMin:
@@ -193,6 +205,12 @@ class TestCalibration:
     def test_rejects_nonpositive_lambda(self, bench_params):
         with pytest.raises(ValueError):
             alpha_of_lambda(0.0, bench_params)
+
+    def test_unreachable_lambda_is_a_theory_error(self, bench_params):
+        # lambda(alpha) stays below 1e9 for every alpha up to the cap
+        with pytest.raises(TheoryError, match="no alpha below"):
+            alpha_of_lambda(1e9, bench_params)
+        assert issubclass(TheoryError, ValueError)
 
     def test_one_alpha_min_per_inversion(self, bench_params, monkeypatch):
         import amplasso.state_evolution as se
