@@ -15,8 +15,7 @@ from .amp import (AmpState, NumericalBlowupError, SolverResult,
 from .gaussians import Phi, phi
 from .harness import ExperimentResult, ExperimentSpec, run_experiment
 from .instances import (Instance, ModelParams, gen_gaussian_instance,
-                        gen_instance, gen_planted_instance, load_instance,
-                        measurement_count, save_instance)
+                        gen_instance, gen_planted_instance, measurement_count)
 from .message_passing import reduced_mp_estimate, reduced_mp_step
 from .priors import (DiscretePrior, delta_prior, sample_with_rng, st_keep_prob,
                      st_mse, three_point)

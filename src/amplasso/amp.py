@@ -132,6 +132,8 @@ class AmpState:
 def initial_state(instance: Instance, policy: ThresholdPolicy) -> AmpState:
     """t=0 state: x = 0, r = y, b = 0, threshold from the raw data."""
     tau0 = estimate_tau(instance.y, policy.tau_mode())
+    if not math.isfinite(tau0):  # y @ y overflowed
+        raise NumericalBlowupError(f"residual scale tau_hat = {tau0}")
     return AmpState(x=np.zeros(instance.n), r=instance.y.copy(), t=0,
                     tau_hat=tau0, theta=policy.theta(0, tau0), b=0.0)
 
@@ -166,6 +168,8 @@ def amp_step(state: AmpState, instance: Instance, policy: ThresholdPolicy) -> Am
         b_new = onsager_coefficient(x_new, instance.m)
         r_new += b_new * state.r
     tau_new = estimate_tau(r_new, policy.tau_mode())
+    if not math.isfinite(tau_new):
+        raise NumericalBlowupError(f"residual scale tau_hat = {tau_new}")
     t_new = state.t + 1
     return AmpState(
         x=x_new, r=r_new, t=t_new, tau_hat=tau_new,

@@ -3,9 +3,11 @@
 Subcommands: ``solve`` (one instance end to end), ``se`` (scalar recursion
 and fixed point), ``calibrate`` (threshold <-> regularization mapping),
 ``phase`` (boundary and level curves), and ``experiment`` (a full protocol
-from flags or a JSON spec).  Exit codes: 0 success, 2 malformed request
-(including a calibration the model cannot reach,
-:class:`~amplasso.state_evolution.TheoryError`), 3 numerical failure.
+from flags or a JSON spec).  Each subcommand takes only the flags it
+reads, so a flag with no effect is a usage error.  Exit codes: 0 success,
+2 malformed request (an unread flag, or a calibration the model cannot
+reach, :class:`~amplasso.state_evolution.TheoryError`), 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import state_evolution as se
 from .amp import (NumericalBlowupError, ThresholdPolicy, amp_run,
                   effective_lambda, ist_run, ist_solve_lasso, lasso_kkt_gap)
-from .harness import ExperimentSpec, run_experiment, write_csv
+from .harness import PHASE_CURVE, ExperimentSpec, run_experiment, write_csv
 from .instances import ENSEMBLES, GAUSSIAN, ModelParams, gen_instance
 from .message_passing import reduced_mp_estimate, reduced_mp_step
 from .priors import DiscretePrior
@@ -39,23 +41,31 @@ def parse_prior(text: str) -> DiscretePrior:
     return DiscretePrior(tuple(obj["atoms"]), tuple(obj["weights"]))
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=1000, help="signal dimension")
-    p.add_argument("--delta", type=float, default=0.64, help="undersampling m/n")
-    p.add_argument("--sigma2", type=float, default=0.2, help="noise variance")
-    p.add_argument("--prior", type=str, default=DEFAULT_PRIOR,
-                   help="JSON object with atoms and weights arrays")
-    p.add_argument("--ensemble", choices=ENSEMBLES, default=GAUSSIAN)
-    p.add_argument("--seeds", type=int, nargs="+", default=[0])
-    p.add_argument("--alpha", type=float, default=None,
-                   help="threshold multiplier (overrides --lambda)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="target regularization level")
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--engine", choices=("amp", "ist", "mp"), default="amp",
-                   help="solver engine; mp replays the per-edge cross-check")
-    p.add_argument("--out", type=str, default=None, help="output path stem")
+# Every flag a subcommand may take; each subcommand adds only those it reads.
+_FLAGS = {
+    "n": ("--n", dict(type=int, default=1000, help="signal dimension")),
+    "delta": ("--delta", dict(type=float, default=0.64, help="undersampling m/n")),
+    "sigma2": ("--sigma2", dict(type=float, default=0.2, help="noise variance")),
+    "prior": ("--prior", dict(type=str, default=DEFAULT_PRIOR,
+                              help="JSON object with atoms and weights arrays")),
+    "ensemble": ("--ensemble", dict(choices=ENSEMBLES, default=GAUSSIAN)),
+    "seed": ("--seeds", dict(dest="seed", type=int, default=0, help="instance seed")),
+    "seeds": ("--seeds", dict(type=int, nargs="+", default=[0])),
+    "alpha": ("--alpha", dict(type=float, default=None, help="threshold multiplier")),
+    "lambda": ("--lambda", dict(dest="lam", type=float, default=None,
+                                help="target regularization level (--alpha wins)")),
+    "max_iter": ("--max-iter", dict(type=int, default=2000)),
+    "tol": ("--tol", dict(type=float, default=1e-8)),
+    "engine": ("--engine", dict(choices=("amp", "ist", "mp"), default="amp",
+                                help="solver engine; mp replays the per-edge cross-check")),
+    "out": ("--out", dict(type=str, default=None, help="output path stem")),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        flag, kwargs = _FLAGS[name]
+        p.add_argument(flag, **kwargs)
 
 
 def _params(args) -> ModelParams:
@@ -77,7 +87,7 @@ def cmd_solve(args) -> int:
     # calibration says nothing about IST, whose threshold lambda * c^2 is fixed.
     fixed_level = args.engine == "ist" and args.alpha is None and args.lam is not None
     alpha = None if fixed_level else _resolve_alpha(args, params)
-    instance = gen_instance(args.n, params, args.seeds[0], args.ensemble)
+    instance = gen_instance(args.n, params, args.seed, args.ensemble)
     if fixed_level:
         result = ist_solve_lasso(instance, args.lam, rescale_opnorm=0.95,
                                  max_iter=args.max_iter, tol=args.tol,
@@ -95,7 +105,7 @@ def cmd_solve(args) -> int:
         lam_eff = effective_lambda(result.x_hat, result.theta, instance.m)
     mse = float(np.mean((result.x_hat - instance.x0) ** 2))
     gap = lasso_kkt_gap(instance, result.x_hat, lam_eff) if lam_eff > 0 else float("nan")
-    print(f"n={args.n} m={instance.m} ensemble={args.ensemble} seed={args.seeds[0]} "
+    print(f"n={args.n} m={instance.m} ensemble={args.ensemble} seed={args.seed} "
           f"engine={args.engine}")
     print(f"alpha={'none' if alpha is None else f'{alpha:.6g}'} "
           f"iterations={result.iterations} "
@@ -128,6 +138,9 @@ def cmd_solve(args) -> int:
 def cmd_se(args) -> int:
     params = _params(args)
     alpha = _resolve_alpha(args, params)
+    floor = se._alpha_floor(params.delta)
+    if not alpha > floor:  # the recursion would grow until tau^2 overflows (or NaN)
+        raise ValueError(f"alpha must exceed alpha_min = {floor:.6f}")
     traj = se.se_run(params, alpha)
     print(f"alpha={alpha:.6g} tau0^2={traj.tau2_sequence[0]:.9g} "
           f"steps={len(traj.tau2_sequence) - 1} converged={traj.converged}")
@@ -160,7 +173,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_phase(args) -> int:
     if args.sweep:
-        spec = ExperimentSpec(kind="PHASE_CURVE", grid_points=args.sweep,
+        spec = ExperimentSpec(kind=PHASE_CURVE, grid_points=args.sweep,
                               out=args.out)
         result = run_experiment(spec)
         print(f"boundary points: {len(result.rows)}; "
@@ -180,6 +193,11 @@ def cmd_phase(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.spec:
+        defaults = vars(build_parser().parse_args(["experiment"]))
+        given = [k for k, v in vars(args).items() if k not in ("spec", "out") and v != defaults[k]]
+        if given:
+            raise ValueError("experiment --spec takes no flag but --out; got --"
+                             + ", --".join(k.replace("_", "-") for k in given))
         with open(args.spec) as handle:
             spec = ExperimentSpec.from_dict(json.load(handle))
         if args.out:
@@ -187,6 +205,8 @@ def cmd_experiment(args) -> int:
     else:
         if args.kind is None:
             raise ValueError("experiment needs --spec FILE or --kind")
+        if args.kind == PHASE_CURVE:
+            raise ValueError(f"{PHASE_CURVE} runs from `phase --sweep`")
         spec = ExperimentSpec(
             kind=args.kind, n=args.n, params=_params(args),
             ensemble=args.ensemble, seeds=tuple(args.seeds), alpha=args.alpha,
@@ -210,15 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one generated instance")
-    _add_model_flags(p_solve)
+    _add_flags(p_solve, "n", "delta", "sigma2", "prior", "ensemble", "seed", "alpha",
+               "lambda", "max_iter", "tol", "engine", "out")
     p_solve.set_defaults(func=cmd_solve)
 
     p_se = sub.add_parser("se", help="run the scalar recursion to its fixed point")
-    _add_model_flags(p_se)
+    _add_flags(p_se, "delta", "sigma2", "prior", "alpha", "lambda", "out")
     p_se.set_defaults(func=cmd_se)
 
     p_cal = sub.add_parser("calibrate", help="map alpha <-> lambda")
-    _add_model_flags(p_cal)
+    _add_flags(p_cal, "delta", "sigma2", "prior", "alpha", "lambda")
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_phase = sub.add_parser("phase", help="phase boundary and risk levels")
@@ -230,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.set_defaults(func=cmd_phase)
 
     p_exp = sub.add_parser("experiment", help="run a protocol from flags or JSON")
-    _add_model_flags(p_exp)
+    _add_flags(p_exp, "n", "delta", "sigma2", "prior", "ensemble", "seeds", "alpha",
+               "max_iter", "tol", "out")
     p_exp.add_argument("--spec", type=str, default=None, help="JSON spec file")
     p_exp.add_argument("--kind", type=str, default=None)
     p_exp.add_argument("--lambdas", type=float, nargs="+", default=None)

@@ -49,11 +49,13 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 class ExperimentSpec:
     """Full description of one experiment; everything needed to replay it.
 
-    Each value in ``seeds`` keys its own cells, so ``seeds=(5, 6, 7)``
-    draws other instances than ``seeds=(0, 1, 2)``.  ``jobs`` is recorded
-    in the manifest (and so in ``spec_sha256``) but starts no threads:
-    every protocol runs its cells on the calling thread.  It stays so that
-    older specs and manifests still load and hash alike.
+    A kind reads the fields ``_READS`` lists for it; any other field set
+    to a value other than its default is a :class:`ValueError` naming the
+    kind and the field.  ``out`` and ``jobs`` are exempt, and left out of
+    ``spec_sha256``: ``out`` says where results go, not what they are, and
+    ``jobs`` starts no threads (cells run on the calling thread) but still
+    loads from older specs.  Each value in ``seeds`` keys its own cells,
+    so ``seeds=(5, 6, 7)`` draws other instances than ``seeds=(0, 1, 2)``.
     """
 
     kind: str
@@ -77,6 +79,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        unread = [f.name for f in fields(self)
+                  if f.name not in ("kind",) + _READS[self.kind] + _UNHASHED
+                  and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValueError(f"{self.kind} does not read {', '.join(unread)}")
         if self.params is None and self.kind != PHASE_CURVE:
             raise ValueError(f"{self.kind} needs params (delta, sigma2, prior)")
         if len(self.seeds) == 0:
@@ -146,8 +153,11 @@ def _environment() -> dict:
 
 
 def _manifest(spec: ExperimentSpec, outcomes: list[dict]) -> dict:
+    """Spec, outcomes and environment; ``spec_sha256`` hashes every spec field
+    but ``out`` and ``jobs``, which change no result (see :class:`ExperimentSpec`)."""
     spec_dict = spec.to_dict()
-    blob = json.dumps(spec_dict, sort_keys=True).encode()
+    hashed = {k: v for k, v in spec_dict.items() if k not in _UNHASHED}
+    blob = json.dumps(hashed, sort_keys=True).encode()
     return {
         "spec": spec_dict,
         "spec_sha256": hashlib.sha256(blob).hexdigest(),
@@ -176,12 +186,10 @@ def write_manifest(manifest: dict, path: str | Path) -> Path:
     return path
 
 
-def _emit(spec: ExperimentSpec, result: ExperimentResult,
-          suffix: str = "") -> ExperimentResult:
+def _emit(spec: ExperimentSpec, result: ExperimentResult) -> ExperimentResult:
     if spec.out is not None:
         stem = Path(spec.out)
-        name = stem.name + (f"_{suffix}" if suffix else "")
-        write_csv(result.rows, stem.with_name(name + ".csv"))
+        write_csv(result.rows, stem.with_name(stem.name + ".csv"))
         write_manifest(result.manifest, stem.with_name(stem.name + ".manifest.json"))
     return result
 
@@ -533,6 +541,19 @@ _RUNNERS = {
     RESAMPLED_ORACLE: run_resampled_oracle,
     PHASE_CURVE: run_phase_curve,
 }
+
+# The spec fields each runner reads; ExperimentSpec rejects others not at their default.
+_COMMON = ("n", "params", "ensemble", "seeds", "alpha", "base_seed")
+_READS = {
+    MSE_VS_LAMBDA: _COMMON + ("lambdas", "max_iter", "tol"),
+    CONVERGENCE: _COMMON + ("max_iter", "nnz_levels", "alpha_ist", "ist_rescale"),
+    NOISE_HISTOGRAM: _COMMON + ("t_target", "nnz_levels", "alpha_ist", "ist_rescale"),
+    SE_TRACKING: _COMMON + ("t_target",),
+    RESAMPLED_ORACLE: _COMMON + ("t_target",),
+    PHASE_CURVE: ("grid_points",),
+}
+# Fields any kind takes, kept out of spec_sha256: neither changes a result.
+_UNHASHED = ("out", "jobs")
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:

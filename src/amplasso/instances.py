@@ -1,4 +1,4 @@
-"""Problem-instance generation and serialization.
+"""Problem-instance generation.
 
 An :class:`Instance` bundles one realization of ``y = A x0 + w`` together
 with its dimensions and seed.  Generators produce Gaussian or Rademacher
@@ -11,10 +11,8 @@ reads.  A :class:`LazyInstance` holds a Gaussian ``A`` as a
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -120,6 +118,18 @@ def _assemble(a, x0, w, m, n, delta, sigma2, seed) -> Instance:
                     sigma2=float(sigma2), seed=seed)
 
 
+def _draw(n: int, delta: float, sigma2: float, seed: int, first) -> tuple:
+    """``(m, rng, first(rng, m), w)``: the n check, m, the seeded generator, then
+    ``first``'s draws and the noise ``w`` from it, as every generator makes them."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    m = measurement_count(delta, n)
+    rng = np.random.default_rng(seed)
+    head = first(rng, m)
+    w = np.sqrt(sigma2) * rng.standard_normal(m) if sigma2 > 0 else np.zeros(m)
+    return m, rng, head, w
+
+
 def gen_instance(n: int, params: ModelParams, seed: int,
                  ensemble: str = GAUSSIAN) -> Instance:
     """Draw matrix, signal, and noise from one seeded generator.
@@ -127,13 +137,8 @@ def gen_instance(n: int, params: ModelParams, seed: int,
     Draw order is fixed (matrix, then signal, then noise) so instances are
     bit-reproducible given (n, params, seed, ensemble).
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    m = measurement_count(params.delta, n)
-    rng = np.random.default_rng(seed)
-    a = draw_matrix(rng, m, n, ensemble)
-    x0 = sample_with_rng(params.prior, n, rng)
-    w = np.sqrt(params.sigma2) * rng.standard_normal(m) if params.sigma2 > 0 else np.zeros(m)
+    m, _, (a, x0), w = _draw(n, params.delta, params.sigma2, seed, lambda rng, m: (
+        draw_matrix(rng, m, n, ensemble), sample_with_rng(params.prior, n, rng)))
     return _assemble(a, x0, w, m, n, params.delta, params.sigma2, seed)
 
 
@@ -312,12 +317,8 @@ def gen_lazy_instance(n: int, params: ModelParams, seed: int) -> LazyInstance:
     the Gaussian ensemble, the values are not.  Its ``A`` takes
     :func:`conditioning_capacity` directions per side before it is drawn.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    m = measurement_count(params.delta, n)
-    rng = np.random.default_rng(seed)
-    x0 = sample_with_rng(params.prior, n, rng)
-    w = np.sqrt(params.sigma2) * rng.standard_normal(m) if params.sigma2 > 0 else np.zeros(m)
+    m, rng, x0, w = _draw(n, params.delta, params.sigma2, seed,
+                          lambda rng, m: sample_with_rng(params.prior, n, rng))
     a = ConditionedGaussian(m, n, rng, conditioning_capacity(m, n))
     y = a @ x0 + w
     for arr in (x0, y):
@@ -336,64 +337,15 @@ def gen_planted_instance(n: int, delta: float, nnz: int, seed: int,
 
     Used by the benchmark protocols that fix ||x0||_0 instead of sampling it.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
     if not 0 <= nnz <= n:
         raise ValueError("nnz must lie in [0, n]")
-    m = measurement_count(delta, n)
-    rng = np.random.default_rng(seed)
-    a = draw_matrix(rng, m, n, ensemble)
-    x0 = np.zeros(n)
-    support = rng.choice(n, size=nnz, replace=False)
-    x0[support] = 2.0 * rng.integers(0, 2, size=nnz) - 1.0
-    w = np.sqrt(sigma2) * rng.standard_normal(m) if sigma2 > 0 else np.zeros(m)
+
+    def planted(rng, m):
+        a = draw_matrix(rng, m, n, ensemble)
+        x0 = np.zeros(n)
+        support = rng.choice(n, size=nnz, replace=False)
+        x0[support] = 2.0 * rng.integers(0, 2, size=nnz) - 1.0
+        return a, x0
+
+    m, _, (a, x0), w = _draw(n, delta, sigma2, seed, planted)
     return _assemble(a, x0, w, m, n, delta, sigma2, seed)
-
-
-_LAYOUT = ("a", "x0", "w", "y")
-
-
-def _bundle_paths(stem: str | Path) -> tuple[Path, Path]:
-    """``<stem>.json`` and ``<stem>.bin``; a dot in the stem is kept, not replaced."""
-    stem = Path(stem)
-    return stem.with_name(stem.name + ".json"), stem.with_name(stem.name + ".bin")
-
-
-def save_instance(instance: Instance, stem: str | Path) -> tuple[Path, Path]:
-    """Write ``<stem>.json`` (header) and ``<stem>.bin`` (flat float64 payload).
-
-    The payload is little-endian float64: A in row-major order, then x0, w,
-    and y, so any implementation can replay the exact instance.
-    """
-    header = {
-        "m": instance.m, "n": instance.n, "delta": instance.delta,
-        "sigma2": instance.sigma2, "seed": instance.seed,
-        "layout": list(_LAYOUT), "dtype": "<f8", "order": "C",
-    }
-    json_path, bin_path = _bundle_paths(stem)
-    json_path.write_text(json.dumps(header, indent=2) + "\n")
-    payload = np.concatenate([
-        np.ascontiguousarray(instance.a, dtype="<f8").ravel(),
-        instance.x0.astype("<f8"), instance.w.astype("<f8"),
-        instance.y.astype("<f8"),
-    ])
-    payload.tofile(bin_path)
-    return json_path, bin_path
-
-
-def load_instance(stem: str | Path) -> Instance:
-    """Read an instance bundle written by :func:`save_instance`."""
-    json_path, bin_path = _bundle_paths(stem)
-    header = json.loads(json_path.read_text())
-    m, n = int(header["m"]), int(header["n"])
-    flat = np.fromfile(bin_path, dtype="<f8")
-    expected = m * n + n + 2 * m
-    if flat.size != expected:
-        raise ValueError(f"payload has {flat.size} values, expected {expected}")
-    a = flat[: m * n].reshape(m, n).astype(float)
-    x0 = flat[m * n: m * n + n].astype(float)
-    w = flat[m * n + n: m * n + n + m].astype(float)
-    y = flat[m * n + n + m:].astype(float)
-    return Instance(a=a, x0=x0, w=w, y=y, m=m, n=n,
-                    delta=float(header["delta"]), sigma2=float(header["sigma2"]),
-                    seed=int(header["seed"]))

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amplasso import amp as amp_module
-from amplasso import (ModelParams, NumericalBlowupError, ThresholdPolicy,
-                      alpha_of_lambda, amp_run, amp_step, delta_prior, effective_lambda,
-                      estimate_tau, gen_gaussian_instance, gen_instance, gen_planted_instance,
-                      initial_state, ist_run, ist_solve_lasso, iterate, lasso_kkt_gap,
-                      lasso_objective, operator_norm, se_fixed_point,
-                      soft_threshold, three_point)
+from amplasso import (AmpState, DiscretePrior, ModelParams, NumericalBlowupError,
+                      ThresholdPolicy, alpha_of_lambda, amp_run, amp_step, delta_prior,
+                      effective_lambda, estimate_tau, gen_gaussian_instance, gen_instance,
+                      gen_planted_instance, initial_state, ist_run, ist_solve_lasso,
+                      iterate, lasso_kkt_gap, lasso_objective, operator_norm,
+                      se_fixed_point, soft_threshold, three_point)
 from amplasso.amp import _rescaled, onsager_coefficient
 from amplasso.instances import RADEMACHER, Instance
 from amplasso.state_evolution import calibrate_lambda
@@ -142,6 +142,24 @@ class TestAmpStep:
                           tau_hat=state.tau_hat, theta=0.0, b=1.0)
         with pytest.raises(NumericalBlowupError):
             amp_step(bad, inst, policy)
+
+
+    def test_non_finite_tau_hat_is_a_blowup(self):
+        # r @ r overflows in estimate_tau; it used to give tau_hat = inf
+        params = ModelParams(delta=0.64, sigma2=0.2,
+                             prior=DiscretePrior((0.0, 1e300), (0.9, 0.1)))
+        inst = gen_instance(50, params, seed=0)
+        with np.errstate(over="ignore"), pytest.raises(NumericalBlowupError,
+                                                       match="tau_hat = inf"):
+            initial_state(inst, ThresholdPolicy.rms(2.0))
+        # a step whose x stays small but whose memory term overflows the residual
+        zero = Instance(a=np.zeros((2, 2)), x0=np.zeros(2), w=np.zeros(2),
+                        y=np.full(2, 0.5), m=2, n=2, delta=1.0, sigma2=0.0, seed=0)
+        state = AmpState(x=np.ones(2), r=np.full(2, 1e300), t=1, tau_hat=1.0,
+                         theta=0.0, b=1.0)
+        with np.errstate(over="ignore"), pytest.raises(NumericalBlowupError,
+                                                       match="tau_hat = inf"):
+            amp_step(state, zero, ThresholdPolicy.fixed([0.0]))
 
 
 class TestOnsagerCoefficient:

@@ -3,10 +3,12 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import amplasso
@@ -24,6 +26,47 @@ def test_import_leaves_out_scipy_stats_and_integrate():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+MODEL = {"--delta", "--sigma2", "--prior", "--alpha"}
+FLAGS = {
+    "solve": MODEL | {"--n", "--ensemble", "--seeds", "--lambda", "--max-iter", "--tol",
+                      "--engine", "--out"},
+    "se": MODEL | {"--lambda", "--out"},
+    "calibrate": MODEL | {"--lambda"},
+    "phase": {"--delta", "--rho", "--sweep", "--out"},
+    "experiment": MODEL | {"--n", "--ensemble", "--seeds", "--max-iter", "--tol", "--out",
+                           "--spec", "--kind", "--lambdas", "--nnz-levels", "--t-target"},
+}
+
+
+class TestFlags:
+    """Each subcommand takes only the flags it reads."""
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_each_subcommand_takes_its_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert set(re.findall(r"--[a-z0-9-]+", usage)) - {"--help"} == FLAGS[command]
+
+    def test_forty_two_in_all(self):
+        assert sum(len(flags) for flags in FLAGS.values()) == 42
+
+    @pytest.mark.parametrize("argv", [
+        ["se", "--n", "7"], ["se", "--engine", "mp"], ["se", "--seeds", "9"],
+        ["se", "--max-iter", "3"], ["se", "--tol", "5"],
+        ["calibrate", "--out", "x"], ["calibrate", "--n", "7"],
+        ["calibrate", "--ensemble", "rademacher"],
+        ["experiment", "--engine", "ist"],
+        ["solve", "--seeds", "1", "2"],
+    ])
+    def test_unread_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestParsePrior:
@@ -127,6 +170,16 @@ class TestSolve:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_overflowing_residual_scale_is_numerical_failure(self, capsys):
+        # it used to print mse=inf tau_hat=inf and exit 0
+        with np.errstate(over="ignore"):
+            code = main(["solve", "--n", "50",
+                         "--prior", '{"atoms": [0, 1e300], "weights": [0.9, 0.1]}'])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: residual scale tau_hat = inf\n"
+
     def test_invalid_weights_is_spec_error(self):
         code = main(["solve", "--n", "100", "--prior",
                      '{"atoms": [0, 1], "weights": [0.9, 0.3]}'])
@@ -139,6 +192,19 @@ class TestSe:
         assert code == 0
         out = capsys.readouterr().out
         assert "tau_star=0.604786274" in out
+
+    def test_alpha_at_or_below_alpha_min_is_spec_error(self, capsys):
+        # it used to run 6112 steps until tau^2 overflowed and exit 0
+        for alpha in ("0.2", "0.267", "nan"):
+            assert main(["se", "--alpha", alpha]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: alpha must exceed alpha_min = 0.267156\n"
+        assert main(["calibrate", "--alpha", "0.2"]) == 2
+        assert capsys.readouterr().err == "error: alpha must exceed alpha_min = 0.267156\n"
+
+    def test_delta_above_one_has_no_alpha_floor(self, capsys):
+        assert main(["se", "--delta", "1.5", "--alpha", "0.2"]) == 0
+        assert "converged=True" in capsys.readouterr().out
 
 
 class TestCalibrate:
@@ -160,7 +226,8 @@ class TestCalibrate:
     @pytest.mark.parametrize("command", ["calibrate", "solve"])
     def test_unreachable_lambda_is_spec_error(self, command, capsys):
         # it used to end in a RuntimeError traceback with exit 1
-        assert main([command, "--n", "100", "--lambda", "1e9"]) == 2
+        size = ["--n", "100"] if command == "solve" else []
+        assert main([command, *size, "--lambda", "1e9"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: no alpha below") and err.count("\n") == 1
 
@@ -190,18 +257,32 @@ class TestExperiment:
         assert (tmp_path / "exp.manifest.json").exists()
 
     def test_from_json_spec(self, tmp_path):
-        spec = {
-            "kind": "PHASE_CURVE", "grid_points": 5,
-            "params": {"delta": 0.64, "sigma2": 0.2,
-                       "prior": {"atoms": [-1, 0, 1],
-                                 "weights": [0.064, 0.872, 0.064]}},
-        }
+        spec = {"kind": "PHASE_CURVE", "grid_points": 5}
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(spec))
         code = main(["experiment", "--spec", str(spec_file),
                      "--out", str(tmp_path / "pc")])
         assert code == 0
         assert (tmp_path / "pc_boundary.csv").exists()
+
+    def test_phase_curve_runs_from_phase_sweep(self, capsys):
+        assert main(["experiment", "--kind", "PHASE_CURVE"]) == 2
+        assert "phase --sweep" in capsys.readouterr().err
+
+    def test_spec_file_takes_no_other_flag_but_out(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"kind": "PHASE_CURVE", "grid_points": 3}))
+        assert main(["experiment", "--spec", str(spec_file), "--n", "50",
+                     "--t-target", "4"]) == 2
+        assert "got --n, --t-target" in capsys.readouterr().err
+        assert main(["experiment", "--spec", str(spec_file),
+                     "--out", str(tmp_path / "pc")]) == 0
+
+    def test_unread_spec_field_is_spec_error(self, capsys):
+        # SE_TRACKING used to ignore --tol and --max-iter but hash them
+        assert main(["experiment", "--kind", "SE_TRACKING", "--n", "50", "--tol", "5",
+                     "--max-iter", "7"]) == 2
+        assert capsys.readouterr().err == "error: SE_TRACKING does not read max_iter, tol\n"
 
     def test_missing_kind_is_spec_error(self):
         assert main(["experiment", "--n", "100"]) == 2

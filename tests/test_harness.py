@@ -5,7 +5,7 @@ import json
 import os
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,24 @@ from amplasso.scalar_risk import soft_threshold
 @pytest.fixture(scope="module")
 def small_params():
     return ModelParams(delta=0.64, sigma2=0.2, prior=three_point(0.128))
+
+
+COMMON = {"n", "params", "ensemble", "seeds", "alpha", "base_seed"}
+# The spec fields each kind reads; every other field but kind, out and jobs
+# must stay at its default.
+READS = {
+    "MSE_VS_LAMBDA": COMMON | {"lambdas", "max_iter", "tol"},
+    "CONVERGENCE": COMMON | {"max_iter", "nnz_levels", "alpha_ist", "ist_rescale"},
+    "NOISE_HISTOGRAM": COMMON | {"t_target", "nnz_levels", "alpha_ist", "ist_rescale"},
+    "SE_TRACKING": COMMON | {"t_target"},
+    "RESAMPLED_ORACLE": COMMON | {"t_target"},
+    "PHASE_CURVE": {"grid_points"},
+}
+
+
+def read_spec(kind, **kwargs):
+    """A spec of ``kind`` from those of ``kwargs`` that the kind reads."""
+    return ExperimentSpec(kind=kind, **{k: v for k, v in kwargs.items() if k in READS[kind]})
 
 
 class TestExperimentSpec:
@@ -56,9 +74,10 @@ class TestExperimentSpec:
     def test_rejects_negative_t_target(self, small_params, kind):
         # RESAMPLED_ORACLE used to fail with IndexError, SE_TRACKING to
         # return no rows
+        params = None if kind == "PHASE_CURVE" else small_params
         with pytest.raises(ValueError, match="t_target"):
-            ExperimentSpec(kind=kind, params=small_params, t_target=-1)
-        spec = ExperimentSpec(kind=kind, params=small_params).to_dict()
+            ExperimentSpec(kind=kind, params=params, t_target=-1)
+        spec = ExperimentSpec(kind=kind, params=params).to_dict()
         with pytest.raises(ValueError, match="t_target"):
             ExperimentSpec.from_dict({**spec, "t_target": -1})
 
@@ -76,7 +95,7 @@ class TestExperimentSpec:
                               nnz_levels=(50, 100)).nnz_levels == (50, 100)
 
     def test_round_trip_via_dict(self, small_params):
-        # one spec of each kind, and the spec_sha256 its manifest has always had
+        # one spec of each kind, and its manifest's spec_sha256 (out and jobs unhashed)
         noiseless = ModelParams(delta=0.5, sigma2=0.0, prior=three_point(0.125))
         for kwargs, sha256 in SPEC_HASHES:
             params = {"CONVERGENCE": noiseless, "PHASE_CURVE": None}.get(kwargs["kind"],
@@ -89,20 +108,60 @@ class TestExperimentSpec:
             assert harness._manifest(spec, [])["spec_sha256"] == sha256
 
 
+class TestSpecFields:
+    """Each kind takes only the fields it reads; out and jobs are not hashed."""
+
+    @staticmethod
+    def other_values(params):
+        return dict(n=321, params=params, ensemble="rademacher", seeds=(4,), alpha=1.5,
+                    lambdas=(0.5,), max_iter=77, tol=1e-5, t_target=4, nnz_levels=(9,),
+                    alpha_ist=1.7, ist_rescale=0.9, grid_points=7, base_seed=3)
+
+    def test_table_matches_the_runners(self):
+        assert {kind: set(names) for kind, names in harness._READS.items()} == READS
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unread_fields_are_rejected_by_name(self, small_params, kind):
+        base = {} if kind == "PHASE_CURVE" else {"params": small_params}
+        values = self.other_values(small_params)
+        for name, value in values.items():
+            if name in READS[kind]:
+                continue
+            with pytest.raises(ValueError, match=f"{kind} does not read {name}"):
+                ExperimentSpec(kind=kind, **{**base, name: value})
+            spec = ExperimentSpec(kind=kind, **base).to_dict()
+            spec[name] = asdict(value) if name == "params" else value
+            with pytest.raises(ValueError, match=f"does not read {name}"):
+                ExperimentSpec.from_dict(json.loads(json.dumps(spec)))
+        read = {k: v for k, v in values.items() if k in READS[kind]}
+        assert ExperimentSpec(kind=kind, **read).to_dict()["kind"] == kind
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_out_and_jobs_leave_the_hash(self, small_params, kind):
+        base = {} if kind == "PHASE_CURVE" else {"params": small_params}
+        hashes = {harness._manifest(ExperimentSpec(kind=kind, **base, **extra),
+                                    [])["spec_sha256"]
+                  for extra in ({}, {"out": "a/run"}, {"out": "b/other"}, {"jobs": 4})}
+        assert len(hashes) == 1
+        other = ExperimentSpec(kind=kind, **base, grid_points=9) if kind == "PHASE_CURVE" \
+            else ExperimentSpec(kind=kind, **base, seeds=(1,))
+        assert harness._manifest(other, [])["spec_sha256"] not in hashes
+
+
 SPEC_HASHES = [
     (dict(kind="MSE_VS_LAMBDA", n=321, lambdas=(0.5, 1.0), seeds=(1, 2, 3), jobs=2),
-     "791da32b53dee919a49a2831dde9f429ffdcbc10321654716d59e8acf684bb79"),
+     "d531a452e14ed565ec522b41bd755aa8460f113acf4bc67b4fc96fc1628ddcdc"),
     (dict(kind="CONVERGENCE", n=200, nnz_levels=(20, 40), max_iter=100, alpha=1.5),
-     "2275ecf33cabc0dc0f5077a9ca2a9949f0196426d7b8f4965851bd0318396cdb"),
+     "76a05113758012fde30001f6e515a3a8de4ffd30efd28bbfd17bb9b3e9b8eb3b"),
     (dict(kind="NOISE_HISTOGRAM", ensemble="rademacher", nnz_levels=(50,), t_target=5,
           alpha_ist=1.7),
-     "c94e155d779361a5e9642088cc2b8c1184ccf347ebf1ae4c4df5ce72edd98154"),
+     "15ac34717437078b0a28cdce9b03acee25273d494938d29ed32b4b953405fac8"),
     (dict(kind="SE_TRACKING", alpha=2.0, t_target=12, base_seed=3),
-     "a6903be66ef8514307338d629af0d216aeb9aa1707fbd1d7a0f8864ba0259d6c"),
-    (dict(kind="RESAMPLED_ORACLE", ist_rescale=0.9, out="runs/oracle"),
-     "f464e9f1ea0727254c966a3b205d9c1d1d652ce4acd267c8653b84b127629505"),
+     "1abe4e2ff99c5124e252f8a65ac934b3239e89cf1daa6d631588bd54393816a2"),
+    (dict(kind="RESAMPLED_ORACLE", out="runs/oracle"),
+     "34b9b2dae1ec393feb5b5750437b2cfc05645ae893d9a59e2a7c27a228e77095"),
     (dict(kind="PHASE_CURVE", grid_points=7),
-     "0a1271da3dd751524217cc4702bb4d488d51792545134a2cba5a47960577ff0b"),
+     "07fddb28d522fa165a57d365a9f49b34d33d9bbdb1bd97802343639961bb8b5b"),
 ]
 
 
@@ -145,9 +204,9 @@ class TestSeedValues:
 
         def rows(seeds):
             keys.clear()
-            spec = ExperimentSpec(kind=kind, n=160, params=params, seeds=seeds,
-                                  alpha=2.0, lambdas=(1.0,), max_iter=60, t_target=3,
-                                  nnz_levels=(20,))
+            spec = read_spec(kind, n=160, params=params, seeds=seeds,
+                             alpha=2.0, lambdas=(1.0,), max_iter=60, t_target=3,
+                             nnz_levels=(20,))
             out = run_experiment(spec).rows
             assert keys == CELL_KEYS[kind](seeds)
             return out
@@ -240,8 +299,8 @@ class TestOneSeed:
         ("MSE_VS_LAMBDA", "empirical_mse_se"), ("SE_TRACKING", "empirical_se"),
         ("RESAMPLED_ORACLE", "tau2_empirical_se")])
     def test_a_single_sample_has_no_standard_error(self, small_params, kind, se_key):
-        spec = ExperimentSpec(kind=kind, n=50, params=small_params, alpha=2.0,
-                              lambdas=(1.0,), seeds=(0,), t_target=3, max_iter=50)
+        spec = read_spec(kind, n=50, params=small_params, alpha=2.0,
+                         lambdas=(1.0,), seeds=(0,), t_target=3, max_iter=50)
         rows = run_experiment(spec).rows
         assert rows and all(r[se_key] is None for r in rows)
 
@@ -263,9 +322,9 @@ class TestSampler:
 
         monkeypatch.setattr(instances, "draw_matrix", spy)
         # n = 400 holds 39 directions per side: more than 6 steps make
-        spec = ExperimentSpec(kind=kind, n=400, params=small_params, alpha=2.0,
-                              ensemble=ensemble, lambdas=(1.0,), seeds=(0, 1, 2),
-                              t_target=5, max_iter=6)
+        spec = read_spec(kind, n=400, params=small_params, alpha=2.0,
+                         ensemble=ensemble, lambdas=(1.0,), seeds=(0, 1, 2),
+                         t_target=5, max_iter=6)
         outcomes = run_experiment(spec).manifest["outcomes"]
         assert outcomes and {o["sampler"] for o in outcomes} == {sampler}
         assert drawn == ([] if ensemble == "gaussian" else [ensemble] * 3)
@@ -632,8 +691,8 @@ class TestConditionedProducts:
 
 class TestPhaseCurve:
     def test_boundary_and_levels(self, small_params, tmp_path):
-        spec = ExperimentSpec(kind="PHASE_CURVE", params=small_params,
-                              grid_points=11, out=str(tmp_path / "phase"))
+        spec = ExperimentSpec(kind="PHASE_CURVE", grid_points=11,
+                              out=str(tmp_path / "phase"))
         res = run_phase_curve(spec)
         assert res.rows[0]["alpha"] == 0.0
         assert res.rows[0]["delta"] == pytest.approx(1.0)
@@ -646,8 +705,7 @@ class TestPhaseCurve:
         assert (tmp_path / "phase_mstar.csv").exists()
 
     def test_levels_increase_toward_boundary(self, small_params):
-        res = run_phase_curve(ExperimentSpec(kind="PHASE_CURVE",
-                                             params=small_params, grid_points=5))
+        res = run_phase_curve(ExperimentSpec(kind="PHASE_CURVE", grid_points=5))
         by_delta = {}
         for row in res.extra["mstar_rows"]:
             by_delta.setdefault(row["delta"], []).append(row)
@@ -659,8 +717,7 @@ class TestPhaseCurve:
 
 class TestDispatch:
     def test_run_experiment_routes(self, small_params):
-        spec = ExperimentSpec(kind="PHASE_CURVE", params=small_params,
-                              grid_points=3)
+        spec = ExperimentSpec(kind="PHASE_CURVE", grid_points=3)
         assert len(run_experiment(spec).rows) == 3
 
     @pytest.mark.parametrize("kind, extra", [

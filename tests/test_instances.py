@@ -1,5 +1,6 @@
-"""Instance generation and serialization."""
+"""Instance generation: draws, determinism, digests."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 
 from amplasso import (ModelParams, ThresholdPolicy, amp_run, delta_prior,
                       gen_gaussian_instance, gen_instance, gen_planted_instance,
-                      load_instance, measurement_count, sample_with_rng, save_instance,
-                      three_point)
+                      measurement_count, sample_with_rng, three_point)
 from amplasso.instances import (ENSEMBLES, GAUSSIAN, RADEMACHER, ConditionedGaussian,
                                 Instance, conditioning_capacity, draw_matrix,
                                 gen_lazy_instance)
@@ -270,34 +270,46 @@ class TestPlantedInstance:
         assert np.array_equal(inst.y, inst.a @ inst.x0 + inst.w)
 
 
-class TestSerialization:
-    def test_round_trip_bit_identical(self, bench_params, tmp_path):
-        inst = gen_gaussian_instance(60, bench_params, seed=13)
-        jp, bp = save_instance(inst, tmp_path / "bundle")
-        assert jp.exists() and bp.exists()
-        back = load_instance(tmp_path / "bundle")
-        assert back.m == inst.m and back.n == inst.n and back.seed == inst.seed
-        assert back.delta == inst.delta and back.sigma2 == inst.sigma2
-        for name in ("a", "x0", "w", "y"):
-            assert np.array_equal(getattr(back, name), getattr(inst, name))
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(arr.tobytes())
+    return h.hexdigest()[:16]
 
-    def test_dotted_stems_keep_their_own_files(self, bench_params, tmp_path):
-        first = gen_gaussian_instance(30, bench_params, seed=1)
-        second = gen_gaussian_instance(30, bench_params, seed=2)
-        paths = save_instance(first, tmp_path / "run.s1")
-        assert [p.name for p in paths] == ["run.s1.json", "run.s1.bin"]
-        save_instance(second, tmp_path / "run.s2")
-        for stem, inst in (("run.s1", first), ("run.s2", second)):
-            back = load_instance(tmp_path / stem)
-            assert back.seed == inst.seed and np.array_equal(back.a, inst.a)
 
-    def test_truncated_payload_rejected(self, bench_params, tmp_path):
-        inst = gen_gaussian_instance(30, bench_params, seed=14)
-        _, bp = save_instance(inst, tmp_path / "bundle")
-        data = bp.read_bytes()
-        bp.write_bytes(data[:-16])
-        with pytest.raises(ValueError):
-            load_instance(tmp_path / "bundle")
+# (ensemble, sigma2, n): sha256 prefixes of the bytes of (a, x0, w, y) from
+# gen_instance and gen_planted_instance (nnz = n // 2), and of (x0, y) from
+# gen_lazy_instance; seed 11, delta 0.64, three_point(0.128).
+INSTANCE_DIGESTS = {
+    ("gaussian", 0.0, 2): ("5a19b1ce82756513", "2d7e9cf2d5fe51eb", "9d908ecfb6b256de"),
+    ("gaussian", 0.0, 7): ("95ccacc9936981db", "e4a441862a386c75", "c7d536c4e8c57453"),
+    ("gaussian", 0.0, 200): ("f18278f2acf49d57", "3efa152b70c091e3", "cfa316c34be1430e"),
+    ("gaussian", 0.2, 2): ("86975cd618d49d45", "e0045676d6f01dc3", "57ef9ddb0b3879c2"),
+    ("gaussian", 0.2, 7): ("4074a7b0d6cba290", "9907f9ef40d01db1", "4eb1a0c3e2e81a32"),
+    ("gaussian", 0.2, 200): ("0c2ff3ad9624a015", "aa5d18bc0c512576", "8065136fd3f95414"),
+    ("rademacher", 0.0, 2): ("0aca1076cb3362a4", "253e5f27ccfad4d2"),
+    ("rademacher", 0.0, 7): ("30d2b742120508d4", "130f08ffadf9db09"),
+    ("rademacher", 0.0, 200): ("bb9f939aa99df730", "c854929e1396acba"),
+    ("rademacher", 0.2, 2): ("d430b331e8a8a223", "00a6b8a4bb630e59"),
+    ("rademacher", 0.2, 7): ("a520d5e7aadb96c2", "d2e9f68e9729b429"),
+    ("rademacher", 0.2, 200): ("fe4d429b16c43483", "b2ffca5dadef050c"),
+}
+
+
+class TestDrawBytes:
+    @pytest.mark.parametrize("key", sorted(INSTANCE_DIGESTS))
+    def test_generators_keep_their_bytes(self, key):
+        ensemble, sigma2, n = key
+        params = ModelParams(delta=0.64, sigma2=sigma2, prior=three_point(0.128))
+        inst = gen_instance(n, params, 11, ensemble)
+        planted = gen_planted_instance(n, 0.64, n // 2, 11, ensemble=ensemble,
+                                       sigma2=sigma2)
+        got = [_digest(inst.a, inst.x0, inst.w, inst.y),
+               _digest(planted.a, planted.x0, planted.w, planted.y)]
+        if ensemble == GAUSSIAN:
+            lazy = gen_lazy_instance(n, params, 11)
+            got.append(_digest(lazy.x0, lazy.y))
+        assert tuple(got) == INSTANCE_DIGESTS[key]
 
 
 class TestNonFiniteData:
@@ -310,12 +322,3 @@ class TestNonFiniteData:
         data[field].flat[0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             Instance(m=1, n=2, delta=0.5, sigma2=0.0, seed=0, **data)
-
-    def test_load_rejects_nonfinite_payload(self, bench_params, tmp_path):
-        inst = gen_gaussian_instance(30, bench_params, seed=15)
-        _, bp = save_instance(inst, tmp_path / "bundle")
-        flat = np.fromfile(bp, dtype="<f8")
-        flat[-1] = np.nan  # last entry of y
-        flat.tofile(bp)
-        with pytest.raises(ValueError, match="non-finite"):
-            load_instance(tmp_path / "bundle")
