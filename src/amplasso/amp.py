@@ -19,12 +19,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
-from .gaussians import MEDIAN_ABS_GAUSS
 from .instances import Instance, _norm
 from .scalar_risk import soft_threshold
 
 RMS = "rms"
-MEDIAN = "median"
 FIXED_SEQUENCE = "fixed"
 
 _BLOWUP_FACTOR = 1e6
@@ -41,9 +39,10 @@ class NumericalBlowupError(RuntimeError):
 class ThresholdPolicy:
     """How the per-iteration threshold is chosen.
 
-    Adaptive modes scale a scatter estimate of the residual by ``alpha``;
-    the fixed mode replays an explicit threshold sequence (its last value
-    repeats once the sequence is exhausted).
+    The RMS mode scales the residual's root mean square by ``alpha``; the
+    fixed mode replays an explicit threshold sequence (its last value
+    repeats once the sequence is exhausted).  NaN is rejected as out of
+    range.
     """
 
     alpha: float = 2.0
@@ -51,14 +50,14 @@ class ThresholdPolicy:
     theta_sequence: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.estimator not in (RMS, MEDIAN, FIXED_SEQUENCE):
+        if self.estimator not in (RMS, FIXED_SEQUENCE):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.estimator == FIXED_SEQUENCE:
             if len(self.theta_sequence) == 0:
                 raise ValueError("fixed policy needs a nonempty theta sequence")
-            if any(t < 0 for t in self.theta_sequence):
+            if any(not t >= 0 for t in self.theta_sequence):
                 raise ValueError("thresholds must be >= 0")
-        elif self.alpha <= 0:
+        elif not self.alpha > 0:
             raise ValueError("alpha must be > 0")
 
     @classmethod
@@ -66,16 +65,9 @@ class ThresholdPolicy:
         return cls(alpha=alpha, estimator=RMS)
 
     @classmethod
-    def median(cls, alpha: float) -> "ThresholdPolicy":
-        return cls(alpha=alpha, estimator=MEDIAN)
-
-    @classmethod
     def fixed(cls, thetas) -> "ThresholdPolicy":
         return cls(alpha=1.0, estimator=FIXED_SEQUENCE,
                    theta_sequence=tuple(float(t) for t in thetas))
-
-    def tau_mode(self) -> str:
-        return MEDIAN if self.estimator == MEDIAN else RMS
 
     def theta(self, t: int, tau_hat: float) -> float:
         if self.estimator == FIXED_SEQUENCE:
@@ -87,22 +79,13 @@ class ThresholdPolicy:
         return self.estimator != FIXED_SEQUENCE or t >= len(self.theta_sequence) - 1
 
 
-def estimate_tau(r: np.ndarray, mode: str = RMS) -> float:
-    """Scatter estimate of the residual: root mean square or scaled median.
-
-    The median mode uses median(|r|)/Phi^{-1}(3/4); for even lengths the
-    lower middle order statistic is taken (deterministic, no interpolation).
-    """
+def estimate_tau(r: np.ndarray) -> float:
+    """Scatter estimate of the residual: its root mean square."""
     r = np.asarray(r, dtype=float)
     m = r.size
     if m < 1:
         raise ValueError("residual must be nonempty")
-    if mode == RMS:
-        return math.sqrt(np.dot(r, r) / m)
-    if mode == MEDIAN:
-        k = (m - 1) // 2
-        return float(np.partition(np.abs(r), k)[k] / MEDIAN_ABS_GAUSS)
-    raise ValueError(f"unknown estimator mode {mode!r}")
+    return math.sqrt(np.dot(r, r) / m)
 
 
 def onsager_coefficient(x: np.ndarray, m: int) -> float:
@@ -131,7 +114,8 @@ class AmpState:
 
 def initial_state(instance: Instance, policy: ThresholdPolicy) -> AmpState:
     """t=0 state: x = 0, r = y, b = 0, threshold from the raw data."""
-    tau0 = estimate_tau(instance.y, policy.tau_mode())
+    with np.errstate(over="ignore"):  # an overflow is the typed error below
+        tau0 = estimate_tau(instance.y)
     if not math.isfinite(tau0):  # y @ y overflowed
         raise NumericalBlowupError(f"residual scale tau_hat = {tau0}")
     return AmpState(x=np.zeros(instance.n), r=instance.y.copy(), t=0,
@@ -167,7 +151,7 @@ def amp_step(state: AmpState, instance: Instance, policy: ThresholdPolicy) -> Am
     if state.memory:
         b_new = onsager_coefficient(x_new, instance.m)
         r_new += b_new * state.r
-    tau_new = estimate_tau(r_new, policy.tau_mode())
+    tau_new = estimate_tau(r_new)
     if not math.isfinite(tau_new):
         raise NumericalBlowupError(f"residual scale tau_hat = {tau_new}")
     t_new = state.t + 1
@@ -216,12 +200,8 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
             memory: bool, observe: Callable[[AmpState], None] | None = None) -> SolverResult:
     """The iteration loop behind every solver and protocol: step until x settles.
 
-    ``instance`` is what the loop reads of ``y = A x0 + w``: ``a``, with
-    ``a @ v`` and ``a.T @ z``, and ``y``, ``x0``, ``m``, ``n``.  That is an
-    :class:`~amplasso.instances.Instance`, the co-scaled system IST runs on
-    (``_CoScaled``), or a :class:`~amplasso.instances.LazyInstance`, whose
-    Gaussian ``A`` draws each product as the run makes it.  Only recorded
-    runs read ``x0``.
+    The loop reads ``a`` and ``y`` of the :class:`~amplasso.instances.Instance`
+    (only recorded runs read ``x0``), whose ``a`` may be an operator.
 
     ``memory`` selects AMP (on) or IST (off).  The loop stops once
     ||x_{t+1} - x_t|| / max(1, ||x_t||) drops below ``tol`` (never for
@@ -241,8 +221,9 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
     predecessors of its states, and so their ``u``, lie in the cycle too.
     Every output is the one full stepping gives, provided a step is a
     deterministic function of its state (fixed BLAS threading within a
-    run; for a ``LazyInstance``, once its ``A`` is drawn: before that, a
-    repeated vector's product comes from the span and agrees to rounding).
+    run; for a :class:`~amplasso.instances.ConditionedGaussian` ``a``, once
+    it is drawn: before that, a repeated vector's product comes from the
+    span and agrees to rounding).
     After ``_CYCLE_WINDOW`` steps without a match the newest state
     becomes ``mark``, so marks sit at t = 0, 8, 16, ...: every period up
     to 8 is found, at most 7 steps after the state first repeats.  A run
@@ -410,31 +391,22 @@ class _ScaledMatrix:
     55 without an exact cycle, ``A (c v)`` 18 and a scaled copy 28.
     """
 
-    __slots__ = ("_a", "_c", "T")
+    __slots__ = ("_a", "_c", "T", "shape")
 
     def __init__(self, a: np.ndarray, c: float, transpose: "_ScaledMatrix | None" = None):
         # the transpose is built once, as every step reads it; it holds no
         # link back, since a reference cycle would keep A alive until a full GC
-        self._a, self._c, self.T = a, c, transpose
+        self._a, self._c, self.T, self.shape = a, c, transpose, a.shape
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self._a @ (self._c * v)
 
 
-@dataclass(frozen=True)
-class _CoScaled:
-    """The co-scaled system (c A, c y) in the loop's input shape: A is shared, not copied."""
+def _rescaled(instance: Instance, rescale_opnorm: float | None) -> tuple[Instance, float]:
+    """The system (c A, c y) whose top singular value is ``rescale_opnorm``, and c.
 
-    a: _ScaledMatrix
-    y: np.ndarray
-    x0: np.ndarray
-    m: int
-    n: int
-
-
-def _rescaled(instance: Instance,
-              rescale_opnorm: float | None) -> tuple[Instance | _CoScaled, float]:
-    """The system (c A, c y) whose top singular value is ``rescale_opnorm``, and c."""
+    ``A`` is shared, not copied, and ``x0`` is the instance's own.
+    """
     if rescale_opnorm is None:
         return instance, 1.0
     if not 0.0 < rescale_opnorm <= 1.0:
@@ -444,9 +416,7 @@ def _rescaled(instance: Instance,
         raise ValueError("matrix has zero operator norm")
     c = rescale_opnorm / norm
     a = _ScaledMatrix(instance.a, c, _ScaledMatrix(instance.a.T, c))
-    scaled = _CoScaled(a=a, y=c * instance.y,
-                       x0=instance.x0, m=instance.m, n=instance.n)
-    return scaled, c
+    return Instance(a=a, x0=instance.x0, y=c * instance.y), c
 
 
 def ist_run(instance: Instance, policy: ThresholdPolicy, rescale_opnorm: float | None = 0.95,
@@ -497,7 +467,7 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     ``max_iter`` remain the fallback for a run whose jitter stays above a
     positive ``tol``.
     """
-    if lam <= 0:
+    if not lam > 0:  # NaN too
         raise ValueError("lam must be > 0")
     scaled, c = _rescaled(instance, rescale_opnorm)
     run = _run_recorded if trajectory else iterate

@@ -13,9 +13,6 @@ from scipy import special
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-#: Median of |Z| for Z ~ N(0,1), i.e. Phi^{-1}(3/4) = 0.674489750...
-MEDIAN_ABS_GAUSS = float(special.ndtri(0.75))
-
 
 def phi(z):
     """Standard normal density. Accepts scalars or arrays."""

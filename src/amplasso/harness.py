@@ -218,8 +218,9 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
     Each lambda is mapped to its threshold multiplier once; the solver then
     runs adaptively and the realized effective lambda is recorded for
     audit.  Per-seed failures are recorded without aborting the sweep.
-    Gaussian cells run on a :class:`~amplasso.instances.LazyInstance`;
-    each outcome names its ``sampler``.
+    Gaussian cells run on a lazy instance
+    (:func:`~amplasso.instances.gen_lazy_instance`); each outcome names its
+    ``sampler``.
     """
     params = spec.params
     signal_mass = params.prior.has_signal_mass
@@ -396,8 +397,9 @@ def _mean_and_se(col: np.ndarray) -> tuple[float, float | None]:
 def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
     """Empirical effective-noise energy per iteration vs the scalar recursion.
 
-    Gaussian cells run on a :class:`~amplasso.instances.LazyInstance`; the
-    manifest's one outcome names the ``sampler``.
+    Gaussian cells run on a lazy instance
+    (:func:`~amplasso.instances.gen_lazy_instance`); the manifest's one
+    outcome names the ``sampler``.
     """
     params = spec.params
     alpha = _default_alpha(spec)

@@ -1,12 +1,13 @@
 """Problem-instance generation.
 
-An :class:`Instance` bundles one realization of ``y = A x0 + w`` together
-with its dimensions and seed.  Generators produce Gaussian or Rademacher
-sensing matrices with i.i.d. entries of variance ``1/m``; a planted
-variant places an exact number of +-1 spikes for the benchmark protocols.
-Arrays are frozen read-only, so no solver run can change the instance it
-reads.  A :class:`LazyInstance` holds a Gaussian ``A`` as a
-:class:`ConditionedGaussian`, which draws only the products a run makes.
+An :class:`Instance` is one realization of ``y = A x0 + w``: the matrix
+and data a solver reads, and the signal ``x0`` that scores its risk.
+Generators produce Gaussian or Rademacher sensing matrices with i.i.d.
+entries of variance ``1/m``; a planted variant places an exact number of
++-1 spikes for the benchmark protocols.  Arrays are frozen read-only, so
+no solver run can change the instance it reads.  A lazy instance holds a
+Gaussian ``A`` as a :class:`ConditionedGaussian`, which draws only the
+products a run makes.
 """
 
 from __future__ import annotations
@@ -48,26 +49,33 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Instance:
-    """One problem realization (A, x0, w, y) with y = A x0 + w exactly."""
+    """One problem realization ``y = A x0 + w``, with ``m = y.size`` and ``n = x0.size``.
 
-    a: np.ndarray
+    ``a`` is an (m, n) array or an operator with ``shape``, ``a @ v`` and
+    ``a.T @ z`` (a :class:`ConditionedGaussian`, or IST's co-scaled matrix).
+    """
+
+    a: np.ndarray | ConditionedGaussian
     x0: np.ndarray
-    w: np.ndarray
     y: np.ndarray
-    m: int
-    n: int
-    delta: float
-    sigma2: float
-    seed: int
+
+    @property
+    def m(self) -> int:
+        return self.y.size
+
+    @property
+    def n(self) -> int:
+        return self.x0.size
 
     def __post_init__(self):
+        if self.x0.ndim != 1 or self.y.ndim != 1:
+            raise ValueError("x0 and y must be vectors")
         if self.a.shape != (self.m, self.n):
-            raise ValueError("matrix shape does not match (m, n)")
-        for arr, size in ((self.x0, self.n), (self.w, self.m), (self.y, self.m)):
-            if arr.shape != (size,):
-                raise ValueError("vector shapes do not match instance dimensions")
-        for name in ("a", "x0", "w", "y"):
+            raise ValueError("matrix shape does not match (y.size, x0.size)")
+        for name in ("a", "x0", "y"):
             arr = getattr(self, name)
+            if not isinstance(arr, np.ndarray):
+                continue
             # min and max propagate NaN and see +-inf, without an (m, n) temporary
             if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise ValueError(f"instance {name} has non-finite entries")
@@ -112,22 +120,17 @@ def draw_matrix(rng: np.random.Generator, m: int, n: int, ensemble: str,
     return a
 
 
-def _assemble(a, x0, w, m, n, delta, sigma2, seed) -> Instance:
-    y = a @ x0 + w
-    return Instance(a=a, x0=x0, w=w, y=y, m=m, n=n, delta=float(delta),
-                    sigma2=float(sigma2), seed=seed)
-
-
-def _draw(n: int, delta: float, sigma2: float, seed: int, first) -> tuple:
-    """``(m, rng, first(rng, m), w)``: the n check, m, the seeded generator, then
-    ``first``'s draws and the noise ``w`` from it, as every generator makes them."""
+def _draw(n: int, delta: float, sigma2: float, seed: int, first) -> Instance:
+    """The instance every generator makes: the n check, m and the seeded
+    generator, then ``first(rng, m) -> (a, x0)``, the noise ``w``, and
+    ``y = a @ x0 + w``, drawn in that order."""
     if n < 2:
         raise ValueError("n must be >= 2")
     m = measurement_count(delta, n)
     rng = np.random.default_rng(seed)
-    head = first(rng, m)
+    a, x0 = first(rng, m)
     w = np.sqrt(sigma2) * rng.standard_normal(m) if sigma2 > 0 else np.zeros(m)
-    return m, rng, head, w
+    return Instance(a=a, x0=x0, y=a @ x0 + w)
 
 
 def gen_instance(n: int, params: ModelParams, seed: int,
@@ -137,9 +140,8 @@ def gen_instance(n: int, params: ModelParams, seed: int,
     Draw order is fixed (matrix, then signal, then noise) so instances are
     bit-reproducible given (n, params, seed, ensemble).
     """
-    m, _, (a, x0), w = _draw(n, params.delta, params.sigma2, seed, lambda rng, m: (
+    return _draw(n, params.delta, params.sigma2, seed, lambda rng, m: (
         draw_matrix(rng, m, n, ensemble), sample_with_rng(params.prior, n, rng)))
-    return _assemble(a, x0, w, m, n, params.delta, params.sigma2, seed)
 
 
 def conditioning_capacity(m: int, n: int) -> int:
@@ -184,11 +186,11 @@ class ConditionedGaussian:
     a fresh matrix.
     """
 
-    __slots__ = ("rng", "_m", "_n", "_capacity", "_v", "_z", "_dense")
+    __slots__ = ("rng", "shape", "_capacity", "_v", "_z", "_dense")
 
     def __init__(self, m: int, n: int, rng: np.random.Generator, capacity: int):
         self.rng = rng
-        self._m, self._n, self._capacity = m, n, capacity
+        self.shape, self._capacity = (m, n), capacity
         self.clear()
 
     @property
@@ -198,8 +200,9 @@ class ConditionedGaussian:
         return _Adjoint(self)
 
     def clear(self) -> None:
-        self._v = _Span(self._n, self._m, min(self._capacity, self._n))  # v and A v
-        self._z = _Span(self._m, self._n, min(self._capacity, self._m))  # z and A'z
+        m, n = self.shape
+        self._v = _Span(n, m, min(self._capacity, n))  # v and A v
+        self._z = _Span(m, n, min(self._capacity, m))  # z and A'z
         self._dense = None
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
@@ -247,7 +250,7 @@ class ConditionedGaussian:
             return out
         q = np.divide(p, nu, out=src.basis[src.count])
         new_image = self.rng.standard_normal(out=src.image[src.count])
-        new_image /= np.sqrt(self._m)
+        new_image /= np.sqrt(self.shape[0])
         if dst.count:
             back, known = dst.basis[:dst.count], dst.image[:dst.count]
             new_image += (known @ q - back @ new_image) @ back
@@ -267,11 +270,12 @@ class ConditionedGaussian:
         v, z = self._v, self._z
         qv, g = v.basis[:v.count], v.image[:v.count]
         qz, d = z.basis[:z.count], z.image[:z.count]
-        a = draw_matrix(self.rng, self._m, self._n, GAUSSIAN)
-        for start in range(0, self._n, _CONDITIONED_BLOCK_COLUMNS):
+        m, n = self.shape
+        a = draw_matrix(self.rng, m, n, GAUSSIAN)
+        for start in range(0, n, _CONDITIONED_BLOCK_COLUMNS):
             cols = slice(start, start + _CONDITIONED_BLOCK_COLUMNS)
             d[:, cols] -= qz @ a[:, cols]
-        for start in range(0, self._m, _CONDITIONED_BLOCK_ROWS):
+        for start in range(0, m, _CONDITIONED_BLOCK_ROWS):
             rows = slice(start, start + _CONDITIONED_BLOCK_ROWS)
             block = a[rows]
             block += qz[:, rows].T @ d
@@ -297,33 +301,21 @@ class _Adjoint:
         return self._a._rmatvec(z)
 
 
-@dataclass(frozen=True)
-class LazyInstance:
-    """What the iteration loop reads of ``y = A x0 + w``, ``A`` a :class:`ConditionedGaussian`."""
-
-    a: ConditionedGaussian
-    y: np.ndarray
-    x0: np.ndarray
-    m: int
-    n: int
-
-
-def gen_lazy_instance(n: int, params: ModelParams, seed: int) -> LazyInstance:
+def gen_lazy_instance(n: int, params: ModelParams, seed: int) -> Instance:
     """A Gaussian instance whose matrix draws only the products a run makes.
 
     Signal and noise come first from the seeded generator, then
     ``y = A x0 + w`` is the matrix's first product; later products draw
     from the same generator.  The law is that of :func:`gen_instance` with
-    the Gaussian ensemble, the values are not.  Its ``A`` takes
-    :func:`conditioning_capacity` directions per side before it is drawn.
+    the Gaussian ensemble, the values are not.  Its ``A`` is a
+    :class:`ConditionedGaussian` that takes :func:`conditioning_capacity`
+    directions per side before it is drawn.
     """
-    m, rng, x0, w = _draw(n, params.delta, params.sigma2, seed,
-                          lambda rng, m: sample_with_rng(params.prior, n, rng))
-    a = ConditionedGaussian(m, n, rng, conditioning_capacity(m, n))
-    y = a @ x0 + w
-    for arr in (x0, y):
-        arr.setflags(write=False)
-    return LazyInstance(a=a, y=y, x0=x0, m=m, n=n)
+    def lazy(rng, m):  # the operator draws nothing until y's product
+        x0 = sample_with_rng(params.prior, n, rng)
+        return ConditionedGaussian(m, n, rng, conditioning_capacity(m, n)), x0
+
+    return _draw(n, params.delta, params.sigma2, seed, lazy)
 
 
 def gen_gaussian_instance(n: int, params: ModelParams, seed: int) -> Instance:
@@ -347,5 +339,4 @@ def gen_planted_instance(n: int, delta: float, nnz: int, seed: int,
         x0[support] = 2.0 * rng.integers(0, 2, size=nnz) - 1.0
         return a, x0
 
-    m, _, (a, x0), w = _draw(n, delta, sigma2, seed, planted)
-    return _assemble(a, x0, w, m, n, delta, sigma2, seed)
+    return _draw(n, delta, sigma2, seed, planted)

@@ -6,9 +6,9 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import amplasso
@@ -171,14 +171,27 @@ class TestSolve:
         assert "error" in capsys.readouterr().err
 
     def test_overflowing_residual_scale_is_numerical_failure(self, capsys):
-        # it used to print mse=inf tau_hat=inf and exit 0
-        with np.errstate(over="ignore"):
+        # it used to print mse=inf tau_hat=inf and exit 0, and then to print
+        # numpy's overflow warning before the typed error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["solve", "--n", "50",
                          "--prior", '{"atoms": [0, 1e300], "weights": [0.9, 0.1]}'])
         assert code == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "numerical failure: residual scale tau_hat = inf\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        (["solve", "--n", "100", "--alpha", "nan"], "alpha must be > 0"),
+        (["experiment", "--kind", "SE_TRACKING", "--n", "100", "--alpha", "nan"],
+         "alpha must be > 0"),
+        (["solve", "--n", "100", "--engine", "ist", "--lambda", "nan"], "lam must be > 0"),
+    ], ids=["solve_alpha", "se_tracking_alpha", "ist_lambda"])
+    def test_nan_level_is_spec_error(self, argv, err, capsys):
+        # each used to exit 3 with "numerical failure: |x| reached nan"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     def test_invalid_weights_is_spec_error(self):
         code = main(["solve", "--n", "100", "--prior",

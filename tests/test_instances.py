@@ -30,11 +30,22 @@ class TestMeasurementCount:
             measurement_count(0.1, 2)
 
 
+def _replayed(n, params, seed):
+    """``(a, x0, w)`` of a seeded Gaussian instance, drawn again in its order."""
+    rng = np.random.default_rng(seed)
+    m = measurement_count(params.delta, n)
+    a = draw_matrix(rng, m, n, GAUSSIAN)
+    x0 = sample_with_rng(params.prior, n, rng)
+    return a, x0, np.sqrt(params.sigma2) * rng.standard_normal(m)
+
+
 class TestGaussianInstance:
     def test_construction_identity(self, bench_params):
         # bit-exact when re-evaluated in construction order
         inst = gen_gaussian_instance(500, bench_params, seed=0)
-        assert np.array_equal(inst.y, inst.a @ inst.x0 + inst.w)
+        a, x0, w = _replayed(500, bench_params, 0)
+        assert np.array_equal(inst.a, a) and np.array_equal(inst.x0, x0)
+        assert inst.y.tobytes() == (a @ x0 + w).tobytes()
 
     def test_zero_signal_zero_noise(self):
         params = ModelParams(delta=0.5, sigma2=0.0, prior=delta_prior())
@@ -52,7 +63,9 @@ class TestGaussianInstance:
         params = ModelParams(delta=0.64, sigma2=0.2, prior=three_point(0.1))
         inst = gen_gaussian_instance(1000, params, seed=3)
         assert inst.m == 640
-        assert 0.16 <= np.var(inst.w) <= 0.24
+        a, x0, w = _replayed(1000, params, 3)
+        assert inst.y.tobytes() == (a @ x0 + w).tobytes()
+        assert 0.16 <= np.var(w) <= 0.24
 
     def test_determinism(self, bench_params):
         a = gen_gaussian_instance(200, bench_params, seed=9)
@@ -266,8 +279,14 @@ class TestPlantedInstance:
 
     def test_noiseless_by_default(self):
         inst = gen_planted_instance(200, 0.5, 20, seed=9)
-        assert np.array_equal(inst.w, np.zeros(inst.m))
-        assert np.array_equal(inst.y, inst.a @ inst.x0 + inst.w)
+        # matrix, support, signs; no noise is drawn, so w = 0
+        rng = np.random.default_rng(9)
+        a = draw_matrix(rng, 100, 200, GAUSSIAN)
+        x0 = np.zeros(200)
+        support = rng.choice(200, size=20, replace=False)
+        x0[support] = 2.0 * rng.integers(0, 2, size=20) - 1.0
+        assert np.array_equal(inst.a, a) and np.array_equal(inst.x0, x0)
+        assert inst.y.tobytes() == (a @ x0 + np.zeros(100)).tobytes()
 
 
 def _digest(*arrays) -> str:
@@ -277,22 +296,22 @@ def _digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
-# (ensemble, sigma2, n): sha256 prefixes of the bytes of (a, x0, w, y) from
+# (ensemble, sigma2, n): sha256 prefixes of the bytes of (a, x0, y) from
 # gen_instance and gen_planted_instance (nnz = n // 2), and of (x0, y) from
 # gen_lazy_instance; seed 11, delta 0.64, three_point(0.128).
 INSTANCE_DIGESTS = {
-    ("gaussian", 0.0, 2): ("5a19b1ce82756513", "2d7e9cf2d5fe51eb", "9d908ecfb6b256de"),
-    ("gaussian", 0.0, 7): ("95ccacc9936981db", "e4a441862a386c75", "c7d536c4e8c57453"),
-    ("gaussian", 0.0, 200): ("f18278f2acf49d57", "3efa152b70c091e3", "cfa316c34be1430e"),
-    ("gaussian", 0.2, 2): ("86975cd618d49d45", "e0045676d6f01dc3", "57ef9ddb0b3879c2"),
-    ("gaussian", 0.2, 7): ("4074a7b0d6cba290", "9907f9ef40d01db1", "4eb1a0c3e2e81a32"),
-    ("gaussian", 0.2, 200): ("0c2ff3ad9624a015", "aa5d18bc0c512576", "8065136fd3f95414"),
-    ("rademacher", 0.0, 2): ("0aca1076cb3362a4", "253e5f27ccfad4d2"),
-    ("rademacher", 0.0, 7): ("30d2b742120508d4", "130f08ffadf9db09"),
-    ("rademacher", 0.0, 200): ("bb9f939aa99df730", "c854929e1396acba"),
-    ("rademacher", 0.2, 2): ("d430b331e8a8a223", "00a6b8a4bb630e59"),
-    ("rademacher", 0.2, 7): ("a520d5e7aadb96c2", "d2e9f68e9729b429"),
-    ("rademacher", 0.2, 200): ("fe4d429b16c43483", "b2ffca5dadef050c"),
+    ("gaussian", 0.0, 2): ("6070c5f8bea182e2", "0f758c341e067100", "9d908ecfb6b256de"),
+    ("gaussian", 0.0, 7): ("a1e1292f46d2154d", "4c49e9080d837cb6", "c7d536c4e8c57453"),
+    ("gaussian", 0.0, 200): ("3314c57657d483c1", "78f20c04902381aa", "cfa316c34be1430e"),
+    ("gaussian", 0.2, 2): ("259b56f6132753f6", "46c6887dcaddb4e9", "57ef9ddb0b3879c2"),
+    ("gaussian", 0.2, 7): ("4cf8b856bc8d3d56", "87df121e00ccfe70", "4eb1a0c3e2e81a32"),
+    ("gaussian", 0.2, 200): ("1f99909f239db355", "bfcd7f8fa97dd44a", "8065136fd3f95414"),
+    ("rademacher", 0.0, 2): ("0bd23827df792b57", "f642205f17b5aa7d"),
+    ("rademacher", 0.0, 7): ("def48d2d7060ecb3", "b06410ea1237f6ac"),
+    ("rademacher", 0.0, 200): ("d374527a52cdfd78", "9c3b8c985b520a55"),
+    ("rademacher", 0.2, 2): ("01bd4e4e30c4f3d3", "112bd5420852b59d"),
+    ("rademacher", 0.2, 7): ("22b252ef710e60ad", "2c6a30dad66776f4"),
+    ("rademacher", 0.2, 200): ("b853e55cd0c21529", "534a52310084aaed"),
 }
 
 
@@ -304,8 +323,8 @@ class TestDrawBytes:
         inst = gen_instance(n, params, 11, ensemble)
         planted = gen_planted_instance(n, 0.64, n // 2, 11, ensemble=ensemble,
                                        sigma2=sigma2)
-        got = [_digest(inst.a, inst.x0, inst.w, inst.y),
-               _digest(planted.a, planted.x0, planted.w, planted.y)]
+        got = [_digest(inst.a, inst.x0, inst.y),
+               _digest(planted.a, planted.x0, planted.y)]
         if ensemble == GAUSSIAN:
             lazy = gen_lazy_instance(n, params, 11)
             got.append(_digest(lazy.x0, lazy.y))
@@ -313,12 +332,21 @@ class TestDrawBytes:
 
 
 class TestNonFiniteData:
-    @pytest.mark.parametrize("field", ["a", "x0", "w", "y"])
+    @pytest.mark.parametrize("field", ["a", "x0", "y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_constructor_rejects(self, field, bad):
         data = {"a": np.array([[0.5, 1.0]]), "x0": np.array([1.0, 0.0]),
-                "w": np.array([0.0]), "y": np.array([0.5])}
+                "y": np.array([0.5])}
         data[field] = data[field].copy()
         data[field].flat[0] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            Instance(m=1, n=2, delta=0.5, sigma2=0.0, seed=0, **data)
+            Instance(**data)
+
+
+class TestShapeCheck:
+    @pytest.mark.parametrize("a", [np.ones((2, 2)),
+                                   ConditionedGaussian(3, 2, np.random.default_rng(0), 1)],
+                             ids=["array", "operator"])
+    def test_rejects_a_matrix_of_another_shape(self, a):
+        with pytest.raises(ValueError, match="matrix shape"):
+            Instance(a=a, x0=np.ones(3), y=np.ones(2))

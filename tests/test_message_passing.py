@@ -76,8 +76,7 @@ class TestReducedMp:
         col /= np.linalg.norm(col)
         x0 = np.array([1.0])
         w = 0.1 * rng.standard_normal(8)
-        inst = Instance(a=col[:, None], x0=x0, w=w, y=col * x0[0] + w, m=8, n=1,
-                        delta=8.0, sigma2=0.01, seed=0)
+        inst = Instance(a=col[:, None], x0=x0, y=col * x0[0] + w)
         lam = 0.3
         x_msgs = np.zeros((8, 1))
         for _ in range(3):
