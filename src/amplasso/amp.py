@@ -7,14 +7,16 @@ scalar state evolution exact in the high-dimensional limit.  Iterative
 soft thresholding (IST) is the same step with the memory term switched off,
 run on a co-scaled system; it serves as a baseline and as a LASSO reference
 solver.  One loop, :func:`iterate`, drives all three, and the harness
-protocols run through it too: each is the loop plus an observer.
+protocols run through it too: each is the loop plus an observer.  That
+observer is the one per-step record: a result holds only the final state,
+and a caller that wants a trajectory passes ``observe`` to the solver.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
@@ -161,36 +163,25 @@ def amp_step(state: AmpState, instance: Instance, policy: ThresholdPolicy) -> Am
     )
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """Per-iteration record emitted by the run drivers."""
-
-    t: int
-    tau_hat: float
-    theta: float
-    b: float
-    mse: float
-
-
 @dataclass
 class SolverResult:
-    """Output of a solver run: final vectors plus the full trajectory.
+    """Output of a solver run: the final state and why the loop ended.
 
-    For IST, ``r_hat`` is the residual of the co-scaled system ``(c A, c y)``
-    with ``c = scale``.  ``stop`` says why the loop ended: ``"tol"``,
-    ``"max_iter"``, or ``"cycle"`` when the state repeated exactly with
-    period ``period`` (0 otherwise) and the remaining steps were replayed.
+    Per-step data is not kept; a caller that wants it passes an ``observe``
+    hook (see :func:`iterate`).  For IST, ``r_hat`` is the residual of the
+    co-scaled system ``(c A, c y)`` with ``c = scale``.  ``stop`` says why
+    the loop ended: ``"tol"``, ``"max_iter"``, or ``"cycle"`` when the state
+    repeated exactly with period ``period`` (0 otherwise) and the remaining
+    steps were replayed.
     """
 
     x_hat: np.ndarray
     r_hat: np.ndarray
-    trajectory: list[TrajectoryPoint] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
     tau_hat: float = 0.0
     theta: float = 0.0
     b: float = 0.0
-    engine: str = "amp"
     scale: float = 1.0  # co-scaling factor applied to (A, y); 1 for AMP
     stop: str = "max_iter"
     period: int = 0
@@ -200,8 +191,9 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
             memory: bool, observe: Callable[[AmpState], None] | None = None) -> SolverResult:
     """The iteration loop behind every solver and protocol: step until x settles.
 
-    The loop reads ``a`` and ``y`` of the :class:`~amplasso.instances.Instance`
-    (only recorded runs read ``x0``), whose ``a`` may be an operator.
+    The loop reads ``a`` and ``y`` of the :class:`~amplasso.instances.Instance`,
+    whose ``a`` may be an operator; only an observer that scores the risk
+    reads ``x0``.
 
     ``memory`` selects AMP (on) or IST (off).  The loop stops once
     ||x_{t+1} - x_t|| / max(1, ||x_t||) drops below ``tol`` (never for
@@ -260,8 +252,7 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
             mark, lap = state, []
     return SolverResult(x_hat=state.x, r_hat=state.r, converged=stop == "tol",
                         iterations=state.t, tau_hat=state.tau_hat,
-                        theta=state.theta, b=state.b,
-                        engine="amp" if memory else "ist", stop=stop, period=period)
+                        theta=state.theta, b=state.b, stop=stop, period=period)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -269,32 +260,18 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.tobytes() == b.tobytes()
 
 
-def _run_recorded(instance: Instance, policy: ThresholdPolicy, max_iter: int,
-                  tol: float, memory: bool) -> SolverResult:
-    """Run the loop with an observer that records a trajectory point per state."""
-    trajectory: list[TrajectoryPoint] = []
-    x0, n = instance.x0, instance.n
-
-    def observe(state: AmpState) -> None:
-        err = state.x - x0
-        mse = float(np.add.reduce(err * err) / n)  # the bits of np.mean(err ** 2)
-        trajectory.append(TrajectoryPoint(t=state.t, tau_hat=state.tau_hat,
-                                          theta=state.theta, b=state.b, mse=mse))
-
-    result = iterate(instance, policy, max_iter, tol, memory, observe)
-    result.trajectory = trajectory
-    return result
-
-
 def amp_run(instance: Instance, policy: ThresholdPolicy, max_iter: int = 200,
-            tol: float = 1e-8) -> SolverResult:
+            tol: float = 1e-8,
+            observe: Callable[[AmpState], None] | None = None) -> SolverResult:
     """Iterate until the relative change of x drops below ``tol``.
 
     The stopping metric is ||x_{t+1} - x_t|| / max(1, ||x_t||); adaptive
     thresholds chase a moving regularization level until tau_hat settles,
     so the optimality gap is checked separately via :func:`lasso_kkt_gap`.
+    ``observe`` is handed to :func:`iterate`, which calls it with every
+    state from t = 0 on.
     """
-    return _run_recorded(instance, policy, max_iter, tol, memory=True)
+    return iterate(instance, policy, max_iter, tol, True, observe)
 
 
 def operator_norm(a: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 1000,
@@ -420,7 +397,8 @@ def _rescaled(instance: Instance, rescale_opnorm: float | None) -> tuple[Instanc
 
 
 def ist_run(instance: Instance, policy: ThresholdPolicy, rescale_opnorm: float | None = 0.95,
-            max_iter: int = 200, tol: float = 1e-8) -> SolverResult:
+            max_iter: int = 200, tol: float = 1e-8,
+            observe: Callable[[AmpState], None] | None = None) -> SolverResult:
     """Same iteration without the memory term: r = y - A x.
 
     The matrix (and data) are co-scaled so the top singular value equals
@@ -428,25 +406,27 @@ def ist_run(instance: Instance, policy: ThresholdPolicy, rescale_opnorm: float |
     The step scales the vectors it multiplies by c, ``x + A'(c r)`` and
     ``c y - A (c x)``, so ``A`` is never copied.
     Pass ``None`` to run on the raw matrix (divergence then raises
-    :class:`NumericalBlowupError`).  MSE in the trajectory is measured
-    against the unscaled ground truth, which co-scaling preserves.
+    :class:`NumericalBlowupError`).  ``observe`` is handed to
+    :func:`iterate` and sees the states of the co-scaled system, whose
+    ``x`` estimates the unscaled ground truth ``instance.x0``.
     """
     scaled, c = _rescaled(instance, rescale_opnorm)
-    result = _run_recorded(scaled, policy, max_iter, tol, memory=False)
+    result = iterate(scaled, policy, max_iter, tol, False, observe)
     result.scale = c
     return result
 
 
 def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95,
                     max_iter: int = 10000, tol: float = 1e-15,
-                    trajectory: bool = False) -> SolverResult:
+                    observe: Callable[[AmpState], None] | None = None) -> SolverResult:
     """Solve the LASSO at regularization ``lam`` by plain thresholded descent.
 
     Runs IST at the fixed threshold ``lam * c**2`` on the co-scaled problem,
     whose fixed point is exactly the stationary point of
     ``0.5*||y - A x||^2 + lam*||x||_1`` on the original data; its fixed
     point does not involve the memory term, so it serves as the reference.
-    The trajectory, an MSE per step, is recorded only when asked for.
+    ``observe``, if given, is handed to :func:`iterate` and sees the states
+    of the co-scaled system; without it the reference records nothing.
 
     IST converges linearly (Daubechies, Defrise and De Mol, CPAM 2004), and
     the default ``tol=1e-15`` on the loop's relative change of x stops it
@@ -470,8 +450,8 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     if not lam > 0:  # NaN too
         raise ValueError("lam must be > 0")
     scaled, c = _rescaled(instance, rescale_opnorm)
-    run = _run_recorded if trajectory else iterate
-    result = run(scaled, ThresholdPolicy.fixed([lam * c * c]), max_iter, tol, memory=False)
+    result = iterate(scaled, ThresholdPolicy.fixed([lam * c * c]), max_iter, tol, False,
+                     observe)
     result.scale = c
     return result
 

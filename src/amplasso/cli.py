@@ -88,20 +88,26 @@ def cmd_solve(args) -> int:
     fixed_level = args.engine == "ist" and args.alpha is None and args.lam is not None
     alpha = None if fixed_level else _resolve_alpha(args, params)
     instance = gen_instance(args.n, params, args.seed, args.ensemble)
+    rows: list[dict] = []
+
+    def record(state):  # one --out row per state; mp replays the thetas
+        rows.append({"t": state.t, "tau_hat": state.tau_hat, "theta": state.theta,
+                     "b": state.b, "mse": float(np.mean((state.x - instance.x0) ** 2))})
+
+    observe = record if args.out or args.engine == "mp" else None
     if fixed_level:
         result = ist_solve_lasso(instance, args.lam, rescale_opnorm=0.95,
-                                 max_iter=args.max_iter, tol=args.tol,
-                                 trajectory=bool(args.out))
+                                 max_iter=args.max_iter, tol=args.tol, observe=observe)
         lam_eff = args.lam
     elif args.engine == "ist":
         result = ist_run(instance, ThresholdPolicy.rms(alpha), rescale_opnorm=0.95,
-                         max_iter=args.max_iter, tol=args.tol)
+                         max_iter=args.max_iter, tol=args.tol, observe=observe)
         # IST's fixed point on (c A, c y) at threshold theta is the LASSO
         # optimum of the original data at lambda = theta / c^2.
         lam_eff = result.theta / result.scale**2
     else:
         result = amp_run(instance, ThresholdPolicy.rms(alpha), max_iter=args.max_iter,
-                         tol=args.tol)
+                         tol=args.tol, observe=observe)
         lam_eff = effective_lambda(result.x_hat, result.theta, instance.m)
     mse = float(np.mean((result.x_hat - instance.x0) ** 2))
     gap = lasso_kkt_gap(instance, result.x_hat, lam_eff) if lam_eff > 0 else float("nan")
@@ -120,16 +126,14 @@ def cmd_solve(args) -> int:
             raise ValueError("mp cross-check is desk-scale only (m*n too large)")
         steps = result.iterations
         x_msgs = np.zeros((instance.m, instance.n))
-        for point in result.trajectory[:steps]:
-            r_msgs, x_msgs = reduced_mp_step(x_msgs, instance, point.theta)
-        est = reduced_mp_estimate(r_msgs, instance, result.trajectory[steps - 1].theta)
+        for row in rows[:steps]:
+            r_msgs, x_msgs = reduced_mp_step(x_msgs, instance, row["theta"])
+        est = reduced_mp_estimate(r_msgs, instance, rows[steps - 1]["theta"])
         agreement = float(np.max(np.abs(est - result.x_hat)))
         mp_mse = float(np.mean((est - instance.x0) ** 2))
         print(f"mp_estimate: steps={steps} mse={mp_mse:.6g} "
               f"max_norm_vs_amp={agreement:.6g}")
     if args.out:
-        rows = [{"t": p.t, "tau_hat": p.tau_hat, "theta": p.theta, "b": p.b,
-                 "mse": p.mse} for p in result.trajectory]
         path = write_csv(rows, args.out + ".csv")
         print(f"trajectory -> {path}")
     return EXIT_OK

@@ -88,7 +88,7 @@ class ExperimentSpec:
             raise ValueError(f"{self.kind} needs params (delta, sigma2, prior)")
         if len(self.seeds) == 0:
             raise ValueError("seeds must be nonempty")
-        if any(lam <= 0 for lam in self.lambdas):
+        if any(not lam > 0 for lam in self.lambdas):  # NaN too
             raise ValueError("lambda grid values must be > 0")
         if self.t_target < 0:
             raise ValueError("t_target must be >= 0")
@@ -294,24 +294,28 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
             seed = cell_seed(spec.base_seed, "convergence", nnz, value, spec.ensemble)
             instance = gen_planted_instance(spec.n, delta, nnz, seed,
                                             ensemble=spec.ensemble)
-            amp_res = amp_run(instance, ThresholdPolicy.rms(alpha_amp),
-                              max_iter=spec.max_iter, tol=0.0)
-            for point in amp_res.trajectory:
-                rows.append({"t": point.t, "engine": "amp", "nnz": nnz,
-                             "seed_index": seed_index, "mse": point.mse})
+            amp_run(instance, ThresholdPolicy.rms(alpha_amp), max_iter=spec.max_iter,
+                    tol=0.0, observe=_mse_rows(rows, instance, "amp", nnz, seed_index))
+            ist_rows: list[dict] = []  # kept only if the plain run does not blow up
             try:
-                ist_res = ist_run(instance, ThresholdPolicy.rms(spec.alpha_ist),
-                                  rescale_opnorm=spec.ist_rescale,
-                                  max_iter=spec.max_iter, tol=0.0)
-                for point in ist_res.trajectory:
-                    rows.append({"t": point.t, "engine": "ist", "nnz": nnz,
-                                 "seed_index": seed_index, "mse": point.mse})
+                ist_run(instance, ThresholdPolicy.rms(spec.alpha_ist),
+                        rescale_opnorm=spec.ist_rescale, max_iter=spec.max_iter, tol=0.0,
+                        observe=_mse_rows(ist_rows, instance, "ist", nnz, seed_index))
+                rows.extend(ist_rows)
                 outcomes.append({"nnz": nnz, "seed_index": seed_index, "error": None})
             except NumericalBlowupError as exc:
                 outcomes.append({"nnz": nnz, "seed_index": seed_index,
                                  "error": str(exc)})
     rows.sort(key=lambda r: (r["nnz"], r["engine"], r["seed_index"], r["t"]))
     return _emit(spec, ExperimentResult(rows=rows, manifest=_manifest(spec, outcomes)))
+
+
+def _mse_rows(rows: list[dict], instance, engine: str, nnz: int, seed_index: int):
+    """An observer that appends a CONVERGENCE row, the state's MSE, per state."""
+    def observe(state):
+        rows.append({"t": state.t, "engine": engine, "nnz": nnz, "seed_index": seed_index,
+                     "mse": float(np.mean((state.x - instance.x0) ** 2))})
+    return observe
 
 
 def iterations_to_mse(rows: list[dict], engine: str, nnz: int,

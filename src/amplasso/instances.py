@@ -41,9 +41,9 @@ class ModelParams:
     prior: DiscretePrior
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not self.delta > 0:  # NaN too
             raise ValueError("delta must be > 0")
-        if self.sigma2 < 0:
+        if not self.sigma2 >= 0:
             raise ValueError("sigma2 must be >= 0")
 
 

@@ -10,6 +10,7 @@ theory path; sampling exists solely to build finite problem instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class DiscretePrior:
             raise ValueError("prior needs at least one atom")
         if len(atoms) != len(weights):
             raise ValueError("atoms and weights must have the same length")
+        if not all(math.isfinite(v) for v in atoms + weights):
+            raise ValueError("atoms and weights must be finite")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
         if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOL:

@@ -3,7 +3,7 @@
 import time
 import tracemalloc
 import warnings
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +57,25 @@ def onsager_from_derivative(u, theta, m):
     the derivative at the kink is 0.
     """
     return float(np.sum(soft_threshold_derivative(u, theta))) / m
+
+
+Point = namedtuple("Point", "t tau_hat theta b mse")
+
+
+def recorder(x0):
+    """An observer and the list it fills: one :class:`Point` per state, MSE against ``x0``."""
+    points = []
+
+    def observe(state):
+        points.append(Point(state.t, state.tau_hat, state.theta, state.b,
+                            float(np.mean((state.x - x0) ** 2))))
+    return points, observe
+
+
+def recorded(run, instance, *args, **kwargs):
+    """``run(instance, ...)`` with a :func:`recorder` observer: the result and its points."""
+    points, observe = recorder(instance.x0)
+    return run(instance, *args, observe=observe, **kwargs), points
 
 
 def manual_instance(a, x0, w=None):
@@ -177,8 +196,8 @@ class TestOnsagerCoefficient:
 
     def test_bounded_by_dimension_ratio(self, bench_params):
         inst = gen_gaussian_instance(100, bench_params, seed=4)
-        res = amp_run(inst, ThresholdPolicy.rms(2.0), max_iter=30, tol=0.0)
-        for point in res.trajectory:
+        _, points = recorded(amp_run, inst, ThresholdPolicy.rms(2.0), max_iter=30, tol=0.0)
+        for point in points:
             assert 0.0 <= point.b <= inst.n / inst.m
 
 
@@ -222,11 +241,11 @@ class TestAmpRun:
 
     def test_trajectory_schema(self, bench_params):
         inst = gen_gaussian_instance(100, bench_params, seed=10)
-        res = amp_run(inst, ThresholdPolicy.rms(2.0), max_iter=5, tol=0.0)
-        assert [p.t for p in res.trajectory] == list(range(6))
-        first = res.trajectory[0]
+        res, points = recorded(amp_run, inst, ThresholdPolicy.rms(2.0), max_iter=5, tol=0.0)
+        assert [p.t for p in points] == list(range(6))
+        first = points[0]
         assert first.mse == pytest.approx(np.mean(inst.x0**2))
-        last = res.trajectory[-1]
+        last = points[-1]
         assert (last.tau_hat, last.theta, last.b) == (res.tau_hat, res.theta, res.b)
         assert last.mse == np.mean((res.x_hat - inst.x0) ** 2)
 
@@ -260,9 +279,10 @@ class TestDegenerateDimensions:
 
     def test_m_equals_one(self):
         inst = manual_instance(np.array([[0.3, -0.4]]), [1.0, 0.0])
-        res = amp_run(inst, ThresholdPolicy.rms(1.5), max_iter=100, tol=1e-10)
+        res, points = recorded(amp_run, inst, ThresholdPolicy.rms(1.5), max_iter=100,
+                               tol=1e-10)
         assert np.all(np.isfinite(res.x_hat))
-        assert res.trajectory[0].t == 0
+        assert points[0].t == 0
 
     @pytest.mark.parametrize("memory", [True, False])
     @pytest.mark.parametrize("n, prior, sigma2", [
@@ -275,12 +295,13 @@ class TestDegenerateDimensions:
         assert inst.m == 1 or not inst.y.any()
         policy = ThresholdPolicy.rms(2.0)
         if memory:
-            res = amp_run(inst, policy, max_iter=100, tol=0.0)
-            assert_same_run(res, hand_stepped(inst, policy, 100, 0.0, True), inst)
+            res, points = recorded(amp_run, inst, policy, max_iter=100, tol=0.0)
+            assert_same_run(res, points, hand_stepped(inst, policy, 100, 0.0, True), inst)
         else:
-            res = ist_run(inst, policy, max_iter=100, tol=0.0)
+            res, points = recorded(ist_run, inst, policy, max_iter=100, tol=0.0)
             scaled, c = _rescaled(inst, 0.95)
-            assert_same_run(res, hand_stepped(scaled, policy, 100, 0.0, False), scaled, c)
+            assert_same_run(res, points, hand_stepped(scaled, policy, 100, 0.0, False),
+                            scaled, c)
         assert (res.stop, res.period) == ("cycle", 1)
 
 
@@ -349,10 +370,11 @@ class TestIst:
         res = ist_solve_lasso(inst, 1.0, max_iter=25)
         assert np.array_equal(res.x_hat, x)
         assert np.array_equal(res.r_hat, y_s - a @ (c * x))
-        assert res.scale == c and res.b == 0.0 and res.engine == "ist"
-        run = ist_run(inst, ThresholdPolicy.fixed([theta]), max_iter=25, tol=0.0)
+        assert res.scale == c and res.b == 0.0
+        run, points = recorded(ist_run, inst, ThresholdPolicy.fixed([theta]), max_iter=25,
+                               tol=0.0)
         assert np.array_equal(run.x_hat, x)
-        assert [p.b for p in run.trajectory] == [0.0] * 26
+        assert [p.b for p in points] == [0.0] * 26
 
 
 def _matrix(kind):
@@ -518,17 +540,20 @@ def hand_stepped(instance, policy, max_iter, tol, memory):
     return states, False
 
 
-def assert_same_run(res, stepped, instance, scale=1.0, trajectory=True):
-    """Every result field and trajectory point equals full stepping, bit for bit."""
+def assert_same_run(res, points, stepped, instance, scale=1.0):
+    """Every result field and recorded point equals full stepping, bit for bit.
+
+    ``points`` is what a :func:`recorder` saw, or ``None`` for a run without one.
+    """
     states, converged = stepped
     last = states[-1]
     assert res.x_hat.tobytes() == last.x.tobytes()
     assert res.r_hat.tobytes() == last.r.tobytes()
     assert (res.tau_hat, res.theta, res.b) == (last.tau_hat, last.theta, last.b)
     assert res.iterations == last.t and res.converged is converged
-    assert res.engine == ("amp" if last.memory else "ist") and res.scale == scale
-    if trajectory:
-        assert [(p.t, p.tau_hat, p.theta, p.b, p.mse) for p in res.trajectory] == [
+    assert res.scale == scale
+    if points is not None:
+        assert [(p.t, p.tau_hat, p.theta, p.b, p.mse) for p in points] == [
             (s.t, s.tau_hat, s.theta, s.b, float(np.mean((s.x - instance.x0) ** 2)))
             for s in states]
 
@@ -553,10 +578,10 @@ def reference_states(matvec, rmatvec, y, n, policy, steps, memory):
     return states
 
 
-def assert_reference_bits(seen, trajectory, reference):
-    """Every observed state and trajectory point equals the reference bit for bit."""
-    assert len(seen) == len(trajectory) == len(reference)
-    for state, point, (x, r, tau, u) in zip(seen, trajectory, reference):
+def assert_reference_bits(seen, points, reference):
+    """Every observed state and recorded point equals the reference bit for bit."""
+    assert len(seen) == len(points) == len(reference)
+    for state, point, (x, r, tau, u) in zip(seen, points, reference):
         assert state.x.tobytes() == x.tobytes() and state.r.tobytes() == r.tobytes()
         assert state.tau_hat == point.tau_hat == tau
         assert (state.u is None) if u is None else state.u.tobytes() == u.tobytes()
@@ -571,10 +596,10 @@ class TestReferenceStep:
         policy = ThresholdPolicy.rms(alpha_of_lambda(1.0, bench_params))
         seen = []
         iterate(inst, policy, 150, 0.0, True, observe=seen.append)
-        res = amp_run(inst, policy, max_iter=150, tol=0.0)
+        res, points = recorded(amp_run, inst, policy, max_iter=150, tol=0.0)
         ref = reference_states(lambda v: inst.a @ v, lambda v: inst.a.T @ v, inst.y,
                                inst.n, policy, 150, True)
-        assert_reference_bits(seen, res.trajectory, ref)
+        assert_reference_bits(seen, points, ref)
         assert res.x_hat.tobytes() == ref[-1][0].tobytes()
         assert any(np.signbit(x[x == 0]).any() for x, _, _, _ in ref)
 
@@ -586,10 +611,10 @@ class TestReferenceStep:
         policy = ThresholdPolicy.fixed([c * c])
         seen = []
         iterate(scaled, policy, 400, 0.0, False, observe=seen.append)
-        res = ist_solve_lasso(inst, 1.0, max_iter=400, tol=0.0, trajectory=True)
+        res, points = recorded(ist_solve_lasso, inst, 1.0, max_iter=400, tol=0.0)
         ref = reference_states(lambda v: inst.a @ (c * v), lambda v: inst.a.T @ (c * v),
                                c * inst.y, inst.n, policy, 400, False)
-        assert_reference_bits(seen, res.trajectory, ref)
+        assert_reference_bits(seen, points, ref)
         assert res.r_hat.tobytes() == ref[-1][1].tobytes()
         assert any(np.signbit(x[x == 0]).any() for x, _, _, _ in ref)
 
@@ -615,29 +640,31 @@ class TestCycleReplay:
             runs[seed] = inst, lam, scaled, c, hand_stepped(scaled, policy, 3000, 0.0, False)
         return runs
 
-    @pytest.mark.parametrize("trajectory", [False, True])
+    @pytest.mark.parametrize("observed", [False, True])
     @pytest.mark.parametrize("seed", [2, 3])
-    def test_lasso_reference_at_c4_size(self, c4_runs, seed, trajectory):
+    def test_lasso_reference_at_c4_size(self, c4_runs, seed, observed):
         inst, lam, scaled, c, stepped = c4_runs[seed]
-        res = ist_solve_lasso(inst, lam, max_iter=3000, tol=0.0, trajectory=trajectory)
+        points, observe = recorder(inst.x0)
+        res = ist_solve_lasso(inst, lam, max_iter=3000, tol=0.0,
+                              observe=observe if observed else None)
         assert res.stop == "cycle" and res.period > 0
-        assert_same_run(res, stepped, scaled, c, trajectory)
-        assert len(res.trajectory) == (3001 if trajectory else 0)
+        assert_same_run(res, points if observed else None, stepped, scaled, c)
+        assert len(points) == (3001 if observed else 0)
 
     def test_ist_with_rms_policy(self, bench_params):
         inst = gen_gaussian_instance(500, bench_params, seed=3)
         policy = ThresholdPolicy.rms(1.0)
-        res = ist_run(inst, policy, max_iter=1000, tol=0.0)
+        res, points = recorded(ist_run, inst, policy, max_iter=1000, tol=0.0)
         assert res.stop == "cycle" and res.period == 4
         scaled, c = _rescaled(inst, 0.95)
-        assert_same_run(res, hand_stepped(scaled, policy, 1000, 0.0, False), scaled, c)
+        assert_same_run(res, points, hand_stepped(scaled, policy, 1000, 0.0, False), scaled, c)
 
     def test_amp_at_zero_tolerance(self, bench_params):
         inst = gen_gaussian_instance(100, bench_params, seed=0)
         policy = ThresholdPolicy.rms(2.0)
-        res = amp_run(inst, policy, max_iter=300, tol=0.0)
+        res, points = recorded(amp_run, inst, policy, max_iter=300, tol=0.0)
         assert res.stop == "cycle" and res.period == 3
-        assert_same_run(res, hand_stepped(inst, policy, 300, 0.0, True), inst)
+        assert_same_run(res, points, hand_stepped(inst, policy, 300, 0.0, True), inst)
 
     def test_fixed_sequence_waits_for_its_stationary_tail(self, bench_params):
         # thresholds above ||c^2 A'y||_inf keep x = 0 and r = y, so the state
@@ -651,9 +678,9 @@ class TestCycleReplay:
         states = stepped[0]
         assert states[2].x.tobytes() == states[1].x.tobytes()
         assert states[2].r.tobytes() == states[1].r.tobytes()
-        res = ist_run(inst, policy, max_iter=2000, tol=0.0)
+        res, points = recorded(ist_run, inst, policy, max_iter=2000, tol=0.0)
         assert res.stop == "cycle" and np.count_nonzero(res.x_hat) > 0
-        assert_same_run(res, stepped, scaled, c)
+        assert_same_run(res, points, stepped, scaled, c)
 
     @pytest.mark.parametrize("memory, seed", [(False, 3), (True, 0)])
     def test_observer_sees_every_state(self, bench_params, memory, seed):
@@ -676,18 +703,18 @@ class TestCycleReplay:
         inst = gen_gaussian_instance(200, bench_params, seed=0)
         scaled, c = _rescaled(inst, 0.95)
         policy = ThresholdPolicy.fixed([2.0 * float(np.max(np.abs(scaled.a.T @ scaled.y)))])
-        res = ist_run(inst, policy, max_iter=10, tol=0.0)
+        res, points = recorded(ist_run, inst, policy, max_iter=10, tol=0.0)
         assert np.signbit(res.x_hat).any() and (res.stop, res.period) == ("cycle", 1)
-        assert_same_run(res, hand_stepped(scaled, policy, 10, 0.0, False), scaled, c)
+        assert_same_run(res, points, hand_stepped(scaled, policy, 10, 0.0, False), scaled, c)
 
     @pytest.mark.parametrize("tol, stop", [(1e-15, "tol"), (1e-17, "cycle")])
     def test_positive_tolerance(self, bench_params, tol, stop):
         inst = gen_gaussian_instance(200, bench_params, seed=3)
-        res = ist_solve_lasso(inst, 1.0, max_iter=2000, tol=tol, trajectory=True)
+        res, points = recorded(ist_solve_lasso, inst, 1.0, max_iter=2000, tol=tol)
         assert res.stop == stop and (res.period > 0) == (stop == "cycle")
         scaled, c = _rescaled(inst, 0.95)
         policy = ThresholdPolicy.fixed([c * c])
-        assert_same_run(res, hand_stepped(scaled, policy, 2000, tol, False), scaled, c)
+        assert_same_run(res, points, hand_stepped(scaled, policy, 2000, tol, False), scaled, c)
 
     @pytest.mark.parametrize("seed", [2, 7])
     def test_default_reference_stops_at_rounding_level(self, bench_params, c4_runs, seed):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, prior literals, exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -158,6 +159,30 @@ class TestSolve:
         assert f"{float(rows[-1]['tau_hat']):.6g}" == out["tau_hat"]
         assert f"{float(rows[-1]['theta']):.6g}" == out["theta"]
 
+    # sha256 prefixes of stdout plus the --out CSV of
+    # `solve --n 200 --seeds 3 --ensemble E <flags> --out run`, from the
+    # commit before the solvers stopped keeping a trajectory of their own
+    @pytest.mark.parametrize("ensemble, flags, digest", [
+        ("gaussian", [], "7fa0e9383331f57d"),
+        ("gaussian", ["--engine", "ist", "--alpha", "1.0"], "60ac3ecb42714696"),
+        ("gaussian", ["--engine", "ist", "--lambda", "1.0"], "bd7b7db8826626f1"),
+        ("gaussian", ["--engine", "mp", "--lambda", "1.0", "--max-iter", "7"],
+         "779731a58c487185"),
+        ("rademacher", [], "8c347dcdb86663bd"),
+        ("rademacher", ["--engine", "ist", "--alpha", "1.0"], "b9452d6ee72db1a1"),
+        ("rademacher", ["--engine", "ist", "--lambda", "1.0"], "baf8a7785b9a2e9b"),
+        ("rademacher", ["--engine", "mp", "--lambda", "1.0", "--max-iter", "7"],
+         "8fa7ffc6b5384977"),
+    ], ids=["gaussian-amp", "gaussian-ist", "gaussian-ist_lambda", "gaussian-mp",
+            "rademacher-amp", "rademacher-ist", "rademacher-ist_lambda", "rademacher-mp"])
+    def test_output_keeps_its_bytes(self, tmp_path, monkeypatch, capsys, ensemble, flags,
+                                    digest):
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--n", "200", "--seeds", "3", "--ensemble", ensemble,
+                     *flags, "--out", "run"]) == 0
+        blob = capsys.readouterr().out.encode() + (tmp_path / "run.csv").read_bytes()
+        assert hashlib.sha256(blob).hexdigest()[:16] == digest
+
     def test_mp_engine_replays_the_solver_thresholds(self, capsys):
         code = main(["solve", "--n", "150", "--lambda", "1.0", "--seeds", "1",
                      "--engine", "mp", "--max-iter", "7"])
@@ -190,6 +215,28 @@ class TestSolve:
     ], ids=["solve_alpha", "se_tracking_alpha", "ist_lambda"])
     def test_nan_level_is_spec_error(self, argv, err, capsys):
         # each used to exit 3 with "numerical failure: |x| reached nan"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        (["solve", "--n", "100", "--sigma2", "nan"], "sigma2 must be >= 0"),
+        (["se", "--sigma2", "nan"], "sigma2 must be >= 0"),
+        (["se", "--delta", "nan"], "delta must be > 0"),
+        (["se", "--prior", '{"atoms": [0, NaN], "weights": [0.9, 0.1]}'],
+         "atoms and weights must be finite"),
+        (["se", "--prior", '{"atoms": [0, 1], "weights": [0.9, NaN]}'],
+         "atoms and weights must be finite"),
+        (["calibrate", "--lambda", "1.0", "--delta", "nan"], "delta must be > 0"),
+        (["experiment", "--kind", "MSE_VS_LAMBDA", "--n", "100", "--lambdas", "nan",
+          "--seeds", "0"], "lambda grid values must be > 0"),
+        (["experiment", "--kind", "SE_TRACKING", "--n", "100", "--sigma2", "nan"],
+         "sigma2 must be >= 0"),
+    ], ids=["solve_sigma2", "se_sigma2", "se_delta", "se_atom", "se_weight",
+            "calibrate_delta", "experiment_lambda", "experiment_sigma2"])
+    def test_nan_model_parameter_is_spec_error(self, argv, err, capsys):
+        # solve, se and SE_TRACKING used to exit 0 (solve --sigma2 nan solved a
+        # noiseless instance, se printed tau0^2=nan); calibrate and the lambda
+        # grid failed only inside brentq, on "function value ... is NaN"
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
 

@@ -1,6 +1,7 @@
 """Experiment driver: protocols shrunk to smoke scale, seeds, CSV, manifests."""
 
 import csv
+import hashlib
 import json
 import os
 import threading
@@ -11,9 +12,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from amplasso import (ExperimentSpec, ModelParams, ThresholdPolicy, amp_step, delta_prior,
-                      gen_instance, gen_planted_instance, initial_state, ist_run,
-                      run_experiment, se_run, three_point)
+from amplasso import (ExperimentSpec, ModelParams, NumericalBlowupError, ThresholdPolicy,
+                      amp_step, delta_prior, gen_instance, gen_planted_instance,
+                      initial_state, ist_run, run_experiment, se_run, three_point)
 from amplasso import harness
 from amplasso.harness import (KINDS, cell_seed,
                               iterations_to_mse, run_convergence,
@@ -57,9 +58,10 @@ class TestExperimentSpec:
             ExperimentSpec(kind="SE_TRACKING", params=small_params, seeds=())
 
     def test_rejects_nonpositive_lambda(self, small_params):
-        with pytest.raises(ValueError):
-            ExperimentSpec(kind="MSE_VS_LAMBDA", params=small_params,
-                           lambdas=(0.5, 0.0))
+        for bad in (0.0, float("nan")):  # NaN used to fail only inside brentq
+            with pytest.raises(ValueError, match="lambda grid values must be > 0"):
+                ExperimentSpec(kind="MSE_VS_LAMBDA", params=small_params,
+                               lambdas=(0.5, bad))
 
     @pytest.mark.parametrize("kind", ["MSE_VS_LAMBDA", "CONVERGENCE", "NOISE_HISTOGRAM",
                                       "SE_TRACKING", "RESAMPLED_ORACLE"])
@@ -360,6 +362,41 @@ class TestConvergence:
         t_ist = iterations_to_mse(rows, "ist", 40, 1e-4)
         assert t_amp is not None
         assert t_ist is None or t_ist >= 10 * t_amp
+
+    # sha256 prefixes of json.dumps(rows), from the commit before the solvers
+    # stopped keeping a trajectory of their own
+    @pytest.mark.parametrize("ensemble, digest", [("gaussian", "c940ad0771cb9456"),
+                                                  ("rademacher", "35e56735d73b12fc")])
+    def test_rows_keep_their_bytes(self, ensemble, digest):
+        params = ModelParams(delta=0.3, sigma2=0.0, prior=three_point(0.02))
+        spec = ExperimentSpec(kind="CONVERGENCE", n=600, params=params, ensemble=ensemble,
+                              alpha=1.4, seeds=(0, 1), nnz_levels=(12, 40), max_iter=80)
+        rows = run_convergence(spec).rows
+        assert len(rows) == 2 * 2 * 81 * 2
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == digest
+
+    def test_blown_up_ist_lane_leaves_no_rows(self, monkeypatch):
+        # the plain run's rows are buffered: one that observes a few states
+        # and then blows up records its error and adds no "ist" row
+        real = harness.ist_run
+
+        def blowing_up(instance, policy, observe=None, **kwargs):
+            def observe_then_fail(state):
+                observe(state)
+                if state.t == 3:
+                    raise NumericalBlowupError("|x| reached 1e+99 (limit 1e+06)")
+            return real(instance, policy, observe=observe_then_fail, **kwargs)
+
+        monkeypatch.setattr(harness, "ist_run", blowing_up)
+        params = ModelParams(delta=0.3, sigma2=0.0, prior=three_point(0.02))
+        spec = ExperimentSpec(kind="CONVERGENCE", n=200, params=params, alpha=1.4,
+                              seeds=(0, 1), nnz_levels=(4,), max_iter=10)
+        result = run_convergence(spec)
+        assert {r["engine"] for r in result.rows} == {"amp"}
+        assert len(result.rows) == 2 * 11
+        assert result.manifest["outcomes"] == [
+            {"nnz": 4, "seed_index": i, "error": "|x| reached 1e+99 (limit 1e+06)"}
+            for i in (0, 1)]
 
     def test_rejects_noisy_spec(self, small_params):
         spec = ExperimentSpec(kind="CONVERGENCE", n=100, params=small_params,

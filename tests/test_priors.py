@@ -27,6 +27,15 @@ class TestDiscretePrior:
         with pytest.raises(ValueError):
             DiscretePrior((0.0, 1.0), (1.0,))
 
+    @pytest.mark.parametrize("atoms, weights", [
+        ((0.0, np.nan), (0.9, 0.1)), ((0.0, np.inf), (0.9, 0.1)),
+        ((-np.inf, 1.0), (0.5, 0.5)), ((0.0, 1.0), (0.9, np.nan)),
+    ], ids=["atom_nan", "atom_inf", "atom_minus_inf", "weight_nan"])
+    def test_rejects_non_finite_atoms_and_weights(self, atoms, weights):
+        # a NaN weight passed the sum check, and a NaN atom every check
+        with pytest.raises(ValueError, match="must be finite"):
+            DiscretePrior(atoms, weights)
+
     def test_second_moment_delta0(self):
         assert delta_prior().second_moment == 0.0
 
