@@ -31,6 +31,9 @@ _BLOWUP_FACTOR = 1e6
 _EPS = float(np.finfo(float).eps)
 _CYCLE_WINDOW = 8  # steps per checkpoint lap: the longest period the loop spots
 _LANCZOS_BLOCK = 64  # Lanczos vectors per block of the basis; blocks are never copied
+# The LASSO reference's sign-finding stop: IST's relative change of x at
+# which its sign pattern is taken as the solution's (see ist_solve_lasso).
+_SIGN_TOL = 1e-6
 
 
 class NumericalBlowupError(RuntimeError):
@@ -188,7 +191,8 @@ class SolverResult:
 
 
 def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: float,
-            memory: bool, observe: Callable[[AmpState], None] | None = None) -> SolverResult:
+            memory: bool, observe: Callable[[AmpState], None] | None = None,
+            start: AmpState | None = None) -> SolverResult:
     """The iteration loop behind every solver and protocol: step until x settles.
 
     The loop reads ``a`` and ``y`` of the :class:`~amplasso.instances.Instance`,
@@ -201,6 +205,15 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
     called with the initial state and then with every new state in order
     of ``t``; it reads the states and must not write to their arrays,
     which the loop keeps using.
+
+    ``start``, if given, is a state to step from instead of the initial
+    one, such as the last state of an earlier run: the loop takes its
+    ``t`` and ``memory`` is set on it, ``max_iter`` still caps the total
+    (so ``max_iter - start.t`` steps at most, none if they are equal), and
+    ``observe`` is not called with ``start``, which whoever made it has
+    seen.  Resuming the state of step k this way gives the run that never
+    stopped at k, bit for bit, except that a cycle stop may fall on other
+    steps (the checkpoints below count from ``start.t``).
 
     A step reads only ``(x, r, theta)``, and in the policy's stationary
     tail ``theta`` depends only on ``r``.  The loop keeps one checkpoint
@@ -224,12 +237,17 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    state = replace(initial_state(instance, policy), memory=memory)
-    if observe is not None:
-        observe(state)
+    if start is None:
+        state = replace(initial_state(instance, policy), memory=memory)
+        if observe is not None:
+            observe(state)
+    elif start.t <= max_iter:
+        state = replace(start, memory=memory)
+    else:
+        raise ValueError(f"start.t = {start.t} exceeds max_iter = {max_iter}")
     mark, lap = state, []
     stop, period = "max_iter", 0
-    for _ in range(max_iter):
+    for _ in range(max_iter - state.t):
         new = amp_step(state, instance, policy)
         if observe is not None:
             observe(new)
@@ -242,11 +260,11 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
         if (state.tau_hat == mark.tau_hat and policy.stationary(mark.t)
                 and _same_bits(state.x, mark.x) and _same_bits(state.r, mark.r)):
             stop, period = "cycle", len(lap)
-            start = state.t
+            found = state.t
             if observe is not None:
-                for t in range(start + 1, max_iter + 1):
-                    observe(replace(lap[(t - start - 1) % period], t=t))
-            state = replace(lap[(max_iter - start - 1) % period], t=max_iter)
+                for t in range(found + 1, max_iter + 1):
+                    observe(replace(lap[(t - found - 1) % period], t=t))
+            state = replace(lap[(max_iter - found - 1) % period], t=max_iter)
             break
         if len(lap) == _CYCLE_WINDOW:
             mark, lap = state, []
@@ -428,32 +446,98 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     ``observe``, if given, is handed to :func:`iterate` and sees the states
     of the co-scaled system; without it the reference records nothing.
 
-    IST converges linearly (Daubechies, Defrise and De Mol, CPAM 2004), and
-    the default ``tol=1e-15`` on the loop's relative change of x stops it
-    once the steps are rounding-level jitter.  Measured at C4's composition
-    (BENCH model, lambda_eff of AMP's fixed point at lambda = 1): on 60
-    Gaussian n = 500 instances (seeds 0-59), 20 Rademacher n = 500 (seeds
-    0-19), 5 Gaussian and 4 Rademacher n = 2000, every run stops on ``tol``
-    by step 479 (median about 380), where ``tol=0`` ran to an exact cycle
-    or to all 10 000 steps.  The objective moved by at most 4.1e-16
-    relative and x by at most 2.4e-14, and each set of references took
-    3-23x less time on a 2-core host (the five Gaussian n = 2000: 2.4 s
-    against 55.7 s).  A stop that came too early could only make a
-    certificate's objective gap larger, never hide one.
+    IST converges linearly (Daubechies, Defrise and De Mol, CPAM 2004) and
+    finds the solution's support and signs in finitely many steps (Hale,
+    Yin and Zhang, SIAM J. Optim. 2008); the many steps after that only
+    solve a linear system on the support, slowly.  So for ``0 < tol <
+    1e-6`` (the default ``tol=1e-15`` stops once the loop's relative
+    change of x is rounding-level jitter) the reference runs in three
+    phases, one loop throughout:
+
+    1. IST steps until the relative change of x drops below 1e-6, which
+       fixes a sign pattern: support S, signs s.
+    2. One exact solve of the optimality equations on that pattern,
+       ``A_S'A_S x_S = A_S'y - lam s`` with x = 0 off S, gives the state
+       of the next step (its ``u`` is ``None``: no step thresholded it).
+    3. IST resumes from that state under ``tol``.  IST converges from any
+       start, so this is the certificate: on the right pattern it stops
+       after a step or two; on a wrong one it keeps stepping to the
+       minimizer.  If the solve is unusable (|S| >= m, a singular system,
+       or signs other than s), IST resumes from its own phase-1 state.
+
+    The observer sees every state once, in order of ``t``, the solved
+    state included, and the result is an IST state of the co-scaled
+    system.  Measured at C4's composition (BENCH model, lambda_eff of
+    AMP's fixed point at lambda = 1) on 40 references (Gaussian and
+    Rademacher, n = 500, seeds 0-19): 103-149 steps (median 119) where
+    plain IST to 1e-15 took 312-479 (median 380), and 116-128 against
+    372-406 on six at n = 2000.  Phase 3 stopped on ``tol`` after one step
+    (Gaussian) or two (Rademacher) every time; the objective matched the
+    ``tol=0`` reference to 2.6e-16 relative, x moved by at most 2.7e-14
+    from plain IST's, and the KKT gap over lambda was at most 7.1e-15.
+    A phase-1 stop at 1e-5 was as safe; at 1e-4 and 1e-3 some seeds took
+    a wrong pattern, which cost steps, not accuracy.
 
     ``tol=0`` keeps the older meaning: ``max_iter`` steps are reported, but
     the loop stops stepping once the iterate settles into an exact cycle
-    (typically of period 1, 2 or 4) and replays it.  Cycle replay and
-    ``max_iter`` remain the fallback for a run whose jitter stays above a
-    positive ``tol``.
+    (typically of period 1, 2 or 4) and replays it.  For ``tol >= 1e-6``
+    the reference is plain IST to ``tol``.  ``max_iter`` caps the steps of
+    all three phases together.
     """
     if not lam > 0:  # NaN too
         raise ValueError("lam must be > 0")
     scaled, c = _rescaled(instance, rescale_opnorm)
-    result = iterate(scaled, ThresholdPolicy.fixed([lam * c * c]), max_iter, tol, False,
-                     observe)
+    policy = ThresholdPolicy.fixed([lam * c * c])
+    if not 0 < tol < _SIGN_TOL:
+        result = iterate(scaled, policy, max_iter, tol, False, observe)
+    else:
+        result = iterate(scaled, policy, max_iter, _SIGN_TOL, False, observe)
+        if result.stop == "tol":
+            start = AmpState(x=result.x_hat, r=result.r_hat, t=result.iterations,
+                             tau_hat=result.tau_hat, theta=result.theta, b=result.b,
+                             memory=False)
+            x = _solve_on_signs(instance, lam, result.x_hat)
+            if x is not None and start.t + 1 < max_iter:
+                start = _state_at(scaled, policy, x, start.t + 1)
+                if observe is not None:
+                    observe(start)
+            result = iterate(scaled, policy, max_iter, tol, False, observe, start)
     result.scale = c
     return result
+
+
+def _solve_on_signs(instance: Instance, lam: float, x: np.ndarray) -> np.ndarray | None:
+    """The LASSO stationary point with the support and signs of ``x``, or ``None``.
+
+    Solves ``A_S'A_S z = A_S'y - lam s`` on the support S of ``x`` with
+    signs s, and puts z on S, 0 elsewhere.  ``None`` when the system is
+    not square-solvable (|S| >= m, or singular) or z's signs are not s.
+    A z with signs s minimizes the LASSO over vectors supported on S, so
+    its objective is at most that of x = 0: never a start that blows up.
+    """
+    support = np.flatnonzero(x)
+    if support.size >= instance.m:
+        return None
+    signs = np.sign(x[support])
+    cols = instance.a[:, support]
+    try:
+        z = np.linalg.solve(cols.T @ cols, cols.T @ instance.y - lam * signs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.array_equal(np.sign(z), signs):  # a NaN's sign is NaN: unequal
+        return None
+    out = np.zeros(instance.n)
+    out[support] = z
+    return out
+
+
+def _state_at(instance: Instance, policy: ThresholdPolicy, x: np.ndarray, t: int) -> AmpState:
+    """The memoryless state of step ``t`` at ``x``: residual ``y - A x`` as a step forms it."""
+    r = instance.a @ x
+    np.subtract(instance.y, r, out=r)
+    tau = estimate_tau(r)
+    return AmpState(x=x, r=r, t=t, tau_hat=tau, theta=policy.theta(t, tau), b=0.0,
+                    memory=False)
 
 
 def lasso_objective(instance: Instance, x: np.ndarray, lam: float) -> float:

@@ -218,6 +218,9 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
     Each lambda is mapped to its threshold multiplier once; the solver then
     runs adaptively and the realized effective lambda is recorded for
     audit.  Per-seed failures are recorded without aborting the sweep.
+    A row's ``empirical_mse_mean`` is over every cell that did not blow up,
+    whether it converged or not; ``converged_cells`` counts the cells that
+    stopped on ``tol``.
     Gaussian cells run on a lazy instance
     (:func:`~amplasso.instances.gen_lazy_instance`); each outcome names its
     ``sampler``.
@@ -268,6 +271,7 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
             "empirical_mse_se": (float(mses.std(ddof=1) / np.sqrt(mses.size))
                                  if mses.size > 1 else None),
             "predicted_mse": predicted_mse,
+            "converged_cells": sum(c["converged"] for c in cells),
         })
 
     rows.sort(key=lambda r: r["lambda"])

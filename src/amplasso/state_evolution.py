@@ -22,6 +22,9 @@ from .instances import ModelParams
 from .priors import st_keep_prob, st_mse
 from .scalar_risk import minimax_soft_threshold
 
+# tau^2 below this fraction (eps^2) of tau_0^2 is zero to double precision
+_ZERO_TAU2 = 2.0**-104
+
 
 class TheoryError(ValueError):
     """A calibration or fixed point the model cannot reach (e.g. lambda too large).
@@ -74,10 +77,16 @@ def se_run(params: ModelParams, alpha: float, max_iter: int = 10000,
     point equation to ~tol relative residual.  Below alpha_min the
     iterates can grow until tau^2 overflows; the run stops at the first
     non-finite tau^2, which ends the sequence, with ``converged=False``.
+    With sigma^2 = 0 below the phase boundary tau^2 decays geometrically
+    to 0, which no relative tol meets; once it drops below eps^2 * tau_0^2
+    (a floor on tau^2 itself, in the units of the prior) the run stops
+    with the limit ``tau_star = 0`` instead of stepping into subnormals.
+    A run with sigma^2 > 0 never meets the floor.
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     tau2 = tau0_squared(params)
+    floor = _ZERO_TAU2 * tau2 if params.sigma2 == 0 else 0.0
     tau2_seq = [tau2]
     theta_seq = [alpha * math.sqrt(tau2)]
     converged = False
@@ -89,6 +98,9 @@ def se_run(params: ModelParams, alpha: float, max_iter: int = 10000,
             break
         done = abs(tau2_next - tau2) <= tol * max(tau2, 1e-300)
         tau2 = tau2_next
+        if tau2 < floor:
+            tau2 = 0.0
+            done = True
         if done:
             converged = True
             break

@@ -1,5 +1,6 @@
 """The first-order solver: thresholds, memory term, fixed points, baselines."""
 
+import math
 import time
 import tracemalloc
 import warnings
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 from amplasso import amp as amp_module
 from amplasso import (AmpState, DiscretePrior, ModelParams, NumericalBlowupError,
-                      ThresholdPolicy, alpha_of_lambda, amp_run, amp_step, delta_prior,
-                      effective_lambda, estimate_tau, gen_gaussian_instance, gen_instance,
-                      gen_planted_instance, initial_state, ist_run, ist_solve_lasso,
+                      ThresholdPolicy, alpha_min, alpha_of_lambda, amp_run, amp_step,
+                      delta_prior, effective_lambda, estimate_tau, gen_gaussian_instance,
+                      gen_instance, gen_planted_instance, initial_state, ist_run, ist_solve_lasso,
                       iterate, lasso_kkt_gap, lasso_objective, operator_norm,
                       se_fixed_point, soft_threshold, three_point)
 from amplasso.amp import _rescaled, onsager_coefficient
@@ -303,6 +304,37 @@ class TestDegenerateDimensions:
             assert_same_run(res, points, hand_stepped(scaled, policy, 100, 0.0, False),
                             scaled, c)
         assert (res.stop, res.period) == ("cycle", 1)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=st.sampled_from(["m_one", "y_zero", "noiseless", "alpha_near_min"]),
+           n=st.integers(5, 60), delta=st.floats(0.2, 1.0), eps=st.floats(0.01, 0.5),
+           sigma2=st.floats(0.0, 1.0), alpha=st.floats(0.5, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_solvers_give_a_finite_answer_or_a_typed_error(self, case, n, delta, eps,
+                                                           sigma2, alpha, seed):
+        prior = delta_prior() if case == "y_zero" else three_point(eps)
+        if case == "m_one":
+            delta = 1.0 / n
+        if case in ("y_zero", "noiseless"):
+            sigma2 = 0.0
+        if case == "alpha_near_min":
+            alpha = alpha_min(delta) * (1.0 + 1e-9) + 1e-12
+        inst = gen_gaussian_instance(n, ModelParams(delta=delta, sigma2=sigma2, prior=prior),
+                                     seed=seed)
+        assert inst.m == 1 or case != "m_one"
+        policy = ThresholdPolicy.rms(alpha)
+        runs = [lambda: amp_run(inst, policy, max_iter=300, tol=1e-8),
+                lambda: ist_run(inst, policy, max_iter=300, tol=1e-8),
+                lambda: ist_solve_lasso(inst, alpha * estimate_tau(inst.y) + 1e-3,
+                                        max_iter=300)]
+        for run in runs:
+            try:
+                res = run()
+            except NumericalBlowupError:
+                continue
+            assert res.iterations <= 300 and res.stop in ("tol", "max_iter", "cycle")
+            assert np.all(np.isfinite(res.x_hat)) and np.all(np.isfinite(res.r_hat))
+            assert all(math.isfinite(v) for v in (res.tau_hat, res.theta, res.b))
 
 
 class TestIst:
@@ -619,6 +651,52 @@ class TestReferenceStep:
         assert any(np.signbit(x[x == 0]).any() for x, _, _, _ in ref)
 
 
+def state_bits(s):
+    return (s.t, s.x.tobytes(), s.r.tobytes(), s.tau_hat, s.theta, s.b, s.memory,
+            None if s.u is None else s.u.tobytes())
+
+
+class TestResume:
+    """``iterate(..., start=state_k)`` continues the run that stepped to k."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), memory=st.booleans(),
+           tol=st.sampled_from([1e-12, 1e-8]), split=st.floats(0.0, 1.0))
+    def test_resumed_run_equals_the_uninterrupted_one(self, bench_params, seed, memory,
+                                                      tol, split):
+        # tol > 0: a cycle stop depends on where the checkpoints sit, which
+        # a resume moves (see iterate); the vectors would still agree
+        inst = gen_gaussian_instance(100, bench_params, seed=seed)
+        if memory:
+            policy = ThresholdPolicy.rms(2.0)
+        else:
+            inst, c = _rescaled(inst, 0.95)
+            policy = ThresholdPolicy.fixed([c * c])
+        whole = []
+        full = iterate(inst, policy, 300, tol, memory, observe=whole.append)
+        k = 1 + int(split * (full.iterations - 2))
+        parts = []
+        head = iterate(inst, policy, k, tol, memory, observe=parts.append)
+        assert (head.stop, head.iterations) == ("max_iter", k)
+        res = iterate(inst, policy, 300, tol, memory, observe=parts.append, start=parts[-1])
+        assert res.x_hat.tobytes() == full.x_hat.tobytes()
+        assert res.r_hat.tobytes() == full.r_hat.tobytes()
+        assert ((res.iterations, res.tau_hat, res.theta, res.b, res.converged, res.stop,
+                 res.period) == (full.iterations, full.tau_hat, full.theta, full.b,
+                                 full.converged, full.stop, full.period))
+        assert [state_bits(s) for s in parts] == [state_bits(s) for s in whole]
+
+    def test_start_at_max_iter_takes_no_step(self, bench_params):
+        inst = gen_gaussian_instance(100, bench_params, seed=0)
+        policy = ThresholdPolicy.rms(2.0)
+        seen = []
+        iterate(inst, policy, 5, 0.0, True, observe=seen.append)
+        res = iterate(inst, policy, 5, 0.0, True, observe=seen.append, start=seen[-1])
+        assert (res.stop, res.iterations, len(seen)) == ("max_iter", 5, 6)
+        with pytest.raises(ValueError, match="exceeds max_iter"):
+            iterate(inst, policy, 4, 0.0, True, start=seen[-1])
+
+
 def c4_lambda(instance, params):
     """The level C4 certifies: the effective lambda of AMP's fixed point at lambda = 1."""
     res = amp_run(instance, ThresholdPolicy.rms(alpha_of_lambda(1.0, params)),
@@ -691,12 +769,8 @@ class TestCycleReplay:
         seen = []
         res = iterate(inst, policy, 600, 0.0, memory, observe=seen.append)
         assert res.stop == "cycle" and res.period == (3 if memory else 4)
-
-        def bits(s):
-            return (s.t, s.x.tobytes(), s.r.tobytes(), s.tau_hat, s.theta, s.b, s.memory,
-                    None if s.u is None else s.u.tobytes())
         states, _ = hand_stepped(inst, policy, 600, 0.0, memory)
-        assert [bits(s) for s in seen] == [bits(s) for s in states]
+        assert [state_bits(s) for s in seen] == [state_bits(s) for s in states]
 
     def test_signed_zeros_are_not_a_repeat(self, bench_params):
         # step 1 turns x = 0 into zeros signed like A'y: equal values, other bits
@@ -709,12 +783,14 @@ class TestCycleReplay:
 
     @pytest.mark.parametrize("tol, stop", [(1e-15, "tol"), (1e-17, "cycle")])
     def test_positive_tolerance(self, bench_params, tol, stop):
+        # the plain IST loop of the LASSO reference, which itself finishes
+        # on its sign pattern for 0 < tol < 1e-6
         inst = gen_gaussian_instance(200, bench_params, seed=3)
-        res, points = recorded(ist_solve_lasso, inst, 1.0, max_iter=2000, tol=tol)
-        assert res.stop == stop and (res.period > 0) == (stop == "cycle")
         scaled, c = _rescaled(inst, 0.95)
         policy = ThresholdPolicy.fixed([c * c])
-        assert_same_run(res, points, hand_stepped(scaled, policy, 2000, tol, False), scaled, c)
+        res, points = recorded(iterate, scaled, policy, 2000, tol, False)
+        assert res.stop == stop and (res.period > 0) == (stop == "cycle")
+        assert_same_run(res, points, hand_stepped(scaled, policy, 2000, tol, False), scaled)
 
     @pytest.mark.parametrize("seed", [2, 7])
     def test_default_reference_stops_at_rounding_level(self, bench_params, c4_runs, seed):
@@ -754,6 +830,57 @@ class TestCycleReplay:
         res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=10000, tol=0.0)
         assert res.iterations == 10000 and res.converged is False
         assert res.stop == "cycle" and steps < 10000
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_c4_reference_finishes_on_its_sign_pattern(self, bench_params, monkeypatch,
+                                                       seed):
+        # C4's ten references: IST to the sign-finding tol, one solve on the
+        # sign pattern, then a step or two of IST that confirm it
+        inst = gen_gaussian_instance(500, bench_params, seed=seed)
+        lam = c4_lambda(inst, bench_params)
+        steps = 0
+        step = amp_module.amp_step
+
+        def counted(*args):
+            nonlocal steps
+            steps += 1
+            return step(*args)
+
+        monkeypatch.setattr(amp_module, "amp_step", counted)
+        seen = []
+        res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=10000,
+                              observe=seen.append)
+        assert res.stop == "tol" and res.converged and steps <= 200
+        # every state once, in order; one of them is the solve's, not a step's
+        assert [s.t for s in seen] == list(range(res.iterations + 1))
+        solved = [s.t for s in seen[1:] if s.u is None]
+        assert len(solved) == 1 and steps == res.iterations - 1
+        assert res.iterations - solved[0] <= 2
+        assert res.x_hat.tobytes() == seen[-1].x.tobytes()
+        assert res.r_hat.tobytes() == seen[-1].r.tobytes()
+
+    @pytest.mark.parametrize("sign_tol, n, seed, solved", [
+        (1e-1, 500, 2, False),  # the solve's signs differ: IST resumes its own state
+        (1e-2, 200, 1, True),   # a wrong pattern with consistent signs: IST steps out
+    ])
+    def test_wrong_sign_pattern_still_reaches_the_minimizer(
+            self, bench_params, c4_runs, monkeypatch, sign_tol, n, seed, solved):
+        inst = gen_gaussian_instance(n, bench_params, seed=seed)
+        if n == 500:  # the fixture's tol = 0 reference
+            _, lam, _, _, (states, _) = c4_runs[seed]
+            x_exact = states[-1].x
+        else:
+            lam = c4_lambda(inst, bench_params)
+            x_exact = ist_solve_lasso(inst, lam, max_iter=3000, tol=0.0).x_hat
+        monkeypatch.setattr(amp_module, "_SIGN_TOL", sign_tol)
+        seen = []
+        res = ist_solve_lasso(inst, lam, observe=seen.append)
+        landed = [s.t for s in seen[1:] if s.u is None]
+        assert bool(landed) == solved and res.stop == "tol"
+        if solved:
+            assert res.iterations - landed[0] > 100  # not the one-step confirmation
+        c_exact = lasso_objective(inst, x_exact, lam)
+        assert abs(lasso_objective(inst, res.x_hat, lam) - c_exact) <= 1e-15 * c_exact
 
     def test_cycle_is_spotted_within_one_lap(self, c4_runs, monkeypatch):
         # the checkpoint moves every _CYCLE_WINDOW steps, so the loop spots

@@ -161,16 +161,18 @@ class TestSolve:
 
     # sha256 prefixes of stdout plus the --out CSV of
     # `solve --n 200 --seeds 3 --ensemble E <flags> --out run`, from the
-    # commit before the solvers stopped keeping a trajectory of their own
+    # commit before the solvers stopped keeping a trajectory of their own;
+    # the two ist_lambda digests are from the LASSO reference that finishes
+    # on its sign pattern (149 and 105 steps where plain IST took 214 and 148)
     @pytest.mark.parametrize("ensemble, flags, digest", [
         ("gaussian", [], "7fa0e9383331f57d"),
         ("gaussian", ["--engine", "ist", "--alpha", "1.0"], "60ac3ecb42714696"),
-        ("gaussian", ["--engine", "ist", "--lambda", "1.0"], "bd7b7db8826626f1"),
+        ("gaussian", ["--engine", "ist", "--lambda", "1.0"], "805d211082c90e4e"),
         ("gaussian", ["--engine", "mp", "--lambda", "1.0", "--max-iter", "7"],
          "779731a58c487185"),
         ("rademacher", [], "8c347dcdb86663bd"),
         ("rademacher", ["--engine", "ist", "--alpha", "1.0"], "b9452d6ee72db1a1"),
-        ("rademacher", ["--engine", "ist", "--lambda", "1.0"], "baf8a7785b9a2e9b"),
+        ("rademacher", ["--engine", "ist", "--lambda", "1.0"], "4356e7100889de10"),
         ("rademacher", ["--engine", "mp", "--lambda", "1.0", "--max-iter", "7"],
          "8fa7ffc6b5384977"),
     ], ids=["gaussian-amp", "gaussian-ist", "gaussian-ist_lambda", "gaussian-mp",
@@ -261,6 +263,14 @@ class TestSe:
             assert err == "error: alpha must exceed alpha_min = 0.267156\n"
         assert main(["calibrate", "--alpha", "0.2"]) == 2
         assert capsys.readouterr().err == "error: alpha must exceed alpha_min = 0.267156\n"
+
+    def test_noiseless_fixed_point_below_the_boundary_is_zero(self, capsys):
+        # it used to print tau_star=6.05165968532e-157 predicted_mse=1.83112925e-313
+        # after 3064 steps
+        assert main(["se", "--delta", "0.5", "--sigma2", "0", "--alpha", "1.2"]) == 0
+        out = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+        assert (out["converged"], out["tau_star"], out["predicted_mse"]) == ("True", "0", "0")
+        assert int(out["steps"]) < 400
 
     def test_delta_above_one_has_no_alpha_floor(self, capsys):
         assert main(["se", "--delta", "1.5", "--alpha", "0.2"]) == 0

@@ -227,7 +227,7 @@ class TestMseVsLambda:
         # enlarging the grid must not perturb the existing cell
         assert row_wide["empirical_mse_mean"] == row_narrow["empirical_mse_mean"]
         assert set(row_wide) == {"lambda", "n", "ensemble", "empirical_mse_mean",
-                                 "empirical_mse_se", "predicted_mse"}
+                                 "empirical_mse_se", "predicted_mse", "converged_cells"}
 
     def test_prediction_close_at_moderate_size(self, small_params):
         spec = ExperimentSpec(kind="MSE_VS_LAMBDA", n=500, params=small_params,
@@ -240,10 +240,16 @@ class TestMseVsLambda:
     def test_outcomes_record_the_stop_reason(self, small_params):
         spec = ExperimentSpec(kind="MSE_VS_LAMBDA", n=200, params=small_params,
                               lambdas=(1.0,), seeds=(0, 1), max_iter=500, tol=1e-7)
-        outcomes = run_mse_vs_lambda(spec).manifest["outcomes"]
+        result = run_mse_vs_lambda(spec)
+        outcomes = result.manifest["outcomes"]
         assert [o["stop"] for o in outcomes] == ["tol", "tol"]
-        short = run_mse_vs_lambda(replace(spec, max_iter=3)).manifest["outcomes"]
-        assert [o["stop"] for o in short] == ["max_iter", "max_iter"]
+        assert result.rows[0]["converged_cells"] == 2
+        # the row counts no converged cell, yet its mean is over both cells
+        short = run_mse_vs_lambda(replace(spec, max_iter=3))
+        assert [o["stop"] for o in short.manifest["outcomes"]] == ["max_iter", "max_iter"]
+        assert short.rows[0]["converged_cells"] == 0
+        assert short.rows[0]["empirical_mse_mean"] == float(
+            np.mean([o["mse"] for o in short.manifest["outcomes"]]))
 
     def test_zero_signal_lane_uses_fixed_alpha(self):
         # a cell's MSE has a spread of about 1.1x the prediction here, so the

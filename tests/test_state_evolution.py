@@ -91,6 +91,27 @@ class TestSeRun:
         assert traj.tau2_sequence[-1] == math.inf
         assert all(math.isfinite(t2) for t2 in traj.tau2_sequence[:-1])
 
+    @pytest.mark.parametrize("delta, alpha", [(0.5, 1.2), (0.64, 1.2)])
+    def test_noiseless_run_below_the_boundary_reaches_zero(self, delta, alpha):
+        # it used to decay for 3064 (1494) steps to tau_star ~ 1e-157, whose
+        # square is subnormal; the floor is eps^2 * tau_0^2
+        params = ModelParams(delta=delta, sigma2=0.0, prior=three_point(0.128))
+        traj = se_run(params, alpha)
+        assert traj.converged and traj.tau_star == 0.0
+        tau2 = traj.tau2_sequence
+        assert len(tau2) < 400 and tau2[-1] < 2.0**-104 * tau2[0] <= min(tau2[:-1])
+        assert all(np.diff(tau2) < 0)
+
+    @pytest.mark.parametrize("sigma2, alpha", [(0.0, 3.0), (1e-40, 1.2), (0.2, 2.0)],
+                             ids=["noiseless_above_boundary", "tiny_noise", "bench"])
+    def test_floor_leaves_other_runs_alone(self, sigma2, alpha):
+        # a positive limit, or sigma^2 > 0, is reached by the relative tol as before
+        params = ModelParams(delta=0.64, sigma2=sigma2, prior=three_point(0.128))
+        traj = se_run(params, alpha)
+        assert traj.converged and traj.tau_star**2 >= sigma2 and traj.tau_star > 0
+        t2 = traj.tau_star**2
+        assert abs(se_map(t2, alpha * traj.tau_star, params) - t2) <= 1e-12 * t2
+
 
 class TestAlphaMin:
     def test_delta_one_gives_zero(self):
