@@ -29,7 +29,6 @@ FIXED_SEQUENCE = "fixed"
 
 _BLOWUP_FACTOR = 1e6
 _EPS = float(np.finfo(float).eps)
-_CYCLE_WINDOW = 8  # steps per checkpoint lap: the longest period the loop spots
 _LANCZOS_BLOCK = 64  # Lanczos vectors per block of the basis; blocks are never copied
 # The LASSO reference's sign-finding stop: IST's relative change of x at
 # which its sign pattern is taken as the solution's (see ist_solve_lasso).
@@ -173,9 +172,8 @@ class SolverResult:
     Per-step data is not kept; a caller that wants it passes an ``observe``
     hook (see :func:`iterate`).  For IST, ``r_hat`` is the residual of the
     co-scaled system ``(c A, c y)`` with ``c = scale``.  ``stop`` says why
-    the loop ended: ``"tol"``, ``"max_iter"``, or ``"cycle"`` when the state
-    repeated exactly with period ``period`` (0 otherwise) and the remaining
-    steps were replayed.
+    the loop ended: ``"tol"``, ``"max_iter"``, or ``"cycle"`` when a step
+    returned its own state exactly and the remaining steps were replayed.
     """
 
     x_hat: np.ndarray
@@ -187,7 +185,6 @@ class SolverResult:
     b: float = 0.0
     scale: float = 1.0  # co-scaling factor applied to (A, y); 1 for AMP
     stop: str = "max_iter"
-    period: int = 0
 
 
 def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: float,
@@ -212,28 +209,23 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
     (so ``max_iter - start.t`` steps at most, none if they are equal), and
     ``observe`` is not called with ``start``, which whoever made it has
     seen.  Resuming the state of step k this way gives the run that never
-    stopped at k, bit for bit, except that a cycle stop may fall on other
-    steps (the checkpoints below count from ``start.t``).
+    stopped at k, bit for bit.
 
     A step reads only ``(x, r, theta)``, and in the policy's stationary
-    tail ``theta`` depends only on ``r``.  The loop keeps one checkpoint
-    state, ``mark``, and the ``lap`` of states since it (a fixed-lap form
-    of Brent's cycle finding, BIT 20, 1980).  Once a new state equals
-    ``mark`` bit for bit and ``mark`` lies in the tail, the run repeats
-    with period ``len(lap)`` to the end, and every transition of the cycle
-    has already passed the ``tol`` check.  The loop then stops stepping
-    and replays ``lap`` up to ``max_iter``, observer calls included; the
-    predecessors of its states, and so their ``u``, lie in the cycle too.
-    Every output is the one full stepping gives, provided a step is a
-    deterministic function of its state (fixed BLAS threading within a
-    run; for a :class:`~amplasso.instances.ConditionedGaussian` ``a``, once
-    it is drawn: before that, a repeated vector's product comes from the
-    span and agrees to rounding).
-    After ``_CYCLE_WINDOW`` steps without a match the newest state
-    becomes ``mark``, so marks sit at t = 0, 8, 16, ...: every period up
-    to 8 is found, at most 7 steps after the state first repeats.  A run
-    whose first repeat falls within those last steps before ``max_iter``
-    reports ``stop="max_iter"`` and ``period=0``, with the same vectors.
+    tail ``theta`` depends only on ``r``.  So once a step returns the
+    state it started from bit for bit (compared by ``tau_hat``, then by
+    the bytes of x and r), with the policy stationary there, every later
+    step returns it too.  The loop then stops stepping: it calls
+    ``observe`` with that state at each remaining ``t`` and returns it at
+    ``t = max_iter`` with ``stop="cycle"``, a cycle of period 1.  Its
+    ``u`` is the one every later step would form.  For ``tol > 0`` such a
+    step moves x by 0 and stops on ``tol`` first.  Every output is the one
+    full stepping gives, provided a step is a deterministic function of
+    its state (fixed BLAS threading within a run; for a
+    :class:`~amplasso.instances.ConditionedGaussian` ``a``, once it is
+    drawn: before that, a repeated vector's product comes from the span
+    and agrees to rounding).  Longer cycles are not looked for: a run that
+    enters one steps to ``max_iter``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -245,32 +237,26 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
         state = replace(start, memory=memory)
     else:
         raise ValueError(f"start.t = {start.t} exceeds max_iter = {max_iter}")
-    mark, lap = state, []
-    stop, period = "max_iter", 0
+    stop = "max_iter"
     for _ in range(max_iter - state.t):
         new = amp_step(state, instance, policy)
         if observe is not None:
             observe(new)
-        settled = tol > 0 and _norm(new.x - state.x) / max(1.0, _norm(state.x)) < tol
-        state = new
-        if settled:
-            stop = "tol"
+        if tol > 0 and _norm(new.x - state.x) / max(1.0, _norm(state.x)) < tol:
+            state, stop = new, "tol"
             break
-        lap.append(state)
-        if (state.tau_hat == mark.tau_hat and policy.stationary(mark.t)
-                and _same_bits(state.x, mark.x) and _same_bits(state.r, mark.r)):
-            stop, period = "cycle", len(lap)
-            found = state.t
+        if (new.tau_hat == state.tau_hat and policy.stationary(state.t)
+                and _same_bits(new.x, state.x) and _same_bits(new.r, state.r)):
+            stop = "cycle"
             if observe is not None:
-                for t in range(found + 1, max_iter + 1):
-                    observe(replace(lap[(t - found - 1) % period], t=t))
-            state = replace(lap[(max_iter - found - 1) % period], t=max_iter)
+                for t in range(new.t + 1, max_iter + 1):
+                    observe(replace(new, t=t))
+            state = replace(new, t=max_iter)
             break
-        if len(lap) == _CYCLE_WINDOW:
-            mark, lap = state, []
+        state = new
     return SolverResult(x_hat=state.x, r_hat=state.r, converged=stop == "tol",
                         iterations=state.t, tau_hat=state.tau_hat,
-                        theta=state.theta, b=state.b, stop=stop, period=period)
+                        theta=state.theta, b=state.b, stop=stop)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -380,10 +366,11 @@ def _top_ritz_pair(d: list[float], e: list[float]) -> tuple[float, float]:
 class _ScaledMatrix:
     """``c A`` as a step applies it, ``A (c v)``, without a scaled copy of ``A``.
 
-    Scaling the vector rather than the product keeps the rounding of the
-    scaled iteration close to that of a scaled copy, which matters to cycle
-    replay: of 300 of C4's 10 000-step LASSO references, ``c (A v)`` left
-    55 without an exact cycle, ``A (c v)`` 18 and a scaled copy 28.
+    The form fixes the rounding of every IST value: scaling the product
+    instead, ``c (A v)``, moves their last bits.  It is not chosen for
+    exact fixed points: of the 40 LASSO references at ``tol=0`` measured in
+    :func:`ist_solve_lasso`, 7 reached one within 10 000 steps with
+    ``A (c v)``, 14 with ``c (A v)`` and 9 with a scaled copy.
     """
 
     __slots__ = ("_a", "_c", "T", "shape")
@@ -462,8 +449,9 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     3. IST resumes from that state under ``tol``.  IST converges from any
        start, so this is the certificate: on the right pattern it stops
        after a step or two; on a wrong one it keeps stepping to the
-       minimizer.  If the solve is unusable (|S| >= m, a singular system,
-       or signs other than s), IST resumes from its own phase-1 state.
+       minimizer.  If the solve is unusable (an operator ``A``, |S| >= m,
+       a singular system, or signs other than s), IST resumes from its own
+       phase-1 state.
 
     The observer sees every state once, in order of ``t``, the solved
     state included, and the result is an IST state of the co-scaled
@@ -478,11 +466,12 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     A phase-1 stop at 1e-5 was as safe; at 1e-4 and 1e-3 some seeds took
     a wrong pattern, which cost steps, not accuracy.
 
-    ``tol=0`` keeps the older meaning: ``max_iter`` steps are reported, but
-    the loop stops stepping once the iterate settles into an exact cycle
-    (typically of period 1, 2 or 4) and replays it.  For ``tol >= 1e-6``
-    the reference is plain IST to ``tol``.  ``max_iter`` caps the steps of
-    all three phases together.
+    ``tol=0`` keeps the older meaning: ``max_iter`` steps are reported, and
+    the loop stops stepping only once IST reaches an exact fixed point.  Of
+    those 40 references, 7 did so within 10 000 steps; 20 ended in a cycle
+    of period 2 or 4 and 13 in none up to period 32, and those 33 stepped
+    all 10 000.  For ``tol >= 1e-6`` the reference is plain IST to
+    ``tol``.  ``max_iter`` caps the steps of all three phases together.
     """
     if not lam > 0:  # NaN too
         raise ValueError("lam must be > 0")
@@ -510,13 +499,14 @@ def _solve_on_signs(instance: Instance, lam: float, x: np.ndarray) -> np.ndarray
     """The LASSO stationary point with the support and signs of ``x``, or ``None``.
 
     Solves ``A_S'A_S z = A_S'y - lam s`` on the support S of ``x`` with
-    signs s, and puts z on S, 0 elsewhere.  ``None`` when the system is
-    not square-solvable (|S| >= m, or singular) or z's signs are not s.
+    signs s, and puts z on S, 0 elsewhere.  ``None`` when ``A`` is an
+    operator, whose columns cannot be taken, when the system is not
+    square-solvable (|S| >= m, or singular) or when z's signs are not s.
     A z with signs s minimizes the LASSO over vectors supported on S, so
     its objective is at most that of x = 0: never a start that blows up.
     """
     support = np.flatnonzero(x)
-    if support.size >= instance.m:
+    if not isinstance(instance.a, np.ndarray) or support.size >= instance.m:
         return None
     signs = np.sign(x[support])
     cols = instance.a[:, support]

@@ -115,7 +115,7 @@ def cmd_solve(args) -> int:
           f"engine={args.engine}")
     print(f"alpha={'none' if alpha is None else f'{alpha:.6g}'} "
           f"iterations={result.iterations} "
-          f"converged={result.converged} stop={result.stop} period={result.period}")
+          f"converged={result.converged} stop={result.stop}")
     print(f"nnz={int(np.count_nonzero(result.x_hat))} mse={mse:.6g} "
           f"tau_hat={result.tau_hat:.6g} theta={result.theta:.6g}")
     print(f"effective_lambda={lam_eff:.6g} kkt_gap={gap:.3e}")

@@ -297,6 +297,10 @@ class _Adjoint:
     def __init__(self, a: ConditionedGaussian):
         self._a = a
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._a.shape[::-1]
+
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         return self._a._rmatvec(z)
 

@@ -23,7 +23,7 @@ def soft_threshold(y, theta):
     ``y`` may be a scalar or array; ``theta`` a nonnegative scalar or an
     array broadcastable against ``y``.  The product order
     ``sign(y) * max(|y| - theta, 0)`` makes a zero output negative exactly
-    where ``y < 0``; the iteration's cycle check tells -0.0 from 0.0.
+    where ``y < 0``; the iteration's fixed-point check tells -0.0 from 0.0.
     """
     if isinstance(theta, float):  # the solvers' case: one Python comparison
         negative = theta < 0
