@@ -24,9 +24,6 @@ from scipy.linalg.lapack import dstebz, dstein
 from .instances import Instance, _norm
 from .scalar_risk import soft_threshold
 
-RMS = "rms"
-FIXED_SEQUENCE = "fixed"
-
 _BLOWUP_FACTOR = 1e6
 _EPS = float(np.finfo(float).eps)
 _LANCZOS_BLOCK = 64  # Lanczos vectors per block of the basis; blocks are never copied
@@ -41,46 +38,31 @@ class NumericalBlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """How the per-iteration threshold is chosen.
-
-    The RMS mode scales the residual's root mean square by ``alpha``; the
-    fixed mode replays an explicit threshold sequence (its last value
-    repeats once the sequence is exhausted).  NaN is rejected as out of
-    range.
+    """The threshold at residual scale ``tau_hat``: ``alpha * tau_hat`` (:meth:`rms`,
+    the AMP rule) or one ``theta`` at every step (:meth:`fixed`, the LASSO
+    reference's rule).  NaN is rejected as out of range.
     """
 
     alpha: float = 2.0
-    estimator: str = RMS
-    theta_sequence: tuple[float, ...] = ()
+    fixed_theta: float | None = None
 
     def __post_init__(self):
-        if self.estimator not in (RMS, FIXED_SEQUENCE):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.estimator == FIXED_SEQUENCE:
-            if len(self.theta_sequence) == 0:
-                raise ValueError("fixed policy needs a nonempty theta sequence")
-            if any(not t >= 0 for t in self.theta_sequence):
-                raise ValueError("thresholds must be >= 0")
+        if self.fixed_theta is not None:
+            if not self.fixed_theta >= 0:
+                raise ValueError("theta must be >= 0")
         elif not self.alpha > 0:
             raise ValueError("alpha must be > 0")
 
     @classmethod
     def rms(cls, alpha: float) -> "ThresholdPolicy":
-        return cls(alpha=alpha, estimator=RMS)
+        return cls(alpha=alpha)
 
     @classmethod
-    def fixed(cls, thetas) -> "ThresholdPolicy":
-        return cls(alpha=1.0, estimator=FIXED_SEQUENCE,
-                   theta_sequence=tuple(float(t) for t in thetas))
+    def fixed(cls, theta: float) -> "ThresholdPolicy":
+        return cls(fixed_theta=float(theta))
 
-    def theta(self, t: int, tau_hat: float) -> float:
-        if self.estimator == FIXED_SEQUENCE:
-            return self.theta_sequence[min(t, len(self.theta_sequence) - 1)]
-        return self.alpha * tau_hat
-
-    def stationary(self, t: int) -> bool:
-        """Whether the threshold from step ``t`` on depends on the residual only."""
-        return self.estimator != FIXED_SEQUENCE or t >= len(self.theta_sequence) - 1
+    def theta(self, tau_hat: float) -> float:
+        return self.alpha * tau_hat if self.fixed_theta is None else self.fixed_theta
 
 
 def estimate_tau(r: np.ndarray) -> float:
@@ -123,7 +105,7 @@ def initial_state(instance: Instance, policy: ThresholdPolicy) -> AmpState:
     if not math.isfinite(tau0):  # y @ y overflowed
         raise NumericalBlowupError(f"residual scale tau_hat = {tau0}")
     return AmpState(x=np.zeros(instance.n), r=instance.y.copy(), t=0,
-                    tau_hat=tau0, theta=policy.theta(0, tau0), b=0.0)
+                    tau_hat=tau0, theta=policy.theta(tau0), b=0.0)
 
 
 def _check_blowup(x: np.ndarray, y: np.ndarray) -> None:
@@ -161,7 +143,7 @@ def amp_step(state: AmpState, instance: Instance, policy: ThresholdPolicy) -> Am
     t_new = state.t + 1
     return AmpState(
         x=x_new, r=r_new, t=t_new, tau_hat=tau_new,
-        theta=policy.theta(t_new, tau_new), b=b_new, memory=state.memory, u=u,
+        theta=policy.theta(tau_new), b=b_new, memory=state.memory, u=u,
     )
 
 
@@ -198,10 +180,10 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
 
     ``memory`` selects AMP (on) or IST (off).  The loop stops once
     ||x_{t+1} - x_t|| / max(1, ||x_t||) drops below ``tol`` (never for
-    ``tol <= 0``) or after ``max_iter`` steps.  ``observe``, if given, is
-    called with the initial state and then with every new state in order
-    of ``t``; it reads the states and must not write to their arrays,
-    which the loop keeps using.
+    ``tol <= 0``; NaN is an error) or after ``max_iter`` steps.
+    ``observe``, if given, is called with the initial state and then with
+    every new state in order of ``t``; it reads the states and must not
+    write to their arrays, which the loop keeps using.
 
     ``start``, if given, is a state to step from instead of the initial
     one, such as the last state of an earlier run: the loop takes its
@@ -211,15 +193,14 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
     seen.  Resuming the state of step k this way gives the run that never
     stopped at k, bit for bit.
 
-    A step reads only ``(x, r, theta)``, and in the policy's stationary
-    tail ``theta`` depends only on ``r``.  So once a step returns the
-    state it started from bit for bit (compared by ``tau_hat``, then by
-    the bytes of x and r), with the policy stationary there, every later
-    step returns it too.  The loop then stops stepping: it calls
-    ``observe`` with that state at each remaining ``t`` and returns it at
-    ``t = max_iter`` with ``stop="cycle"``, a cycle of period 1.  Its
-    ``u`` is the one every later step would form.  For ``tol > 0`` such a
-    step moves x by 0 and stops on ``tol`` first.  Every output is the one
+    A step reads only ``(x, r, theta)``, and every policy's ``theta``
+    depends on ``r`` only.  So once a step returns the state it started
+    from bit for bit (compared by ``tau_hat``, then by the bytes of x and
+    r), every later step returns it too.  The loop then stops stepping:
+    it calls ``observe`` with that state at each remaining ``t`` and
+    returns it at ``t = max_iter`` with ``stop="cycle"``, a cycle of
+    period 1.  Its ``u`` is the one every later step would form.  For
+    ``tol > 0`` such a step moves x by 0 and stops on ``tol`` first.  Every output is the one
     full stepping gives, provided a step is a deterministic function of
     its state (fixed BLAS threading within a run; for a
     :class:`~amplasso.instances.ConditionedGaussian` ``a``, once it is
@@ -229,6 +210,8 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     if start is None:
         state = replace(initial_state(instance, policy), memory=memory)
         if observe is not None:
@@ -245,8 +228,8 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
         if tol > 0 and _norm(new.x - state.x) / max(1.0, _norm(state.x)) < tol:
             state, stop = new, "tol"
             break
-        if (new.tau_hat == state.tau_hat and policy.stationary(state.t)
-                and _same_bits(new.x, state.x) and _same_bits(new.r, state.r)):
+        if (new.tau_hat == state.tau_hat and _same_bits(new.x, state.x)
+                and _same_bits(new.r, state.r)):
             stop = "cycle"
             if observe is not None:
                 for t in range(new.t + 1, max_iter + 1):
@@ -384,13 +367,11 @@ class _ScaledMatrix:
         return self._a @ (self._c * v)
 
 
-def _rescaled(instance: Instance, rescale_opnorm: float | None) -> tuple[Instance, float]:
+def _rescaled(instance: Instance, rescale_opnorm: float) -> tuple[Instance, float]:
     """The system (c A, c y) whose top singular value is ``rescale_opnorm``, and c.
 
     ``A`` is shared, not copied, and ``x0`` is the instance's own.
     """
-    if rescale_opnorm is None:
-        return instance, 1.0
     if not 0.0 < rescale_opnorm <= 1.0:
         raise ValueError("rescale_opnorm must lie in (0, 1]")
     norm = operator_norm(instance.a)
@@ -401,19 +382,19 @@ def _rescaled(instance: Instance, rescale_opnorm: float | None) -> tuple[Instanc
     return Instance(a=a, x0=instance.x0, y=c * instance.y), c
 
 
-def ist_run(instance: Instance, policy: ThresholdPolicy, rescale_opnorm: float | None = 0.95,
+def ist_run(instance: Instance, policy: ThresholdPolicy, rescale_opnorm: float = 0.95,
             max_iter: int = 200, tol: float = 1e-8,
             observe: Callable[[AmpState], None] | None = None) -> SolverResult:
     """Same iteration without the memory term: r = y - A x.
 
     The matrix (and data) are co-scaled so the top singular value equals
-    ``rescale_opnorm`` -- without that the unit-step iteration diverges.
-    The step scales the vectors it multiplies by c, ``x + A'(c r)`` and
-    ``c y - A (c x)``, so ``A`` is never copied.
-    Pass ``None`` to run on the raw matrix (divergence then raises
-    :class:`NumericalBlowupError`).  ``observe`` is handed to
-    :func:`iterate` and sees the states of the co-scaled system, whose
-    ``x`` estimates the unscaled ground truth ``instance.x0``.
+    ``rescale_opnorm`` -- without that the unit-step iteration diverges
+    (``iterate(instance, policy, max_iter, tol, False)`` is IST on the raw
+    matrix).  The step scales the vectors it multiplies by c,
+    ``x + A'(c r)`` and ``c y - A (c x)``, so ``A`` is never copied.
+    ``observe`` is handed to :func:`iterate` and sees the states of the
+    co-scaled system, whose ``x`` estimates the unscaled ground truth
+    ``instance.x0``.
     """
     scaled, c = _rescaled(instance, rescale_opnorm)
     result = iterate(scaled, policy, max_iter, tol, False, observe)
@@ -476,7 +457,7 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     if not lam > 0:  # NaN too
         raise ValueError("lam must be > 0")
     scaled, c = _rescaled(instance, rescale_opnorm)
-    policy = ThresholdPolicy.fixed([lam * c * c])
+    policy = ThresholdPolicy.fixed(lam * c * c)
     if not 0 < tol < _SIGN_TOL:
         result = iterate(scaled, policy, max_iter, tol, False, observe)
     else:
@@ -526,7 +507,7 @@ def _state_at(instance: Instance, policy: ThresholdPolicy, x: np.ndarray, t: int
     r = instance.a @ x
     np.subtract(instance.y, r, out=r)
     tau = estimate_tau(r)
-    return AmpState(x=x, r=r, t=t, tau_hat=tau, theta=policy.theta(t, tau), b=0.0,
+    return AmpState(x=x, r=r, t=t, tau_hat=tau, theta=policy.theta(tau), b=0.0,
                     memory=False)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import state_evolution as se
 from .amp import (NumericalBlowupError, ThresholdPolicy, amp_run,
                   effective_lambda, ist_run, ist_solve_lasso, lasso_kkt_gap)
-from .harness import PHASE_CURVE, ExperimentSpec, run_experiment, write_csv
+from .harness import PHASE_CURVE, ExperimentSpec, _from_json, run_experiment, write_csv
 from .instances import ENSEMBLES, GAUSSIAN, ModelParams, gen_instance
 from .message_passing import reduced_mp_estimate, reduced_mp_step
 from .priors import DiscretePrior
@@ -35,10 +35,7 @@ DEFAULT_PRIOR = '{"atoms": [-1, 0, 1], "weights": [0.064, 0.872, 0.064]}'
 
 def parse_prior(text: str) -> DiscretePrior:
     """Parse the prior literal: a JSON object with atoms and weights arrays."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or "atoms" not in obj or "weights" not in obj:
-        raise ValueError('prior must be JSON like {"atoms": [...], "weights": [...]}')
-    return DiscretePrior(tuple(obj["atoms"]), tuple(obj["weights"]))
+    return _from_json(json.loads(text), "DiscretePrior", "prior")
 
 
 # Every flag a subcommand may take; each subcommand adds only those it reads.
@@ -176,7 +173,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_phase(args) -> int:
-    if args.sweep:
+    if args.sweep is not None:
         spec = ExperimentSpec(kind=PHASE_CURVE, grid_points=args.sweep,
                               out=args.out)
         result = run_experiment(spec)

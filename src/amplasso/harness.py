@@ -17,8 +17,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,10 @@ class ExperimentSpec:
             raise ValueError("lambda grid values must be > 0")
         if self.t_target < 0:
             raise ValueError("t_target must be >= 0")
+        if math.isnan(self.tol):
+            raise ValueError("tol must not be NaN")
+        if self.grid_points < 1:
+            raise ValueError("grid_points must be >= 1")
         if self.kind == NOISE_HISTOGRAM and len(self.nnz_levels) > 1:
             raise ValueError(f"{NOISE_HISTOGRAM} takes one nnz level, "
                              f"got {len(self.nnz_levels)}")
@@ -105,17 +110,38 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        """Inverse of :meth:`to_dict`; keys that name no field are ignored."""
-        kwargs = {f.name: tuple(d[f.name]) if f.type.startswith("tuple") else d[f.name]
-                  for f in fields(cls) if f.name in d}
-        p = kwargs.get("params")
-        if p is not None:
-            kwargs["params"] = ModelParams(
-                delta=float(p["delta"]), sigma2=float(p["sigma2"]),
-                prior=DiscretePrior(tuple(p["prior"]["atoms"]),
-                                    tuple(p["prior"]["weights"])),
-            )
-        return cls(**kwargs)
+        """Inverse of :meth:`to_dict`; keys that name no field are ignored, and
+        a value whose JSON type is not its field's (a bool is no number, and a
+        missing field null) is a :class:`ValueError` that names the field."""
+        return _from_json(d, "ExperimentSpec", "spec")
+
+
+# The JSON value types a field takes, by its annotation's base type (so a
+# bool is no number), and their name.
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "str": ((str,), "a string")}
+_JSON_OBJECTS = {c.__name__: c for c in (ExperimentSpec, ModelParams, DiscretePrior)}
+
+
+def _from_json(value, annotation: str, name: str):
+    """The JSON ``value`` as a field ``name`` of type ``annotation`` holds it (see
+    :meth:`ExperimentSpec.from_dict`); a nested object's fields are ``name.field``."""
+    base, _, optional = annotation.partition(" | ")
+    item = base.removeprefix("tuple[").removesuffix(", ...]")
+    types, noun = _JSON_TYPES.get(item, ((dict,), "an object"))
+    if value is None and optional:
+        return None
+    if item != base and type(value) is list and all(type(v) in types for v in value):
+        return tuple(value)
+    if item == base and type(value) in types:
+        if base not in _JSON_OBJECTS:
+            return value
+        prefix = "" if base == "ExperimentSpec" else name + "."
+        return _JSON_OBJECTS[base](**{
+            f.name: _from_json(value.get(f.name), f.type, prefix + f.name)
+            for f in fields(_JSON_OBJECTS[base]) if f.name in value or f.default is MISSING})
+    what = noun if item == base else f"a list of {noun.split()[-1]}s"
+    raise ValueError(f"{name} must be {what}{' or null' if optional else ''}")
 
 
 @dataclass
@@ -456,6 +482,10 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
     and ``w``, step ``t`` from stream ``t``.  Rademacher specs
     draw explicit matrices into one buffer per cell.  Each outcome names
     its ``sampler``: ``"gaussian_conditioning"`` or ``"matrix_draw"``.
+
+    Both lanes share one hand loop, not :func:`~amplasso.amp.iterate`,
+    whose one ``Instance`` cannot hold the resampled lane's data
+    ``y = A x_true + w``: it changes with every fresh matrix.
     """
     params = spec.params
     alpha = _default_alpha(spec)
@@ -474,9 +504,7 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
         x_true = sample_with_rng(params.prior, spec.n, rng0)
         w = (np.sqrt(params.sigma2) * rng0.standard_normal(m)
              if params.sigma2 > 0 else np.zeros(m))
-        if gaussian:
-            a = ConditionedGaussian(m, spec.n, rng0, 1 if resample else t_max)
-        else:
+        if not gaussian:
             a = draw_matrix(rng0, m, spec.n, spec.ensemble)
         x = np.zeros(spec.n)
         vals = np.empty(t_max + 1)
@@ -486,9 +514,9 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
             if t == t_max:
                 break
             rng = rng0 if t == 0 else np.random.default_rng(streams[t])
-            if gaussian:
-                if resample:
-                    a.clear()
+            if gaussian and (resample or t == 0):  # a new operator knows no product
+                a = ConditionedGaussian(m, spec.n, rng, 1 if resample else t_max)
+            elif gaussian:
                 a.rng = rng
             elif resample and t > 0:
                 # redrawn in place: the cell holds one (m, n) matrix, not two

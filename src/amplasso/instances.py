@@ -45,6 +45,11 @@ class ModelParams:
             raise ValueError("delta must be > 0")
         if not self.sigma2 >= 0:
             raise ValueError("sigma2 must be >= 0")
+        for name in ("delta", "sigma2"):  # a spec's JSON integer becomes a float
+            value = float(getattr(self, name))
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -182,28 +187,23 @@ class ConditionedGaussian:
     ``capacity`` of them (at most its dimension).  A product on a full
     side first draws ``A`` by the formula above, conditioned on every
     product made so far, and from then on every product multiplies by
-    that matrix.  :meth:`clear` forgets everything: the next products see
-    a fresh matrix.
+    that matrix.
     """
 
-    __slots__ = ("rng", "shape", "_capacity", "_v", "_z", "_dense")
+    __slots__ = ("rng", "shape", "_v", "_z", "_dense")
 
     def __init__(self, m: int, n: int, rng: np.random.Generator, capacity: int):
         self.rng = rng
-        self.shape, self._capacity = (m, n), capacity
-        self.clear()
+        self.shape = (m, n)
+        self._v = _Span(n, m, min(capacity, n))  # v and A v
+        self._z = _Span(m, n, min(capacity, m))  # z and A'z
+        self._dense = None
 
     @property
     def T(self) -> "_Adjoint":
         # a fresh view per use: the operator holds no link to it, since a
         # reference cycle would keep a drawn A alive until a full GC
         return _Adjoint(self)
-
-    def clear(self) -> None:
-        m, n = self.shape
-        self._v = _Span(n, m, min(self._capacity, n))  # v and A v
-        self._z = _Span(m, n, min(self._capacity, m))  # z and A'z
-        self._dense = None
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         """``A v``; draws m normals unless ``v`` lies in the span seen so far."""

@@ -65,14 +65,6 @@ class DiscretePrior:
         return float(np.dot(self.weight_array, self.atom_array**2))
 
     @property
-    def sparsity(self) -> float:
-        """Mass off zero: 1 - P{X0 = 0} (1.0 when 0 is not an atom)."""
-        for a, w in zip(self.atoms, self.weights):
-            if a == 0.0:
-                return 1.0 - w
-        return 1.0
-
-    @property
     def has_signal_mass(self) -> bool:
         """True when P{X0 != 0} > 0."""
         return any(w > 0 and a != 0.0 for a, w in zip(self.atoms, self.weights))

@@ -56,7 +56,6 @@ class MinimaxResult:
 
     m_sharp: float
     alpha_sharp: float
-    epsilon: float
 
 
 def minimax_soft_threshold(eps: float, alpha_tol: float = 1e-8) -> MinimaxResult:
@@ -81,4 +80,4 @@ def minimax_soft_threshold(eps: float, alpha_tol: float = 1e-8) -> MinimaxResult
             d = lo + _GOLDEN * (hi - lo)
             fd = risk_M(eps, d)
     alpha = 0.5 * (lo + hi)
-    return MinimaxResult(m_sharp=risk_M(eps, alpha), alpha_sharp=alpha, epsilon=eps)
+    return MinimaxResult(m_sharp=risk_M(eps, alpha), alpha_sharp=alpha)

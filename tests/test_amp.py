@@ -103,24 +103,14 @@ class TestEstimateTau:
 
 
 class TestThresholdPolicy:
-    def test_fixed_sequence_replays_and_repeats(self):
-        pol = ThresholdPolicy.fixed([1.0, 0.5])
-        assert pol.theta(0, 99.0) == 1.0
-        assert pol.theta(1, 99.0) == 0.5
-        assert pol.theta(7, 99.0) == 0.5
-
-    def test_rejects_empty_fixed(self):
-        with pytest.raises(ValueError):
-            ThresholdPolicy.fixed([])
-
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             ThresholdPolicy.rms(0.0)
 
     @pytest.mark.parametrize("make, bad", [
         (ThresholdPolicy.rms, np.nan),
-        (lambda t: ThresholdPolicy.fixed([1.0, t]), np.nan),
-        (lambda t: ThresholdPolicy.fixed([1.0, t]), -0.5),
+        (ThresholdPolicy.fixed, np.nan),
+        (ThresholdPolicy.fixed, -0.5),
     ], ids=["alpha_nan", "theta_nan", "theta_negative"])
     def test_rejects_nan_and_negative_levels(self, make, bad):
         # NaN used to pass both checks and end a run in "|x| reached nan"
@@ -152,7 +142,7 @@ class TestAmpStep:
 
     def test_blowup_guard_trips(self, bench_params):
         inst = gen_gaussian_instance(40, bench_params, seed=2)
-        policy = ThresholdPolicy.fixed([0.0])
+        policy = ThresholdPolicy.fixed(0.0)
         state = initial_state(inst, policy)
         huge = np.full(inst.n, 1e9)
         bad = type(state)(x=huge, r=state.r * 1e9, t=1,
@@ -177,7 +167,7 @@ class TestAmpStep:
                          theta=0.0, b=1.0)
         with np.errstate(over="ignore"), pytest.raises(NumericalBlowupError,
                                                        match="tau_hat = inf"):
-            amp_step(state, zero, ThresholdPolicy.fixed([0.0]))
+            amp_step(state, zero, ThresholdPolicy.fixed(0.0))
 
 
 class TestOnsagerCoefficient:
@@ -234,7 +224,7 @@ class TestAmpRun:
     def test_fixed_sequence_fixed_point_satisfies_stationarity(self, bench_params):
         inst = gen_gaussian_instance(400, bench_params, seed=9)
         warm = amp_run(inst, ThresholdPolicy.rms(2.0), max_iter=300, tol=1e-9)
-        res = amp_run(inst, ThresholdPolicy.fixed([warm.theta]),
+        res = amp_run(inst, ThresholdPolicy.fixed(warm.theta),
                       max_iter=2000, tol=1e-12)
         assert res.converged
         lam = warm.theta * (1.0 - res.b)
@@ -345,10 +335,10 @@ class TestIst:
         assert np.array_equal(res.x_hat, np.zeros(inst.n))
 
     def test_unrescaled_run_diverges_loudly(self, bench_params):
+        # IST on the raw matrix: the memoryless loop without ist_run's co-scaling
         inst = gen_gaussian_instance(300, bench_params, seed=13)
         with pytest.raises(NumericalBlowupError):
-            ist_run(inst, ThresholdPolicy.fixed([0.05]), rescale_opnorm=None,
-                    max_iter=500, tol=0.0)
+            iterate(inst, ThresholdPolicy.fixed(0.05), 500, 0.0, False)
 
     def test_rejects_out_of_range_rescale(self, bench_params):
         inst = gen_gaussian_instance(50, bench_params, seed=14)
@@ -414,7 +404,7 @@ class TestIst:
         assert np.array_equal(res.x_hat, x)
         assert np.array_equal(res.r_hat, y_s - a @ (c * x))
         assert res.scale == c and res.b == 0.0
-        run, points = recorded(ist_run, inst, ThresholdPolicy.fixed([theta]), max_iter=25,
+        run, points = recorded(ist_run, inst, ThresholdPolicy.fixed(theta), max_iter=25,
                                tol=0.0)
         assert np.array_equal(run.x_hat, x)
         assert [p.b for p in points] == [0.0] * 26
@@ -609,9 +599,9 @@ def reference_states(matvec, rmatvec, y, n, policy, steps, memory):
     x, r = np.zeros(n), y.copy()
     tau = np.sqrt(np.dot(r, r) / m)
     states = [(x, r, tau, None)]
-    for t in range(steps):
+    for _ in range(steps):
         u = x + rmatvec(r)
-        x_new = np.sign(u) * np.maximum(np.abs(u) - policy.theta(t, tau), 0.0)
+        x_new = np.sign(u) * np.maximum(np.abs(u) - policy.theta(tau), 0.0)
         r_new = y - matvec(x_new)
         if memory:
             r_new += float(np.count_nonzero(x_new)) / m * r
@@ -661,7 +651,7 @@ class TestReferenceStep:
         # the co-scaled system: x + A'(c r) and c y - A (c x)
         inst = gen_gaussian_instance(300, bench_params, seed=seed)
         scaled, c = _rescaled(inst, 0.95)
-        policy = ThresholdPolicy.fixed([c * c])
+        policy = ThresholdPolicy.fixed(c * c)
         seen = []
         iterate(scaled, policy, 400, 0.0, False, observe=seen.append)
         res, points = recorded(ist_solve_lasso, inst, 1.0, max_iter=400, tol=0.0)
@@ -690,7 +680,7 @@ class TestResume:
             policy = ThresholdPolicy.rms(2.0)
         else:
             inst, c = _rescaled(inst, 0.95)
-            policy = ThresholdPolicy.fixed([c * c])
+            policy = ThresholdPolicy.fixed(c * c)
         whole = []
         full = iterate(inst, policy, 300, tol, memory, observe=whole.append)
         k = 1 + int(split * (full.iterations - 2))
@@ -737,7 +727,7 @@ class TestCycleReplay:
             inst = gen_gaussian_instance(500, bench_params, seed=seed)
             lam = c4_lambda(inst, bench_params)
             scaled, c = _rescaled(inst, 0.95)
-            policy = ThresholdPolicy.fixed([lam * c * c])
+            policy = ThresholdPolicy.fixed(lam * c * c)
             runs[seed] = inst, lam, scaled, c, hand_stepped(scaled, policy, 3000, 0.0, False)
         return runs
 
@@ -769,22 +759,6 @@ class TestCycleReplay:
         assert (res.stop, period_at_end(stepped[0])) == ("max_iter", 3)
         assert_same_run(res, points, stepped, inst)
 
-    def test_fixed_sequence_waits_for_its_stationary_tail(self, bench_params):
-        # thresholds above ||c^2 A'y||_inf keep x = 0 and r = y, so the state
-        # repeats from step 2 (step 1 signs the zeros) while the sequence is
-        # still changing; replaying then would keep x = 0 for good
-        inst = gen_gaussian_instance(200, bench_params, seed=0)
-        scaled, c = _rescaled(inst, 0.95)
-        big = 2.0 * float(np.max(np.abs(scaled.a.T @ scaled.y)))
-        policy = ThresholdPolicy.fixed([big] * 5 + [c * c])
-        stepped = hand_stepped(scaled, policy, 2000, 0.0, False)
-        states = stepped[0]
-        assert states[2].x.tobytes() == states[1].x.tobytes()
-        assert states[2].r.tobytes() == states[1].r.tobytes()
-        res, points = recorded(ist_run, inst, policy, max_iter=2000, tol=0.0)
-        assert res.stop == "cycle" and np.count_nonzero(res.x_hat) > 0
-        assert_same_run(res, points, stepped, scaled, c)
-
     @pytest.mark.parametrize("memory, seed", [(False, 3), (True, 0)])
     def test_observer_sees_every_state(self, bench_params, memory, seed):
         inst = gen_gaussian_instance(100 if memory else 500, bench_params, seed=seed)
@@ -815,7 +789,7 @@ class TestCycleReplay:
         # step 1 turns x = 0 into zeros signed like A'y: equal values, other bits
         inst = gen_gaussian_instance(200, bench_params, seed=0)
         scaled, c = _rescaled(inst, 0.95)
-        policy = ThresholdPolicy.fixed([2.0 * float(np.max(np.abs(scaled.a.T @ scaled.y)))])
+        policy = ThresholdPolicy.fixed(2.0 * float(np.max(np.abs(scaled.a.T @ scaled.y))))
         res, points = recorded(ist_run, inst, policy, max_iter=10, tol=0.0)
         assert np.signbit(res.x_hat).any() and res.stop == "cycle"
         assert_same_run(res, points, hand_stepped(scaled, policy, 10, 0.0, False), scaled, c)
@@ -827,7 +801,7 @@ class TestCycleReplay:
         # cycle whose period exceeds 1, which the loop steps to max_iter
         inst = gen_gaussian_instance(200, bench_params, seed=3)
         scaled, c = _rescaled(inst, 0.95)
-        policy = ThresholdPolicy.fixed([c * c])
+        policy = ThresholdPolicy.fixed(c * c)
         res, points = recorded(iterate, scaled, policy, 2000, tol, False)
         stepped = hand_stepped(scaled, policy, 2000, tol, False)
         if ends_in == "tol":

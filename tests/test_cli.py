@@ -251,6 +251,29 @@ class TestSolve:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
 
+    @pytest.mark.parametrize("argv, err", [
+        (["se", "--delta", "inf"], "delta must be finite"),
+        (["solve", "--n", "100", "--delta", "inf"], "delta must be finite"),
+        (["se", "--sigma2", "inf"], "sigma2 must be finite"),
+    ], ids=["se_delta", "solve_delta", "se_sigma2"])
+    def test_infinite_model_parameter_is_spec_error(self, argv, err, capsys):
+        # se printed predicted_mse=-inf or tau0^2=inf and exited 0; solve ended
+        # in an OverflowError traceback
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "100", "--tol", "nan"],
+        ["solve", "--n", "100", "--engine", "ist", "--lambda", "1.0", "--tol", "nan"],
+        ["experiment", "--kind", "MSE_VS_LAMBDA", "--n", "100", "--lambdas", "1.0",
+         "--seeds", "0", "--tol", "nan"],
+    ], ids=["solve_amp", "solve_ist_lambda", "experiment"])
+    def test_nan_tol_is_spec_error(self, argv, capsys):
+        # solve ran all 2000 steps and exited 0 (tol > 0 is false for NaN), and
+        # MSE_VS_LAMBDA wrote NaN, which is not strict JSON, into its manifest
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: tol must not be NaN\n"
+
     def test_invalid_weights_is_spec_error(self):
         code = main(["solve", "--n", "100", "--prior",
                      '{"atoms": [0, 1], "weights": [0.9, 0.3]}'])
@@ -318,6 +341,12 @@ class TestPhase:
         out = capsys.readouterr().out
         assert "rho_c=0.2433" in out and "boundary_alpha=1.408" in out
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sweep_takes_a_positive_count(self, count, capsys):
+        # --sweep 0 ran the single-point query; -3 failed inside numpy.linspace
+        assert main(["phase", "--sweep", count]) == 2
+        assert capsys.readouterr().err == "error: grid_points must be >= 1\n"
+
     def test_sweep_writes_files(self, tmp_path):
         code = main(["phase", "--sweep", "7", "--out", str(tmp_path / "pt")])
         assert code == 0
@@ -371,6 +400,34 @@ class TestExperiment:
         spec_file.write_text(json.dumps({"kind": "CONVERGENCE", "n": 100}))
         assert main(["experiment", "--spec", str(spec_file)]) == 2
         assert "needs params" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, err", [
+        ({"seeds": 3}, "seeds must be a list of integers"),
+        ({"n": "100"}, "n must be an integer"),
+        ({"n": 100.5}, "n must be an integer"),
+        ({"t_target": 2.5}, "t_target must be an integer"),
+        (None, "spec must be an object"),
+        ({"params": {"delta": 0.64, "sigma2": 0.2}},
+         "params.prior must be an object"),
+        ({"alpha": True}, "alpha must be a number or null"),
+        ({"params": {"delta": 0.64, "sigma2": 0.2, "prior": {"atoms": [0, 1],
+                                                             "weights": "0.5"}}},
+         "params.prior.weights must be a list of numbers"),
+    ], ids=["seeds_int", "n_str", "n_float", "t_target_float", "top_level_list",
+            "params_without_prior", "alpha_bool", "weights_str"])
+    def test_malformed_spec_json_names_the_field(self, tmp_path, capsys, change, err):
+        # the first five used to end in a TypeError traceback with exit 1; a
+        # params without prior exited 2 with only "error: 'prior'", alpha true
+        # ran as alpha 1, and a weights string was split into characters
+        spec = [1, 2] if change is None else {
+            "kind": "SE_TRACKING", "n": 100, "seeds": [0], "t_target": 2,
+            "params": {"delta": 0.64, "sigma2": 0.2,
+                       "prior": {"atoms": [-1, 0, 1], "weights": [0.064, 0.872, 0.064]}},
+            **change}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert main(["experiment", "--spec", str(spec_file)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     @pytest.mark.parametrize("kind", ["RESAMPLED_ORACLE", "SE_TRACKING"])
     def test_negative_t_target_is_spec_error(self, kind, capsys):

@@ -46,11 +46,6 @@ class TestDiscretePrior:
         prior = DiscretePrior((0.0, 3.0), (0.9, 0.1))
         assert prior.second_moment == pytest.approx(0.9, abs=1e-15)
 
-    def test_sparsity(self):
-        assert three_point(0.128).sparsity == pytest.approx(0.128, abs=1e-15)
-        assert delta_prior().sparsity == 0.0
-        assert DiscretePrior((1.0,), (1.0,)).sparsity == 1.0
-
     def test_signal_mass_flag(self):
         assert three_point(0.1).has_signal_mass
         assert not delta_prior().has_signal_mass
