@@ -27,9 +27,10 @@ from .scalar_risk import soft_threshold
 _BLOWUP_FACTOR = 1e6
 _EPS = float(np.finfo(float).eps)
 _LANCZOS_BLOCK = 64  # Lanczos vectors per block of the basis; blocks are never copied
-# The LASSO reference's sign-finding stop: IST's relative change of x at
-# which its sign pattern is taken as the solution's (see ist_solve_lasso).
+# The LASSO reference finishes on a sign pattern for 0 < tol < _SIGN_TOL, and
+# tries a pattern once it has held over _SIGN_HOLD steps (see ist_solve_lasso).
 _SIGN_TOL = 1e-6
+_SIGN_HOLD = 4
 
 
 class NumericalBlowupError(RuntimeError):
@@ -40,7 +41,8 @@ class NumericalBlowupError(RuntimeError):
 class ThresholdPolicy:
     """The threshold at residual scale ``tau_hat``: ``alpha * tau_hat`` (:meth:`rms`,
     the AMP rule) or one ``theta`` at every step (:meth:`fixed`, the LASSO
-    reference's rule).  NaN is rejected as out of range.
+    reference's rule).  NaN is rejected as out of range, and an infinite level
+    as not finite.
     """
 
     alpha: float = 2.0
@@ -50,8 +52,12 @@ class ThresholdPolicy:
         if self.fixed_theta is not None:
             if not self.fixed_theta >= 0:
                 raise ValueError("theta must be >= 0")
+            if not math.isfinite(self.fixed_theta):
+                raise ValueError("theta must be finite")
         elif not self.alpha > 0:
             raise ValueError("alpha must be > 0")
+        elif not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
 
     @classmethod
     def rms(cls, alpha: float) -> "ThresholdPolicy":
@@ -419,61 +425,96 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     Yin and Zhang, SIAM J. Optim. 2008); the many steps after that only
     solve a linear system on the support, slowly.  So for ``0 < tol <
     1e-6`` (the default ``tol=1e-15`` stops once the loop's relative
-    change of x is rounding-level jitter) the reference runs in three
-    phases, one loop throughout:
+    change of x is rounding-level jitter) the reference finishes on a sign
+    pattern, one loop throughout:
 
-    1. IST steps until the relative change of x drops below 1e-6, which
-       fixes a sign pattern: support S, signs s.
-    2. One exact solve of the optimality equations on that pattern,
-       ``A_S'A_S x_S = A_S'y - lam s`` with x = 0 off S, gives the state
-       of the next step (its ``u`` is ``None``: no step thresholded it).
-    3. IST resumes from that state under ``tol``.  IST converges from any
-       start, so this is the certificate: on the right pattern it stops
-       after a step or two; on a wrong one it keeps stepping to the
-       minimizer.  If the solve is unusable (an operator ``A``, |S| >= m,
-       a singular system, or signs other than s), IST resumes from its own
-       phase-1 state.
+    1. IST steps under ``tol``, 4 steps at a time.  A sign pattern (support
+       S, signs s) that two such chunks end on has held, and is tried
+       unless it was the last one tried.
+    2. A trial solves the optimality equations on the pattern,
+       ``A_S'A_S x_S = A_S'y - lam s`` with x = 0 off S, and takes one IST
+       step from that point.  On S the solve makes the gradient
+       ``A'(y - A x)`` equal lam s, so the step keeps x there; off S it
+       keeps a coordinate at 0 iff its gradient is at most lam.  So the
+       step keeps the point's support and signs iff the point meets the
+       LASSO's optimality conditions, up to rounding.  A trial fails if it
+       does not, or if the solve is unusable (an operator ``A``, |S| >= m,
+       a singular system, or signs other than s); IST then goes on from its
+       own state, and the observer sees nothing of the trial.
+    3. The point of the first trial that passes is the state of the next
+       step (its ``u`` is ``None``: no step thresholded it), and IST
+       resumes from it under ``tol``, which stops it after a step or two.
 
     The observer sees every state once, in order of ``t``, the solved
     state included, and the result is an IST state of the co-scaled
-    system.  Measured at C4's composition (BENCH model, lambda_eff of
-    AMP's fixed point at lambda = 1) on 40 references (Gaussian and
-    Rademacher, n = 500, seeds 0-19): 103-149 steps (median 119) where
-    plain IST to 1e-15 took 312-479 (median 380), and 116-128 against
-    372-406 on six at n = 2000.  Phase 3 stopped on ``tol`` after one step
+    system.  The same pattern gives the same solve and the same steps from
+    it, so the result is the one of solving on the pattern that IST holds
+    when its relative change of x first drops below 1e-6, as long as that
+    pattern is the first to pass; only ``iterations`` and the observed
+    states differ.  Measured at C4's composition (BENCH model, lambda_eff
+    of AMP's fixed point at lambda = 1) on 40 references (Gaussian and
+    Rademacher, n = 500, seeds 0-19): 26-102 steps (median 43) with 2.2
+    trials each, where solving after the 1e-6 stop took 103-149 (median
+    119) and plain IST to 1e-15 took 312-479 (median 380); 47-83 against
+    116-128 and 372-406 on six at n = 2000.  Their ``x_hat`` and ``r_hat``
+    matched the 1e-6 stop's bit for bit, as they did on 80 at n = 200 at
+    both 1e-15 and 1e-8.  The last trial stopped on ``tol`` after one step
     (Gaussian) or two (Rademacher) every time; the objective matched the
     ``tol=0`` reference to 2.6e-16 relative, x moved by at most 2.7e-14
     from plain IST's, and the KKT gap over lambda was at most 7.1e-15.
-    A phase-1 stop at 1e-5 was as safe; at 1e-4 and 1e-3 some seeds took
-    a wrong pattern, which cost steps, not accuracy.
+    Holds of 1, 2, 3, 6 and 8 steps gave the same results in a median of
+    37.5, 39, 41.5, 45 and 50.5 steps; 4 took the least time, as shorter
+    holds try more patterns.
 
     ``tol=0`` keeps the older meaning: ``max_iter`` steps are reported, and
     the loop stops stepping only once IST reaches an exact fixed point.  Of
     those 40 references, 7 did so within 10 000 steps; 20 ended in a cycle
     of period 2 or 4 and 13 in none up to period 32, and those 33 stepped
     all 10 000.  For ``tol >= 1e-6`` the reference is plain IST to
-    ``tol``.  ``max_iter`` caps the steps of all three phases together.
+    ``tol``.  ``max_iter`` caps ``t`` over the whole run (a trial's step
+    does not count); a trial needs ``t + 1 < max_iter``, and a run cut
+    before one passes returns IST's state.
     """
     if not lam > 0:  # NaN too
         raise ValueError("lam must be > 0")
+    if not math.isfinite(lam):
+        raise ValueError("lam must be finite")
     scaled, c = _rescaled(instance, rescale_opnorm)
     policy = ThresholdPolicy.fixed(lam * c * c)
     if not 0 < tol < _SIGN_TOL:
         result = iterate(scaled, policy, max_iter, tol, False, observe)
     else:
-        result = iterate(scaled, policy, max_iter, _SIGN_TOL, False, observe)
-        if result.stop == "tol":
-            start = AmpState(x=result.x_hat, r=result.r_hat, t=result.iterations,
-                             tau_hat=result.tau_hat, theta=result.theta, b=result.b,
-                             memory=False)
-            x = _solve_on_signs(instance, lam, result.x_hat)
-            if x is not None and start.t + 1 < max_iter:
-                start = _state_at(scaled, policy, x, start.t + 1)
-                if observe is not None:
-                    observe(start)
-            result = iterate(scaled, policy, max_iter, tol, False, observe, start)
+        result = _finish_on_signs(instance, lam, scaled, policy, max_iter, tol, observe)
     result.scale = c
     return result
+
+
+def _finish_on_signs(instance: Instance, lam: float, scaled: Instance,
+                     policy: ThresholdPolicy, max_iter: int, tol: float,
+                     observe: Callable[[AmpState], None] | None) -> SolverResult:
+    """IST under ``tol`` in chunks of ``_SIGN_HOLD`` steps, finished on the first
+    sign pattern that holds over a chunk and whose solve one IST step keeps."""
+    start, held, tried = None, None, None
+    while True:
+        t = 0 if start is None else start.t
+        result = iterate(scaled, policy, min(t + _SIGN_HOLD, max_iter), tol, False,
+                         observe, start)
+        if result.stop != "max_iter" or result.iterations == max_iter:
+            return result
+        start = AmpState(x=result.x_hat, r=result.r_hat, t=result.iterations,
+                         tau_hat=result.tau_hat, theta=result.theta, b=result.b,
+                         memory=False)
+        signs = np.sign(result.x_hat)
+        if np.array_equal(signs, held) and not np.array_equal(signs, tried):
+            tried = signs
+            x = _solve_on_signs(instance, lam, result.x_hat)
+            if x is not None and start.t + 1 < max_iter:
+                solved = _state_at(scaled, policy, x, start.t + 1)
+                if np.array_equal(np.sign(amp_step(solved, scaled, policy).x), np.sign(x)):
+                    if observe is not None:
+                        observe(solved)
+                    return iterate(scaled, policy, max_iter, tol, False, observe, solved)
+        held = signs
 
 
 def _solve_on_signs(instance: Instance, lam: float, x: np.ndarray) -> np.ndarray | None:

@@ -91,6 +91,8 @@ class ExperimentSpec:
             raise ValueError("seeds must be nonempty")
         if any(not lam > 0 for lam in self.lambdas):  # NaN too
             raise ValueError("lambda grid values must be > 0")
+        if not all(math.isfinite(lam) for lam in self.lambdas):
+            raise ValueError("lambda grid values must be finite")
         if self.t_target < 0:
             raise ValueError("t_target must be >= 0")
         if math.isnan(self.tol):

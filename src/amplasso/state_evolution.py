@@ -85,6 +85,8 @@ def se_run(params: ModelParams, alpha: float, max_iter: int = 10000,
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     tau2 = tau0_squared(params)
     floor = _ZERO_TAU2 * tau2 if params.sigma2 == 0 else 0.0
     tau2_seq = [tau2]
@@ -146,6 +148,8 @@ def _fixed_point(params: ModelParams, alpha: float, floor: float) -> float:
         raise ValueError("sigma2 must be > 0 for the fixed point")
     if alpha <= floor:
         raise ValueError(f"alpha must exceed alpha_min = {floor:.6f}")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
 
     def g(tau2):
         return se_map(tau2, alpha * math.sqrt(tau2), params) - tau2

@@ -20,7 +20,7 @@ from amplasso import (AmpState, DiscretePrior, ModelParams, NumericalBlowupError
                       iterate, lasso_kkt_gap, lasso_objective, operator_norm,
                       se_fixed_point, soft_threshold, three_point)
 from amplasso.amp import _rescaled, onsager_coefficient
-from amplasso.instances import RADEMACHER, Instance, gen_lazy_instance
+from amplasso.instances import GAUSSIAN, RADEMACHER, Instance, gen_lazy_instance
 from amplasso.state_evolution import calibrate_lambda
 
 
@@ -116,6 +116,18 @@ class TestThresholdPolicy:
         # NaN used to pass both checks and end a run in "|x| reached nan"
         with pytest.raises(ValueError, match="must be"):
             make(bad)
+
+    @pytest.mark.parametrize("make, err", [(ThresholdPolicy.rms, "alpha must be finite"),
+                                           (ThresholdPolicy.fixed, "theta must be finite")])
+    def test_rejects_infinite_levels(self, make, err):
+        # each used to construct, and a run then reported theta = inf
+        with pytest.raises(ValueError, match=err):
+            make(math.inf)
+
+    def test_reference_rejects_an_infinite_lambda(self, bench_params):
+        inst = gen_gaussian_instance(50, bench_params, seed=0)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            ist_solve_lasso(inst, math.inf)
 
 
 class TestAmpStep:
@@ -400,7 +412,7 @@ class TestIst:
         x = np.zeros(inst.n)
         for _ in range(25):
             x = soft_threshold(x + a.T @ (c * (y_s - a @ (c * x))), theta)
-        res = ist_solve_lasso(inst, 1.0, max_iter=25)
+        res = ist_solve_lasso(inst, 1.0, max_iter=25, tol=0.0)
         assert np.array_equal(res.x_hat, x)
         assert np.array_equal(res.r_hat, y_s - a @ (c * x))
         assert res.scale == c and res.b == 0.0
@@ -707,6 +719,17 @@ class TestResume:
             iterate(inst, policy, 4, 0.0, True, start=seen[-1])
 
 
+def counting(monkeypatch, name):
+    """Wrap ``amp.<name>`` so that each call appends its return value to the list returned."""
+    returned, func = [], getattr(amp_module, name)
+
+    def counted(*args):
+        returned.append(func(*args))
+        return returned[-1]
+    monkeypatch.setattr(amp_module, name, counted)
+    return returned
+
+
 def c4_lambda(instance, params):
     """The level C4 certifies: the effective lambda of AMP's fixed point at lambda = 1."""
     res = amp_run(instance, ThresholdPolicy.rms(alpha_of_lambda(1.0, params)),
@@ -832,53 +855,110 @@ class TestCycleReplay:
         res = ist_solve_lasso(inst, 1.0, max_iter=5)
         assert (res.stop, res.iterations) == ("max_iter", 5)
 
+    @pytest.fixture(scope="class")
+    def c4_references(self, bench_params):
+        # C4's ten Gaussian references, each with its observed states, the
+        # amp_step calls it made and the solves that gave a point to check
+        runs = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for seed in range(10):
+                inst = gen_gaussian_instance(500, bench_params, seed=seed)
+                lam = c4_lambda(inst, bench_params)
+                steps, solves = counting(mp, "amp_step"), counting(mp, "_solve_on_signs")
+                seen = []
+                res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=10000,
+                                      observe=seen.append)
+                runs[seed] = (inst, lam, res, seen, len(steps),
+                              sum(z is not None for z in solves))
+                mp.undo()
+        return runs
+
     @pytest.mark.parametrize("seed", range(10))
-    def test_c4_reference_finishes_on_its_sign_pattern(self, bench_params, monkeypatch,
-                                                       seed):
-        # C4's ten references: IST to the sign-finding tol, one solve on the
-        # sign pattern, then a step or two of IST that confirm it
-        inst = gen_gaussian_instance(500, bench_params, seed=seed)
-        lam = c4_lambda(inst, bench_params)
-        steps = 0
-        step = amp_module.amp_step
-
-        def counted(*args):
-            nonlocal steps
-            steps += 1
-            return step(*args)
-
-        monkeypatch.setattr(amp_module, "amp_step", counted)
-        seen = []
-        res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=10000,
-                              observe=seen.append)
+    def test_c4_reference_finishes_on_its_sign_pattern(self, c4_references, seed):
+        # C4's ten references: IST until a sign pattern holds, solves on the
+        # patterns that hold, each checked by one IST step from its point,
+        # then a step or two of IST from the point that passed
+        _, _, res, seen, steps, checked = c4_references[seed]
         assert res.stop == "tol" and res.converged and steps <= 200
         # every state once, in order; one of them is the solve's, not a step's
         assert [s.t for s in seen] == list(range(res.iterations + 1))
         solved = [s.t for s in seen[1:] if s.u is None]
-        assert len(solved) == 1 and steps == res.iterations - 1
+        assert len(solved) == 1 and steps == res.iterations - 1 + checked
         assert res.iterations - solved[0] <= 2
         assert res.x_hat.tobytes() == seen[-1].x.tobytes()
         assert res.r_hat.tobytes() == seen[-1].r.tobytes()
 
-    @pytest.mark.parametrize("sign_tol, n, seed, solved", [
-        (1e-1, 500, 2, False),  # the solve's signs differ: IST resumes its own state
-        (1e-2, 200, 1, True),   # a wrong pattern with consistent signs: IST steps out
-    ])
+    def test_c4_references_take_few_steps(self, c4_references):
+        # a step count, not a time: about 45 steps each, where the reference
+        # that stepped IST to a relative change of 1e-6 before its solve took
+        # about 120
+        steps = sorted(run[4] for run in c4_references.values())
+        assert (steps[4] + steps[5]) / 2 <= 70
+
+    @pytest.mark.parametrize("ensemble, seeds", [(GAUSSIAN, range(10)),
+                                                 (RADEMACHER, range(4))])
+    def test_reference_equals_the_sign_tol_composition(self, bench_params, c4_references,
+                                                       ensemble, seeds):
+        # the reference as first composed: IST to a relative change of
+        # _SIGN_TOL, one solve on that sign pattern, then IST from its point
+        for seed in seeds:
+            if ensemble == GAUSSIAN:
+                inst, lam, res = c4_references[seed][:3]
+            else:
+                inst = gen_instance(500, bench_params, seed, RADEMACHER)
+                lam = c4_lambda(inst, bench_params)
+                res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=10000)
+            scaled, c = _rescaled(inst, 0.95)
+            policy = ThresholdPolicy.fixed(lam * c * c)
+            head = iterate(scaled, policy, 10000, amp_module._SIGN_TOL, False)
+            x = amp_module._solve_on_signs(inst, lam, head.x_hat)
+            start = amp_module._state_at(scaled, policy, x, head.iterations + 1)
+            old = iterate(scaled, policy, 10000, 1e-15, False, start=start)
+            assert res.x_hat.tobytes() == old.x_hat.tobytes()
+            assert res.r_hat.tobytes() == old.r_hat.tobytes()
+            assert ((res.tau_hat, res.theta, res.b, res.stop, res.scale)
+                    == (old.tau_hat, old.theta, old.b, old.stop, c))
+            assert res.iterations <= old.iterations
+
+    @pytest.mark.parametrize("forced, n, seed", [("dropped", 500, 2), ("hold1", 200, 1)])
     def test_wrong_sign_pattern_still_reaches_the_minimizer(
-            self, bench_params, c4_runs, monkeypatch, sign_tol, n, seed, solved):
+            self, bench_params, c4_runs, monkeypatch, forced, n, seed):
+        # trials on wrong patterns: "dropped" solves every held pattern less
+        # its smallest entry, so no trial passes and the reference is plain
+        # IST; "hold1" tries each pattern that holds for one step, and the
+        # step from the solve's point rejects four of them
         inst = gen_gaussian_instance(n, bench_params, seed=seed)
         if n == 500:  # the fixture's tol = 0 reference
-            _, lam, _, _, (states, _) = c4_runs[seed]
+            _, lam, scaled, c, (states, _) = c4_runs[seed]
             x_exact = states[-1].x
         else:
             lam = c4_lambda(inst, bench_params)
             x_exact = ist_solve_lasso(inst, lam, max_iter=3000, tol=0.0).x_hat
-        monkeypatch.setattr(amp_module, "_SIGN_TOL", sign_tol)
+            scaled, c = _rescaled(inst, 0.95)
+        if forced == "dropped":
+            solve = amp_module._solve_on_signs
+
+            def dropped(instance, lam, x):
+                x = x.copy()
+                support = np.flatnonzero(x)
+                x[support[np.argmin(np.abs(x[support]))]] = 0.0
+                return solve(instance, lam, x)
+            monkeypatch.setattr(amp_module, "_solve_on_signs", dropped)
+        else:
+            monkeypatch.setattr(amp_module, "_SIGN_HOLD", 1)
+        solves = counting(monkeypatch, "_solve_on_signs")
         seen = []
         res = ist_solve_lasso(inst, lam, observe=seen.append)
-        landed = [s.t for s in seen[1:] if s.u is None]
-        assert bool(landed) == solved and res.stop == "tol"
-        if solved:
-            assert res.iterations - landed[0] > 100  # not the one-step confirmation
+        solved = [s.t for s in seen[1:] if s.u is None]
+        rejected = sum(z is not None for z in solves) - len(solved)
+        assert rejected == {"dropped": 1, "hold1": 4}[forced] and res.stop == "tol"
+        # a rejected trial leaves no state: up to the solve's point, or to the
+        # end if no trial passed, the observer sees plain IST
+        plain = []
+        iterate(scaled, ThresholdPolicy.fixed(lam * c * c), 10000, 1e-15, False,
+                observe=plain.append)
+        k = solved[0] if solved else len(plain)
+        assert len(solved) == (forced == "hold1") and len(seen) >= k
+        assert [state_bits(s) for s in seen[:k]] == [state_bits(s) for s in plain[:k]]
         c_exact = lasso_objective(inst, x_exact, lam)
         assert abs(lasso_objective(inst, res.x_hat, lam) - c_exact) <= 1e-15 * c_exact

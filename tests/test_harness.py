@@ -63,6 +63,11 @@ class TestExperimentSpec:
                 ExperimentSpec(kind="MSE_VS_LAMBDA", params=small_params,
                                lambdas=(0.5, bad))
 
+    def test_rejects_an_infinite_lambda(self, small_params):
+        # it used to fail only in alpha_of_lambda, on a bracket with no root
+        with pytest.raises(ValueError, match="lambda grid values must be finite"):
+            ExperimentSpec(kind="MSE_VS_LAMBDA", params=small_params, lambdas=(0.5, float("inf")))
+
     @pytest.mark.parametrize("kind", ["MSE_VS_LAMBDA", "CONVERGENCE", "NOISE_HISTOGRAM",
                                       "SE_TRACKING", "RESAMPLED_ORACLE"])
     def test_requires_params_except_phase_curve(self, kind):
