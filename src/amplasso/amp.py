@@ -27,9 +27,8 @@ from .scalar_risk import soft_threshold
 _BLOWUP_FACTOR = 1e6
 _EPS = float(np.finfo(float).eps)
 _LANCZOS_BLOCK = 64  # Lanczos vectors per block of the basis; blocks are never copied
-# The LASSO reference finishes on a sign pattern for 0 < tol < _SIGN_TOL, and
-# tries a pattern once it has held over _SIGN_HOLD steps (see ist_solve_lasso).
-_SIGN_TOL = 1e-6
+# The LASSO reference tries a sign pattern once it has held over _SIGN_HOLD
+# steps (see ist_solve_lasso).
 _SIGN_HOLD = 4
 
 
@@ -267,8 +266,7 @@ def amp_run(instance: Instance, policy: ThresholdPolicy, max_iter: int = 200,
     return iterate(instance, policy, max_iter, tol, True, observe)
 
 
-def operator_norm(a: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 1000,
-                  seed: int = 0) -> float:
+def operator_norm(a: np.ndarray, max_iter: int = 1000, seed: int = 0) -> float:
     """Top singular value, rounded up, by Lanczos on the smaller Gram operator.
 
     Runs Lanczos with full reorthogonalization on ``A A'`` (m <= n) or
@@ -278,9 +276,9 @@ def operator_norm(a: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 1000,
     j) has residual norm rho = beta * |s_last| (plus the rounding error
     of the recurrence, (m + n) * eps * theta), and an eigenvalue of the
     Gram operator lies in [theta - rho, theta + rho].  The iteration
-    stops once rho <= rel_tol * theta and returns sqrt(theta + rho): with
+    stops once rho <= 1e-6 * theta and returns sqrt(theta + rho): with
     the top eigenvalue found, sqrt(theta) <= sigma_1 <= sqrt(theta + rho),
-    so the result is at most ``rel_tol`` above the top singular value and
+    so the result is at most 1e-6 (relative) above the top singular value and
     never below it, a safe bound for a unit step.  If ``max_iter`` steps
     end before the stop rule holds (and before the Krylov space is
     exhausted), nothing is certified and :class:`numpy.linalg.LinAlgError`
@@ -321,7 +319,7 @@ def operator_norm(a: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 1000,
         theta, s_last = _top_ritz_pair(alphas, betas[:-1])
         theta = max(theta, 0.0)
         rho = betas[-1] * abs(s_last) + (m + n) * _EPS * theta
-        if rho <= rel_tol * theta or betas[-1] == 0.0:
+        if rho <= 1e-6 * theta or betas[-1] == 0.0:
             break
         q_prev, q = q, w / betas[-1]
     else:
@@ -357,9 +355,10 @@ class _ScaledMatrix:
 
     The form fixes the rounding of every IST value: scaling the product
     instead, ``c (A v)``, moves their last bits.  It is not chosen for
-    exact fixed points: of the 40 LASSO references at ``tol=0`` measured in
-    :func:`ist_solve_lasso`, 7 reached one within 10 000 steps with
-    ``A (c v)``, 14 with ``c (A v)`` and 9 with a scaled copy.
+    exact fixed points: of 40 LASSO references at ``tol=0`` (C4's
+    composition at n = 500, Gaussian and Rademacher, seeds 0-19), 7 reached
+    one within 10 000 steps with ``A (c v)``, 14 with ``c (A v)`` and 9
+    with a scaled copy.
     """
 
     __slots__ = ("_a", "_c", "T", "shape")
@@ -420,13 +419,17 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     ``observe``, if given, is handed to :func:`iterate` and sees the states
     of the co-scaled system; without it the reference records nothing.
 
-    IST converges linearly (Daubechies, Defrise and De Mol, CPAM 2004) and
+    ``tol`` has two regimes.  For ``tol <= 0`` the reference steps IST
+    exactly: ``max_iter`` steps are reported, and the loop stops stepping
+    only once IST reaches an exact fixed point, which a run that ends in a
+    cycle of a longer period never does.  For ``tol > 0`` (the default
+    ``tol=1e-15`` stops once the loop's relative change of x is
+    rounding-level jitter) the reference finishes on a sign pattern.  IST
+    converges linearly (Daubechies, Defrise and De Mol, CPAM 2004) and
     finds the solution's support and signs in finitely many steps (Hale,
-    Yin and Zhang, SIAM J. Optim. 2008); the many steps after that only
-    solve a linear system on the support, slowly.  So for ``0 < tol <
-    1e-6`` (the default ``tol=1e-15`` stops once the loop's relative
-    change of x is rounding-level jitter) the reference finishes on a sign
-    pattern, one loop throughout:
+    Yin and Zhang, SIAM J. Optim. 2008), whatever ``tol``; the steps after
+    that only solve a linear system on the support, slowly.  So, one loop
+    throughout:
 
     1. IST steps under ``tol``, 4 steps at a time.  A sign pattern (support
        S, signs s) that two such chunks end on has held, and is tried
@@ -443,37 +446,18 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
        own state, and the observer sees nothing of the trial.
     3. The point of the first trial that passes is the state of the next
        step (its ``u`` is ``None``: no step thresholded it), and IST
-       resumes from it under ``tol``, which stops it after a step or two.
+       resumes from it under ``tol``; from the minimizer a step moves x by
+       rounding only, so the run stops after a step or two.
 
-    The observer sees every state once, in order of ``t``, the solved
-    state included, and the result is an IST state of the co-scaled
-    system.  The same pattern gives the same solve and the same steps from
-    it, so the result is the one of solving on the pattern that IST holds
-    when its relative change of x first drops below 1e-6, as long as that
-    pattern is the first to pass; only ``iterations`` and the observed
-    states differ.  Measured at C4's composition (BENCH model, lambda_eff
-    of AMP's fixed point at lambda = 1) on 40 references (Gaussian and
-    Rademacher, n = 500, seeds 0-19): 26-102 steps (median 43) with 2.2
-    trials each, where solving after the 1e-6 stop took 103-149 (median
-    119) and plain IST to 1e-15 took 312-479 (median 380); 47-83 against
-    116-128 and 372-406 on six at n = 2000.  Their ``x_hat`` and ``r_hat``
-    matched the 1e-6 stop's bit for bit, as they did on 80 at n = 200 at
-    both 1e-15 and 1e-8.  The last trial stopped on ``tol`` after one step
-    (Gaussian) or two (Rademacher) every time; the objective matched the
-    ``tol=0`` reference to 2.6e-16 relative, x moved by at most 2.7e-14
-    from plain IST's, and the KKT gap over lambda was at most 7.1e-15.
-    Holds of 1, 2, 3, 6 and 8 steps gave the same results in a median of
-    37.5, 39, 41.5, 45 and 50.5 steps; 4 took the least time, as shorter
-    holds try more patterns.
-
-    ``tol=0`` keeps the older meaning: ``max_iter`` steps are reported, and
-    the loop stops stepping only once IST reaches an exact fixed point.  Of
-    those 40 references, 7 did so within 10 000 steps; 20 ended in a cycle
-    of period 2 or 4 and 13 in none up to period 32, and those 33 stepped
-    all 10 000.  For ``tol >= 1e-6`` the reference is plain IST to
-    ``tol``.  ``max_iter`` caps ``t`` over the whole run (a trial's step
-    does not count); a trial needs ``t + 1 < max_iter``, and a run cut
-    before one passes returns IST's state.
+    Until a trial passes the states are plain IST's, so a run whose
+    relative change of x drops below ``tol`` first ends where plain IST to
+    ``tol`` does; one that passes a trial ends on the minimizer to
+    rounding, however loose ``tol`` is.  The observer sees every state
+    once, in order of ``t``, the solved state included, and the result is
+    an IST state of the co-scaled system.  ``max_iter`` caps ``t`` over
+    the whole run (a trial's step does not count); a trial needs
+    ``t + 1 < max_iter``, and a run cut before one passes returns IST's
+    state.
     """
     if not lam > 0:  # NaN too
         raise ValueError("lam must be > 0")
@@ -481,10 +465,10 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
         raise ValueError("lam must be finite")
     scaled, c = _rescaled(instance, rescale_opnorm)
     policy = ThresholdPolicy.fixed(lam * c * c)
-    if not 0 < tol < _SIGN_TOL:
-        result = iterate(scaled, policy, max_iter, tol, False, observe)
-    else:
+    if tol > 0:
         result = _finish_on_signs(instance, lam, scaled, policy, max_iter, tol, observe)
+    else:  # NaN too: iterate rejects it
+        result = iterate(scaled, policy, max_iter, tol, False, observe)
     result.scale = c
     return result
 

@@ -85,6 +85,8 @@ def cmd_solve(args) -> int:
     fixed_level = args.engine == "ist" and args.alpha is None and args.lam is not None
     alpha = None if fixed_level else _resolve_alpha(args, params)
     instance = gen_instance(args.n, params, args.seed, args.ensemble)
+    if args.engine == "mp" and args.n * instance.m > 4_000_000:
+        raise ValueError("mp cross-check is desk-scale only (m*n too large)")
     rows: list[dict] = []
 
     def record(state):  # one --out row per state; mp replays the thetas
@@ -119,8 +121,6 @@ def cmd_solve(args) -> int:
     if args.engine == "mp":
         # cross-check lane: replay the solver's threshold sequence through
         # the per-edge messages and report the estimate agreement
-        if args.n * instance.m > 4_000_000:
-            raise ValueError("mp cross-check is desk-scale only (m*n too large)")
         steps = result.iterations
         x_msgs = np.zeros((instance.m, instance.n))
         for row in rows[:steps]:
@@ -173,7 +173,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_phase(args) -> int:
+    # --sweep reads only --out; the point query reads --delta and --rho
     if args.sweep is not None:
+        given = [f"--{k}" for k in ("delta", "rho") if getattr(args, k) is not None]
+        if given:
+            raise ValueError(f"phase --sweep takes no {', '.join(given)}")
         spec = ExperimentSpec(kind=PHASE_CURVE, grid_points=args.sweep,
                               out=args.out)
         result = run_experiment(spec)
@@ -184,11 +188,14 @@ def cmd_phase(args) -> int:
                 print(f"alpha={row['alpha']:.4f} delta={row['delta']:.6f} "
                       f"rho={row['rho']:.6f}")
     else:
-        rc = se.rho_c(args.delta)
-        alpha = se.boundary_alpha(args.delta)
-        print(f"delta={args.delta:.6g} rho_c={rc:.9g} boundary_alpha={alpha:.9g}")
+        if args.out is not None:
+            raise ValueError("phase --out needs --sweep")
+        delta = 0.2 if args.delta is None else args.delta
+        rc = se.rho_c(delta)
+        alpha = se.boundary_alpha(delta)
+        print(f"delta={delta:.6g} rho_c={rc:.9g} boundary_alpha={alpha:.9g}")
         if args.rho is not None:
-            print(f"m_star={se.minimax_risk_star(args.delta, args.rho):.9g}")
+            print(f"m_star={se.minimax_risk_star(delta, args.rho):.9g}")
     return EXIT_OK
 
 
@@ -244,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_phase = sub.add_parser("phase", help="phase boundary and risk levels")
-    p_phase.add_argument("--delta", type=float, default=0.2)
+    p_phase.add_argument("--delta", type=float, default=None,
+                         help="undersampling m/n of the point query (default 0.2)")
     p_phase.add_argument("--rho", type=float, default=None)
     p_phase.add_argument("--sweep", type=int, default=None,
                          help="emit a boundary sweep with this many points")

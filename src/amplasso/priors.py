@@ -70,9 +70,9 @@ class DiscretePrior:
         return any(w > 0 and a != 0.0 for a, w in zip(self.atoms, self.weights))
 
 
-def delta_prior(c: float = 0.0) -> DiscretePrior:
-    """Degenerate prior putting all mass on ``c``."""
-    return DiscretePrior((float(c),), (1.0,))
+def delta_prior() -> DiscretePrior:
+    """Degenerate prior putting all mass on zero."""
+    return DiscretePrior((0.0,), (1.0,))
 
 
 def three_point(eps: float) -> DiscretePrior:

@@ -20,17 +20,12 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def soft_threshold(y, theta):
     """Shrink toward zero by ``theta`` with dead zone [-theta, theta].
 
-    ``y`` may be a scalar or array; ``theta`` a nonnegative scalar or an
-    array broadcastable against ``y``.  The product order
-    ``sign(y) * max(|y| - theta, 0)`` makes a zero output negative exactly
-    where ``y < 0``; the iteration's fixed-point check tells -0.0 from 0.0.
+    ``y`` may be a scalar or array; ``theta`` is a nonnegative scalar.  The
+    product order ``sign(y) * max(|y| - theta, 0)`` makes a zero output
+    negative exactly where ``y < 0``; the iteration's fixed-point check
+    tells -0.0 from 0.0.
     """
-    if isinstance(theta, float):  # the solvers' case: one Python comparison
-        negative = theta < 0
-    else:
-        theta = np.asarray(theta, dtype=float)
-        negative = np.any(theta < 0)
-    if negative:
+    if theta < 0:
         raise ValueError("theta must be >= 0")
     y = np.asarray(y, dtype=float)
     out = np.sign(y) * np.maximum(np.abs(y) - theta, 0.0)
@@ -58,11 +53,12 @@ class MinimaxResult:
     alpha_sharp: float
 
 
-def minimax_soft_threshold(eps: float, alpha_tol: float = 1e-8) -> MinimaxResult:
+def minimax_soft_threshold(eps: float) -> MinimaxResult:
     """Minimize ``risk_M(eps, .)`` over alpha >= 0 by golden-section search.
 
     The risk is unimodal in alpha; the search domain is capped at
-    sqrt(2*log(1/eps)) + 10, comfortably past the very-sparse optimum.
+    sqrt(2*log(1/eps)) + 10, comfortably past the very-sparse optimum, and
+    the search stops once the bracket on alpha is 1e-8 wide.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -70,7 +66,7 @@ def minimax_soft_threshold(eps: float, alpha_tol: float = 1e-8) -> MinimaxResult
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = risk_M(eps, c), risk_M(eps, d)
-    while hi - lo > alpha_tol:
+    while hi - lo > 1e-8:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)

@@ -12,6 +12,7 @@ is deterministic to machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,26 +69,26 @@ def se_map(tau2: float, theta: float, params: ModelParams) -> float:
     return params.sigma2 + st_mse(params.prior, math.sqrt(tau2), theta) / params.delta
 
 
-def se_run(params: ModelParams, alpha: float, max_iter: int = 10000,
-           tol: float = 1e-13) -> SETrajectory:
-    """Iterate the recursion from tau_0^2 until relative change <= tol.
+def se_run(params: ModelParams, alpha: float, max_iter: int = 10000) -> SETrajectory:
+    """Iterate the recursion from tau_0^2 until its relative change is <= 1e-13.
 
     The map tau^2 -> F(tau^2, alpha*tau) is nondecreasing and concave, so
     the iterates are monotone; the returned limit satisfies the fixed
-    point equation to ~tol relative residual.  Below alpha_min the
+    point equation to ~1e-13 relative residual.  Below alpha_min the
     iterates can grow until tau^2 overflows; the run stops at the first
     non-finite tau^2, which ends the sequence, with ``converged=False``.
     With sigma^2 = 0 below the phase boundary tau^2 decays geometrically
     to 0, which no relative tol meets; once it drops below eps^2 * tau_0^2
     (a floor on tau^2 itself, in the units of the prior) the run stops
     with the limit ``tau_star = 0`` instead of stepping into subnormals.
-    A run with sigma^2 > 0 never meets the floor.
+    A run with sigma^2 > 0 never meets the floor.  An alpha whose threshold
+    at tau_0 has an overflowing square is a ``ValueError``, as the
+    channel could not square it.
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
     tau2 = tau0_squared(params)
+    _check_threshold(alpha, tau2)
     floor = _ZERO_TAU2 * tau2 if params.sigma2 == 0 else 0.0
     tau2_seq = [tau2]
     theta_seq = [alpha * math.sqrt(tau2)]
@@ -98,7 +99,7 @@ def se_run(params: ModelParams, alpha: float, max_iter: int = 10000,
         theta_seq.append(alpha * math.sqrt(tau2_next) if tau2_next > 0 else 0.0)
         if not math.isfinite(tau2_next):
             break
-        done = abs(tau2_next - tau2) <= tol * max(tau2, 1e-300)
+        done = abs(tau2_next - tau2) <= 1e-13 * max(tau2, 1e-300)
         tau2 = tau2_next
         if tau2 < floor:
             tau2 = 0.0
@@ -127,8 +128,20 @@ def alpha_min(delta: float) -> float:
     return float(root)
 
 
+@functools.cache
 def _alpha_floor(delta: float) -> float:
+    """alpha_min(delta) for delta <= 1, else 0; solved once per delta."""
     return alpha_min(delta) if delta <= 1.0 else 0.0
+
+
+def _check_threshold(alpha: float, tau0_2: float) -> None:
+    """Reject an infinite alpha, or one whose threshold at tau_0 has an
+    overflowing square: the channel's ``theta**2`` would raise."""
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if not math.isfinite(alpha * alpha * tau0_2):
+        raise ValueError(f"alpha = {alpha:g} is too large for tau_0^2 = {tau0_2:g}: "
+                         "(alpha * tau_0)^2 overflows")
 
 
 def se_fixed_point(params: ModelParams, alpha: float) -> float:
@@ -137,25 +150,21 @@ def se_fixed_point(params: ModelParams, alpha: float) -> float:
     One bracketing root solve from [sigma^2, tau_0^2], the upper end
     doubled until it brackets the root; the result satisfies the equation
     to 1e-12 relative residual.  Requires sigma^2 > 0 and alpha above
-    :func:`alpha_min`, where uniqueness holds.
+    :func:`alpha_min`, where uniqueness holds, with a finite square of
+    the threshold alpha * tau_0.
     """
-    return _fixed_point(params, alpha, _alpha_floor(params.delta))
-
-
-def _fixed_point(params: ModelParams, alpha: float, floor: float) -> float:
-    """:func:`se_fixed_point` with the alpha floor of ``params.delta`` given."""
     if params.sigma2 <= 0:
         raise ValueError("sigma2 must be > 0 for the fixed point")
+    floor = _alpha_floor(params.delta)
     if alpha <= floor:
         raise ValueError(f"alpha must exceed alpha_min = {floor:.6f}")
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    hi = tau0_squared(params)
+    _check_threshold(alpha, hi)
 
     def g(tau2):
         return se_map(tau2, alpha * math.sqrt(tau2), params) - tau2
 
     lo = params.sigma2  # g(sigma^2) = st_mse/delta >= 0
-    hi = tau0_squared(params)
     while g(hi) > 0:
         hi *= 2.0
         if hi > 1e12:
@@ -171,25 +180,20 @@ def calibrate_lambda(alpha: float, params: ModelParams) -> float:
     negative values occur just above alpha_min and are returned as-is (the
     usable branch is where the value is positive).
     """
-    return _calibrate(alpha, params, _alpha_floor(params.delta))
-
-
-def _calibrate(alpha: float, params: ModelParams, floor: float) -> float:
-    """:func:`calibrate_lambda` with the alpha floor of ``params.delta`` given."""
-    tau_star = _fixed_point(params, alpha, floor)
+    tau_star = se_fixed_point(params, alpha)
     theta_star = alpha * tau_star
     keep = st_keep_prob(params.prior, tau_star, theta_star)
     return theta_star * (1.0 - keep / params.delta)
 
 
-def alpha_of_lambda(lam: float, params: ModelParams, alpha_tol: float = 1e-8,
-                    alpha_cap: float = 1e3) -> float:
+def alpha_of_lambda(lam: float, params: ModelParams) -> float:
     """Invert the calibration: the alpha with calibrate_lambda(alpha) = lam.
 
     Brackets from just above alpha_min (where the calibration dives
     negative) and grows the upper end geometrically until it clears
-    ``lam``; fails loudly if no bracket exists below ``alpha_cap``.
-    alpha_min is solved once per call and shared by every calibration.
+    ``lam``; fails loudly if no bracket exists below alpha = 1000.  The
+    root is found to 1e-8 in alpha.  alpha_min is solved once per delta
+    and shared by every calibration at it.
     """
     if lam <= 0:
         raise ValueError("lam must be > 0")
@@ -197,20 +201,20 @@ def alpha_of_lambda(lam: float, params: ModelParams, alpha_tol: float = 1e-8,
 
     offset = 0.5
     lo = floor + offset
-    while _calibrate(lo, params, floor) >= lam:
+    while calibrate_lambda(lo, params) >= lam:
         offset *= 0.25
         if offset < 1e-9:
             raise TheoryError("could not bracket alpha from below; lam too small?")
         lo = floor + offset
 
     hi = max(2.0 * lo, lo + 1.0)
-    while _calibrate(hi, params, floor) < lam:
+    while calibrate_lambda(hi, params) < lam:
         hi *= 2.0
-        if hi > alpha_cap:
-            raise TheoryError(f"no alpha below {alpha_cap} reaches lam={lam}")
+        if hi > 1e3:
+            raise TheoryError(f"no alpha below 1000.0 reaches lam={lam}")
 
-    root = optimize.brentq(lambda a: _calibrate(a, params, floor) - lam,
-                           lo, hi, xtol=alpha_tol, rtol=8.9e-16)
+    root = optimize.brentq(lambda a: calibrate_lambda(a, params) - lam,
+                           lo, hi, xtol=1e-8, rtol=8.9e-16)
     return float(root)
 
 

@@ -820,7 +820,7 @@ class TestCycleReplay:
     @pytest.mark.parametrize("tol, ends_in", [(1e-15, "tol"), (1e-17, "cycle")])
     def test_positive_tolerance(self, bench_params, tol, ends_in):
         # the plain IST loop of the LASSO reference, which itself finishes
-        # on its sign pattern for 0 < tol < 1e-6; at 1e-17 it ends in a
+        # on its sign pattern for tol > 0; at 1e-17 it ends in a
         # cycle whose period exceeds 1, which the loop steps to max_iter
         inst = gen_gaussian_instance(200, bench_params, seed=3)
         scaled, c = _rescaled(inst, 0.95)
@@ -900,7 +900,7 @@ class TestCycleReplay:
     def test_reference_equals_the_sign_tol_composition(self, bench_params, c4_references,
                                                        ensemble, seeds):
         # the reference as first composed: IST to a relative change of
-        # _SIGN_TOL, one solve on that sign pattern, then IST from its point
+        # 1e-6, one solve on that sign pattern, then IST from its point
         for seed in seeds:
             if ensemble == GAUSSIAN:
                 inst, lam, res = c4_references[seed][:3]
@@ -910,7 +910,7 @@ class TestCycleReplay:
                 res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=10000)
             scaled, c = _rescaled(inst, 0.95)
             policy = ThresholdPolicy.fixed(lam * c * c)
-            head = iterate(scaled, policy, 10000, amp_module._SIGN_TOL, False)
+            head = iterate(scaled, policy, 10000, 1e-6, False)
             x = amp_module._solve_on_signs(inst, lam, head.x_hat)
             start = amp_module._state_at(scaled, policy, x, head.iterations + 1)
             old = iterate(scaled, policy, 10000, 1e-15, False, start=start)
@@ -919,6 +919,21 @@ class TestCycleReplay:
             assert ((res.tau_hat, res.theta, res.b, res.stop, res.scale)
                     == (old.tau_hat, old.theta, old.b, old.stop, c))
             assert res.iterations <= old.iterations
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-5, 1e-6])
+    def test_loose_tol_finishes_no_worse_than_plain_ist(self, c4_references, tol):
+        # the sign pattern does not depend on tol, so the finish also serves a
+        # loose one: never a larger KKT gap than plain IST to tol, and at most
+        # one step more, the confirming step of a trial that passes on the
+        # chunk before plain IST's stop (seed 5 at 1e-4: 62 steps against 61)
+        for inst, lam, *_ in c4_references.values():
+            scaled, c = _rescaled(inst, 0.95)
+            plain = iterate(scaled, ThresholdPolicy.fixed(lam * c * c), 10000, tol, False)
+            res = ist_solve_lasso(inst, lam, tol=tol)
+            assert res.stop == plain.stop == "tol"
+            assert res.iterations <= plain.iterations + 1
+            assert (lasso_kkt_gap(inst, res.x_hat, lam)
+                    <= lasso_kkt_gap(inst, plain.x_hat, lam))
 
     @pytest.mark.parametrize("forced, n, seed", [("dropped", 500, 2), ("hold1", 200, 1)])
     def test_wrong_sign_pattern_still_reaches_the_minimizer(

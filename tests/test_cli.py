@@ -30,6 +30,7 @@ def test_import_leaves_out_scipy_stats_and_integrate():
 
 
 MODEL = {"--delta", "--sigma2", "--prior", "--alpha"}
+HUGE_ALPHA = "alpha = {} is too large for tau_0^2 = 0.4: (alpha * tau_0)^2 overflows"
 FLAGS = {
     "solve": MODEL | {"--n", "--ensemble", "--seeds", "--lambda", "--max-iter", "--tol",
                       "--engine", "--out"},
@@ -136,9 +137,10 @@ class TestSolve:
         short = solve("--max-iter", "5")
         assert short["iterations"] == "5" and short["converged"] == "False"
         assert short["stop"] == "max_iter"
-        # plain IST to a loose tol stops far from the minimizer, in about as many
-        # steps (39 against 38) as the reference takes to rounding level
-        assert float(solve("--tol", "1e-3")["kkt_gap"]) > 1e6 * float(out["kkt_gap"])
+        # a loose tol still lands on the minimizer: the sign pattern holds long
+        # before the run's change of x drops below 1e-3 (plain IST to 1e-3 took
+        # 39 steps and stopped at kkt_gap=7.271e-03)
+        assert solve("--tol", "1e-3") == out
 
     def test_reports_a_cycle_stop(self, capsys):
         def solve(lam, max_iter):
@@ -278,15 +280,37 @@ class TestSolve:
           "--seeds", "0"], "lambda grid values must be finite"),
         (["se", "--alpha", "inf"], "alpha must be finite"),
         (["calibrate", "--alpha", "inf"], "alpha must be finite"),
+        (["se", "--alpha", "1e200"], HUGE_ALPHA.format("1e+200")),
+        (["calibrate", "--alpha", "1e200"], HUGE_ALPHA.format("1e+200")),
+        (["experiment", "--kind", "SE_TRACKING", "--n", "100", "--alpha", "1e308"],
+         HUGE_ALPHA.format("1e+308")),
+        (["experiment", "--kind", "RESAMPLED_ORACLE", "--n", "100", "--alpha", "1e200"],
+         HUGE_ALPHA.format("1e+200")),
     ], ids=["solve_alpha", "ist_alpha", "ist_lambda", "se_tracking_alpha",
-            "experiment_lambda", "se_alpha", "calibrate_alpha"])
+            "experiment_lambda", "se_alpha", "calibrate_alpha", "se_huge_alpha",
+            "calibrate_huge_alpha", "se_tracking_huge_alpha", "oracle_huge_alpha"])
     def test_infinite_level_is_spec_error(self, argv, err, capsys):
         # the three solves printed theta=inf effective_lambda=inf kkt_gap=0.000e+00
         # and SE_TRACKING its rows, each exiting 0, as se did with tau0^2=0.4
         # steps=1; the lambda grid failed only in alpha_of_lambda, on a bracket
-        # with no root, and calibrate only in brentq, on a NaN
+        # with no root, and calibrate only in brentq, on a NaN; a huge finite
+        # alpha ended in an OverflowError traceback from the channel's theta**2,
+        # exiting 1
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_huge_finite_alpha_solves_to_zero(self, capsys):
+        # the solver has no squared threshold: x = 0 is the answer
+        assert main(["solve", "--n", "100", "--alpha", "1e200"]) == 0
+        out = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+        assert out["nnz"] == "0" and out["stop"] == "tol"
+
+    def test_mp_bound_is_checked_before_solving(self, capsys):
+        # it used to run AMP and print its four result lines before exiting 2
+        assert main(["solve", "--n", "3000", "--engine", "mp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: mp cross-check is desk-scale only (m*n too large)\n"
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--n", "100", "--tol", "nan"],
@@ -377,6 +401,22 @@ class TestPhase:
         code = main(["phase", "--sweep", "7", "--out", str(tmp_path / "pt")])
         assert code == 0
         assert (tmp_path / "pt_boundary.csv").exists()
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--sweep", "3", "--rho", "0.1", "--delta", "0.5"],
+         "phase --sweep takes no --delta, --rho"),
+        (["--sweep", "3", "--delta", "0.2"], "phase --sweep takes no --delta"),
+        (["--delta", "0.2", "--out", "pt"], "phase --out needs --sweep"),
+        (["--rho", "0.1", "--out", "pt"], "phase --out needs --sweep"),
+    ], ids=["sweep_delta_rho", "sweep_delta", "point_out", "point_rho_out"])
+    def test_flag_of_the_other_mode_is_spec_error(self, argv, err, tmp_path, monkeypatch,
+                                                   capsys):
+        # the sweep ignored --delta and --rho and exited 0; the point query
+        # ignored --out and wrote nothing
+        monkeypatch.chdir(tmp_path)
+        assert main(["phase", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExperiment:

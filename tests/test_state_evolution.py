@@ -242,10 +242,11 @@ class TestCalibration:
             return alpha_min(delta)
 
         monkeypatch.setattr(se, "alpha_min", counted)
+        se._alpha_floor.cache_clear()
         for lam in (1e-3, 1.0, 5.0):
-            calls.clear()
             alpha_of_lambda(lam, bench_params)
-            assert calls == [0.64]
+        lasso_risk(1.0, bench_params)
+        assert calls == [0.64]  # one per delta, not one per inversion
         # the value a floor solved per calibration gave, to the bit
         assert alpha_of_lambda(1.0, bench_params) == 1.9458458093547715
 
