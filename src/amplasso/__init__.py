@@ -17,8 +17,8 @@ from .harness import ExperimentResult, ExperimentSpec, run_experiment
 from .instances import (Instance, ModelParams, gen_gaussian_instance,
                         gen_instance, gen_planted_instance, measurement_count)
 from .message_passing import reduced_mp_estimate, reduced_mp_step
-from .priors import (DiscretePrior, delta_prior, sample_with_rng, st_keep_prob,
-                     st_mse, three_point)
+from .priors import (DiscretePrior, sample_with_rng, st_keep_prob, st_mse,
+                     three_point)
 from .scalar_risk import (MinimaxResult, minimax_soft_threshold, risk_M,
                           soft_threshold)
 from .state_evolution import (LassoRiskPrediction, SETrajectory, TheoryError,

@@ -27,6 +27,7 @@ from .scalar_risk import soft_threshold
 _BLOWUP_FACTOR = 1e6
 _EPS = float(np.finfo(float).eps)
 _LANCZOS_BLOCK = 64  # Lanczos vectors per block of the basis; blocks are never copied
+_LANCZOS_MAX_STEPS = 1000  # operator_norm raises if these end before its certificate
 # The LASSO reference tries a sign pattern once it has held over _SIGN_HOLD
 # steps (see ist_solve_lasso).
 _SIGN_HOLD = 4
@@ -266,26 +267,25 @@ def amp_run(instance: Instance, policy: ThresholdPolicy, max_iter: int = 200,
     return iterate(instance, policy, max_iter, tol, True, observe)
 
 
-def operator_norm(a: np.ndarray, max_iter: int = 1000, seed: int = 0) -> float:
+def operator_norm(a: np.ndarray) -> float:
     """Top singular value, rounded up, by Lanczos on the smaller Gram operator.
 
     Runs Lanczos with full reorthogonalization on ``A A'`` (m <= n) or
     ``A'A``, applied as two matrix-vector products.  After each of at most
-    ``max_iter`` steps, the top Ritz pair (theta, s) of the tridiagonal
-    matrix (from LAPACK bisection and inverse iteration, O(j) work at step
-    j) has residual norm rho = beta * |s_last| (plus the rounding error
+    1000 steps, the top Ritz pair (theta, s) of the tridiagonal matrix
+    (from LAPACK bisection and inverse iteration, O(j) work at step j)
+    has residual norm rho = beta * |s_last| (plus the rounding error
     of the recurrence, (m + n) * eps * theta), and an eigenvalue of the
     Gram operator lies in [theta - rho, theta + rho].  The iteration
     stops once rho <= 1e-6 * theta and returns sqrt(theta + rho): with
     the top eigenvalue found, sqrt(theta) <= sigma_1 <= sqrt(theta + rho),
     so the result is at most 1e-6 (relative) above the top singular value and
-    never below it, a safe bound for a unit step.  If ``max_iter`` steps
-    end before the stop rule holds (and before the Krylov space is
+    never below it, a safe bound for a unit step.  If the 1000 steps end
+    before the stop rule holds (and before the Krylov space is
     exhausted), nothing is certified and :class:`numpy.linalg.LinAlgError`
-    is raised.  Deterministic for a fixed seed; 0.0 for a zero matrix.
+    is raised.  The start vector is a fixed draw (``default_rng(0)``), so
+    the result is deterministic; 0.0 for a zero matrix.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     m, n = a.shape
     k = min(m, n)
     if m <= n:
@@ -294,14 +294,14 @@ def operator_norm(a: np.ndarray, max_iter: int = 1000, seed: int = 0) -> float:
     else:
         def gram(v):
             return a.T @ (a @ v)
-    q = np.random.default_rng(seed).standard_normal(k)
+    q = np.random.default_rng(0).standard_normal(k)
     q /= np.linalg.norm(q)
     blocks: list[np.ndarray] = []
     q_prev = None
     alphas: list[float] = []
     betas: list[float] = []
     theta = rho = 0.0
-    for j in range(min(max_iter, k)):
+    for j in range(min(_LANCZOS_MAX_STEPS, k)):
         row = j % _LANCZOS_BLOCK
         if row == 0:
             blocks.append(np.empty((min(_LANCZOS_BLOCK, k - j), k)))
@@ -323,9 +323,9 @@ def operator_norm(a: np.ndarray, max_iter: int = 1000, seed: int = 0) -> float:
             break
         q_prev, q = q, w / betas[-1]
     else:
-        if max_iter < k:  # stopped early: theta may not be the top eigenvalue yet
-            raise np.linalg.LinAlgError(
-                f"Lanczos did not certify the operator norm in {max_iter} steps")
+        if _LANCZOS_MAX_STEPS < k:  # stopped early: theta may not be the top eigenvalue yet
+            raise np.linalg.LinAlgError("Lanczos did not certify the operator norm in "
+                                        f"{_LANCZOS_MAX_STEPS} steps")
     return math.sqrt(theta + rho)
 
 

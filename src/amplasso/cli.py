@@ -107,7 +107,9 @@ def cmd_solve(args) -> int:
     else:
         result = amp_run(instance, ThresholdPolicy.rms(alpha), max_iter=args.max_iter,
                          tol=args.tol, observe=observe)
-        lam_eff = effective_lambda(result.x_hat, result.theta, instance.m)
+        # undefined at ||x||_0 >= m: printed as nan, with a nan kkt_gap
+        lam_eff = (effective_lambda(result.x_hat, result.theta, instance.m)
+                   if np.count_nonzero(result.x_hat) < instance.m else float("nan"))
     mse = float(np.mean((result.x_hat - instance.x0) ** 2))
     gap = lasso_kkt_gap(instance, result.x_hat, lam_eff) if lam_eff > 0 else float("nan")
     print(f"n={args.n} m={instance.m} ensemble={args.ensemble} seed={args.seed} "

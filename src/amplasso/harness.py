@@ -245,7 +245,9 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
 
     Each lambda is mapped to its threshold multiplier once; the solver then
     runs adaptively and the realized effective lambda is recorded for
-    audit.  Per-seed failures are recorded without aborting the sweep.
+    audit; a cell that ends with ||x||_0 >= m, where it is undefined,
+    records ``effective_lambda: None`` and its other results as usual.
+    Per-seed failures are recorded without aborting the sweep.
     A row's ``empirical_mse_mean`` is over every cell that did not blow up,
     whether it converged or not; ``converged_cells`` counts the cells that
     stopped on ``tol``.
@@ -267,7 +269,8 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
             res = amp_run(instance, ThresholdPolicy.rms(alpha),
                           max_iter=spec.max_iter, tol=spec.tol)
             mse = float(np.mean((res.x_hat - instance.x0) ** 2))
-            lam_eff = effective_lambda(res.x_hat, res.theta, instance.m)
+            lam_eff = (effective_lambda(res.x_hat, res.theta, instance.m)
+                       if np.count_nonzero(res.x_hat) < instance.m else None)
             return {"lambda": lam, "seed_index": seed_index, "mse": mse,
                     "effective_lambda": lam_eff, "converged": res.converged,
                     "iterations": res.iterations, "stop": res.stop, "error": None,
@@ -350,21 +353,14 @@ def _mse_rows(rows: list[dict], instance, engine: str, nnz: int, seed_index: int
     return observe
 
 
-def iterations_to_mse(rows: list[dict], engine: str, nnz: int,
-                      target: float) -> int | None:
-    """First iteration index at which the recorded MSE drops to ``target``."""
-    hits = [r["t"] for r in rows
-            if r["engine"] == engine and r["nnz"] == nnz and r["mse"] <= target]
-    return min(hits) if hits else None
-
-
 def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
     """Distribution of un-thresholded estimates on the true +1 coordinates.
 
     Pools ``(x_t + A'r_t)_i`` over instances at the target iteration for
     both engines, fits a Gaussian, and runs a one-sample KS test against
     the fit.  The corrected iteration should center on +1 and look
-    Gaussian; the plain one should not.
+    Gaussian; the plain one should not.  Fewer than two pooled +1
+    coordinates have no sample sd: a ``ValueError``.
     """
     if spec.t_target < 1:
         raise ValueError("t_target must be >= 1")
@@ -395,6 +391,10 @@ def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
     pooled = [one_instance(value) for value in spec.seeds]
     u_amp = np.concatenate([p[0] for p in pooled])
     u_ist = np.concatenate([p[1] for p in pooled])
+    if u_amp.size < 2:  # a sample sd needs two values
+        raise ValueError(f"{NOISE_HISTOGRAM} needs 2 pooled coordinates with x0 = +1, "
+                         f"got {u_amp.size} (nnz level {nnz}, {len(spec.seeds)} seeds); "
+                         "raise nnz_levels or add seeds")
 
     rows: list[dict] = []
     summaries: dict[str, dict] = {}

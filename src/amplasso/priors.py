@@ -61,18 +61,14 @@ class DiscretePrior:
 
     @property
     def second_moment(self) -> float:
-        """E{X0^2}."""
-        return float(np.dot(self.weight_array, self.atom_array**2))
+        """E{X0^2}; inf, without a warning, when an atom's square overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.dot(self.weight_array, self.atom_array**2))
 
     @property
     def has_signal_mass(self) -> bool:
         """True when P{X0 != 0} > 0."""
         return any(w > 0 and a != 0.0 for a, w in zip(self.atoms, self.weights))
-
-
-def delta_prior() -> DiscretePrior:
-    """Degenerate prior putting all mass on zero."""
-    return DiscretePrior((0.0,), (1.0,))
 
 
 def three_point(eps: float) -> DiscretePrior:

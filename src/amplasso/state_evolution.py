@@ -58,8 +58,13 @@ class LassoRiskPrediction:
 
 
 def tau0_squared(params: ModelParams) -> float:
-    """Starting point sigma^2 + E{X0^2}/delta."""
-    return params.sigma2 + params.prior.second_moment / params.delta
+    """Starting point sigma^2 + E{X0^2}/delta; a ``ValueError`` for a prior whose
+    E{X0^2} overflows, which no alpha could make finite."""
+    second_moment = params.prior.second_moment
+    if not math.isfinite(second_moment):
+        raise ValueError(f"prior has E{{X0^2}} = {second_moment:g}: "
+                         "the squares of its atoms overflow")
+    return params.sigma2 + second_moment / params.delta
 
 
 def se_map(tau2: float, theta: float, params: ModelParams) -> float:
@@ -83,7 +88,8 @@ def se_run(params: ModelParams, alpha: float, max_iter: int = 10000) -> SETrajec
     with the limit ``tau_star = 0`` instead of stepping into subnormals.
     A run with sigma^2 > 0 never meets the floor.  An alpha whose threshold
     at tau_0 has an overflowing square is a ``ValueError``, as the
-    channel could not square it.
+    channel could not square it, and so is a prior whose E{X0^2}
+    overflows (:func:`tau0_squared`).
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
@@ -150,8 +156,8 @@ def se_fixed_point(params: ModelParams, alpha: float) -> float:
     One bracketing root solve from [sigma^2, tau_0^2], the upper end
     doubled until it brackets the root; the result satisfies the equation
     to 1e-12 relative residual.  Requires sigma^2 > 0 and alpha above
-    :func:`alpha_min`, where uniqueness holds, with a finite square of
-    the threshold alpha * tau_0.
+    :func:`alpha_min`, where uniqueness holds, a prior with a finite
+    E{X0^2} and a finite square of the threshold alpha * tau_0.
     """
     if params.sigma2 <= 0:
         raise ValueError("sigma2 must be > 0 for the fixed point")

@@ -226,6 +226,33 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == "numerical failure: residual scale tau_hat = inf\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["se"],
+        ["calibrate", "--lambda", "1"],
+        ["experiment", "--kind", "MSE_VS_LAMBDA", "--n", "60", "--lambdas", "1"],
+        ["solve", "--n", "50", "--lambda", "1"],
+    ], ids=["se", "calibrate", "mse_vs_lambda", "solve_lambda"])
+    def test_overflowing_prior_is_spec_error(self, argv, capsys):
+        # each printed numpy's overflow warning and then blamed alpha:
+        # "alpha = 2 is too large for tau_0^2 = inf"; solve without --lambda
+        # asks no theory and stays the numerical failure above
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--prior", '{"atoms": [0, 1e300], "weights": [0.9, 0.1]}'])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: prior has E{X0^2} = inf: "
+                                "the squares of its atoms overflow\n")
+
+    def test_undefined_effective_lambda_prints_nan(self, capsys):
+        # the run ends with ||x||_0 = 47 >= m = 38; solve used to exit 2 with
+        # "effective lambda undefined" after the solve had finished
+        assert main(["solve", "--n", "60", "--lambda", "0.02", "--seeds", "5"]) == 0
+        out = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+        assert (out["m"], out["nnz"], out["stop"]) == ("38", "47", "max_iter")
+        assert out["effective_lambda"] == "nan" and out["kkt_gap"] == "nan"
+
     @pytest.mark.parametrize("argv, err", [
         (["solve", "--n", "100", "--alpha", "nan"], "alpha must be > 0"),
         (["experiment", "--kind", "SE_TRACKING", "--n", "100", "--alpha", "nan"],
@@ -505,6 +532,35 @@ class TestExperiment:
         assert main(["experiment", "--kind", "NOISE_HISTOGRAM", "--n", "100",
                      "--delta", "0.5", "--sigma2", "0", "--nnz-levels", "10", "20"]) == 2
         assert "one nnz level" in capsys.readouterr().err
+
+    def test_cell_with_undefined_effective_lambda_is_recorded(self, tmp_path):
+        # four cells end with ||x||_0 >= m = 38; the first of them used to
+        # abort the sweep, exiting 2 with "effective lambda undefined"
+        out = tmp_path / "mvl"
+        assert main(["experiment", "--kind", "MSE_VS_LAMBDA", "--n", "60",
+                     "--seeds", *map(str, range(8)), "--lambdas", "0.02",
+                     "--max-iter", "300", "--out", str(out)]) == 0
+        outcomes = json.loads((tmp_path / "mvl.manifest.json").read_text())["outcomes"]
+        undefined = [c for c in outcomes if c["effective_lambda"] is None]
+        assert [c["seed_index"] for c in undefined] == [0, 3, 5, 6]
+        for cell in undefined:
+            assert cell["mse"] > 0 and cell["error"] is None
+            assert (cell["iterations"], cell["stop"]) == (300, "max_iter")
+
+    @pytest.mark.parametrize("nnz, seeds, count", [("0", ["0", "1"], 0),
+                                                   ("1", ["0", "1", "2", "3"], 1)])
+    def test_noise_histogram_needs_two_plus_one_coordinates(self, nnz, seeds, count,
+                                                            capsys):
+        # it printed numpy's and scipy's warnings and exited 0 with NaN summaries
+        # (one coordinate has no sample sd)
+        assert main(["experiment", "--kind", "NOISE_HISTOGRAM", "--n", "60",
+                     "--nnz-levels", nnz, "--delta", "0.5", "--sigma2", "0",
+                     "--seeds", *seeds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: NOISE_HISTOGRAM needs 2 pooled coordinates with x0 = +1, got {count} "
+            f"(nnz level {nnz}, {len(seeds)} seeds); raise nnz_levels or add seeds\n")
 
     def test_convergence_without_nnz_levels_is_spec_error(self, capsys):
         # it used to print rows=0 and exit 0

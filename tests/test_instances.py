@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amplasso import (ModelParams, ThresholdPolicy, amp_run, delta_prior,
+from amplasso import (DiscretePrior, ModelParams, ThresholdPolicy, amp_run,
                       gen_gaussian_instance, gen_instance, gen_planted_instance,
                       measurement_count, sample_with_rng, three_point)
 from amplasso.instances import (ENSEMBLES, GAUSSIAN, RADEMACHER, ConditionedGaussian,
@@ -48,7 +48,7 @@ class TestGaussianInstance:
         assert inst.y.tobytes() == (a @ x0 + w).tobytes()
 
     def test_zero_signal_zero_noise(self):
-        params = ModelParams(delta=0.5, sigma2=0.0, prior=delta_prior())
+        params = ModelParams(delta=0.5, sigma2=0.0, prior=DiscretePrior((0.0,), (1.0,)))
         inst = gen_gaussian_instance(100, params, seed=1)
         assert np.array_equal(inst.y, np.zeros(inst.m))
 

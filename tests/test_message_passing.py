@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from amplasso import (ModelParams, ThresholdPolicy, amp_step, gen_gaussian_instance,
-                      gen_instance, initial_state, soft_threshold, three_point)
+from amplasso import (DiscretePrior, ModelParams, ThresholdPolicy, amp_step,
+                      gen_gaussian_instance, gen_instance, initial_state, soft_threshold,
+                      three_point)
 from amplasso.instances import RADEMACHER, Instance
 from amplasso.message_passing import reduced_mp_estimate, reduced_mp_step
 
@@ -47,8 +48,7 @@ class TestReducedMp:
                                                            r_msgs.shape))
 
     def test_zero_data_zero_fixed_point(self):
-        from amplasso import delta_prior
-        params = ModelParams(delta=0.5, sigma2=0.0, prior=delta_prior())
+        params = ModelParams(delta=0.5, sigma2=0.0, prior=DiscretePrior((0.0,), (1.0,)))
         inst = gen_gaussian_instance(30, params, seed=4)
         x_msgs = np.zeros((inst.m, inst.n))
         for _ in range(5):

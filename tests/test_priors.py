@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amplasso import (DiscretePrior, delta_prior, sample_with_rng, st_keep_prob,
-                      st_mse, three_point)
+from amplasso import (DiscretePrior, sample_with_rng, st_keep_prob, st_mse,
+                      three_point)
 from amplasso.gaussians import Phi, phi
+
+ZERO_PRIOR = DiscretePrior((0.0,), (1.0,))  # all mass on zero
 
 
 class TestDiscretePrior:
@@ -37,7 +39,7 @@ class TestDiscretePrior:
             DiscretePrior(atoms, weights)
 
     def test_second_moment_delta0(self):
-        assert delta_prior().second_moment == 0.0
+        assert ZERO_PRIOR.second_moment == 0.0
 
     def test_second_moment_three_point(self):
         assert three_point(0.128).second_moment == pytest.approx(0.128, abs=1e-15)
@@ -48,12 +50,12 @@ class TestDiscretePrior:
 
     def test_signal_mass_flag(self):
         assert three_point(0.1).has_signal_mass
-        assert not delta_prior().has_signal_mass
+        assert not ZERO_PRIOR.has_signal_mass
 
 
 class TestSample:
     def test_degenerate_prior(self):
-        x = sample_with_rng(delta_prior(), 5, np.random.default_rng(1))
+        x = sample_with_rng(ZERO_PRIOR, 5, np.random.default_rng(1))
         assert np.array_equal(x, np.zeros(5))
 
     def test_deterministic_given_seed(self):
@@ -74,25 +76,25 @@ class TestSample:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            sample_with_rng(delta_prior(), 0, np.random.default_rng(0))
+            sample_with_rng(ZERO_PRIOR, 0, np.random.default_rng(0))
 
 
 class TestStMseClosedForm:
     def test_identity_channel(self):
         # theta=0 makes the threshold the identity: error is pure noise
-        assert st_mse(delta_prior(), 1.0, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert st_mse(ZERO_PRIOR, 1.0, 0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_prior_matches_half_risk_formula(self):
         # E{eta(Z; a)^2} = 2(1+a^2)Phi(-a) - 2a phi(a)
         for a in (0.3, 1.0, 2.5):
             expected = 2 * (1 + a**2) * Phi(-a) - 2 * a * phi(a)
-            assert st_mse(delta_prior(), 1.0, a) == pytest.approx(expected, rel=1e-13)
+            assert st_mse(ZERO_PRIOR, 1.0, a) == pytest.approx(expected, rel=1e-13)
 
     def test_scale_identity_zero_prior(self):
         for tau in (0.3, 1.7):
             for a in (0.5, 2.0):
-                lhs = st_mse(delta_prior(), tau, a * tau)
-                rhs = tau**2 * st_mse(delta_prior(), 1.0, a)
+                lhs = st_mse(ZERO_PRIOR, tau, a * tau)
+                rhs = tau**2 * st_mse(ZERO_PRIOR, 1.0, a)
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_huge_threshold_kills_everything(self):
@@ -107,9 +109,9 @@ class TestStMseClosedForm:
 
     def test_rejects_bad_channel(self):
         with pytest.raises(ValueError):
-            st_mse(delta_prior(), 0.0, 1.0)
+            st_mse(ZERO_PRIOR, 0.0, 1.0)
         with pytest.raises(ValueError):
-            st_mse(delta_prior(), 1.0, -0.5)
+            st_mse(ZERO_PRIOR, 1.0, -0.5)
 
 
 def st_mse_reference(prior, tau, theta):
@@ -134,7 +136,7 @@ def st_keep_prob_reference(prior, tau, theta):
 class TestReferenceFormulas:
     """The channel sums equal, bit for bit, the per-branch expressions above."""
 
-    PRIORS = (three_point(0.128), delta_prior(), DiscretePrior((2.5,), (1.0,)),
+    PRIORS = (three_point(0.128), ZERO_PRIOR, DiscretePrior((2.5,), (1.0,)),
               DiscretePrior((-2.0, 0.0, 0.5, 3.0), (0.1, 0.6, 0.2, 0.1)))
 
     @pytest.mark.parametrize("prior", PRIORS, ids=range(len(PRIORS)))
@@ -158,7 +160,7 @@ class TestStKeepProb:
 
     def test_zero_prior_symmetry(self):
         for a in (0.4, 1.3, 2.2):
-            assert st_keep_prob(delta_prior(), 1.0, a) == pytest.approx(
+            assert st_keep_prob(ZERO_PRIOR, 1.0, a) == pytest.approx(
                 2 * Phi(-a), rel=1e-13)
 
     @settings(max_examples=80, deadline=None)

@@ -7,18 +7,20 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from amplasso import (ModelParams, TheoryError, alpha_min, alpha_of_lambda,
-                      boundary_alpha, calibrate_lambda, delta_prior, lasso_risk,
+from amplasso import (DiscretePrior, ModelParams, TheoryError, alpha_min, alpha_of_lambda,
+                      boundary_alpha, calibrate_lambda, lasso_risk,
                       minimax_risk_star, minimax_soft_threshold,
                       parametric_boundary, rho_c, risk_M, se_fixed_point,
                       se_map, se_run, st_mse, three_point)
 from amplasso.gaussians import Phi, phi
 from amplasso.state_evolution import tau0_squared
 
+ZERO_PRIOR = DiscretePrior((0.0,), (1.0,))  # all mass on zero
+
 
 class TestSeMap:
     def test_identity_threshold_zero_prior(self):
-        params = ModelParams(delta=0.5, sigma2=0.3, prior=delta_prior())
+        params = ModelParams(delta=0.5, sigma2=0.3, prior=ZERO_PRIOR)
         for tau2 in (0.2, 1.0, 4.0):
             assert se_map(tau2, 0.0, params) == pytest.approx(
                 0.3 + tau2 / 0.5, rel=1e-13)
@@ -43,7 +45,7 @@ class TestSeMap:
         assert np.all(d2 <= 1e-10)
 
     def test_concavity_other_priors(self):
-        for prior, alpha in ((three_point(0.4), 1.0), (delta_prior(), 1.5),
+        for prior, alpha in ((three_point(0.4), 1.0), (ZERO_PRIOR, 1.5),
                              (three_point(0.05), 3.0)):
             params = ModelParams(delta=0.4, sigma2=0.05, prior=prior)
             grid = np.linspace(0.05, 4.0, 50)
@@ -71,7 +73,7 @@ class TestSeRun:
         assert resid <= 1e-12 * t2
 
     def test_zero_prior_large_alpha_approaches_noise_floor(self):
-        params = ModelParams(delta=0.5, sigma2=0.3, prior=delta_prior())
+        params = ModelParams(delta=0.5, sigma2=0.3, prior=ZERO_PRIOR)
         traj = se_run(params, alpha=6.0)
         assert traj.tau_star**2 == pytest.approx(0.3, rel=1e-6)
 
@@ -90,6 +92,16 @@ class TestSeRun:
         assert len(traj.tau2_sequence) < 10001
         assert traj.tau2_sequence[-1] == math.inf
         assert all(math.isfinite(t2) for t2 in traj.tau2_sequence[:-1])
+
+    @pytest.mark.parametrize("solve", [se_run, se_fixed_point])
+    def test_prior_whose_second_moment_overflows_is_rejected(self, solve):
+        # both warned of the overflow in the atoms' squares and then blamed
+        # alpha: "alpha = 2 is too large for tau_0^2 = inf"
+        prior = DiscretePrior((0.0, 1e300), (0.9, 0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"prior has E\{X0\^2\} = inf"):
+                solve(ModelParams(delta=0.64, sigma2=0.2, prior=prior), 2.0)
 
     @pytest.mark.parametrize("delta, alpha", [(0.5, 1.2), (0.64, 1.2)])
     def test_noiseless_run_below_the_boundary_reaches_zero(self, delta, alpha):
@@ -137,7 +149,7 @@ class TestAlphaMin:
 
 class TestSeFixedPoint:
     def test_zero_prior_closed_form(self):
-        params = ModelParams(delta=0.64, sigma2=0.2, prior=delta_prior())
+        params = ModelParams(delta=0.64, sigma2=0.2, prior=ZERO_PRIOR)
         for alpha in (1.0, 2.0, 3.0):
             tau_star = se_fixed_point(params, alpha)
             expected = 0.2 / (1.0 - risk_M(0.0, alpha) / 0.64)
@@ -148,7 +160,7 @@ class TestSeFixedPoint:
         delta, sigma2 = 0.64, 0.2
         alpha = optimize.brentq(lambda a: risk_M(0.0, a) - delta / 2, 0.0, 10.0,
                                 xtol=1e-13)
-        params = ModelParams(delta=delta, sigma2=sigma2, prior=delta_prior())
+        params = ModelParams(delta=delta, sigma2=sigma2, prior=ZERO_PRIOR)
         assert se_fixed_point(params, alpha)**2 == pytest.approx(2 * sigma2,
                                                                  rel=1e-9)
 
@@ -193,7 +205,7 @@ class TestSeFixedPoint:
 
 class TestCalibration:
     def test_zero_prior_plug_in(self):
-        params = ModelParams(delta=1.0, sigma2=0.1, prior=delta_prior())
+        params = ModelParams(delta=1.0, sigma2=0.1, prior=ZERO_PRIOR)
         alpha = 3.0
         tau_star = se_fixed_point(params, alpha)
         expected = alpha * tau_star * (1 - 2 * Phi(-alpha))
@@ -266,7 +278,7 @@ class TestLassoRisk:
         assert all(m2 >= m1 - 1e-12 for m1, m2 in zip(mses[k:], mses[k + 1:]))
 
     def test_rejects_zero_prior(self):
-        params = ModelParams(delta=0.64, sigma2=0.2, prior=delta_prior())
+        params = ModelParams(delta=0.64, sigma2=0.2, prior=ZERO_PRIOR)
         with pytest.raises(ValueError):
             lasso_risk(1.0, params)
 
