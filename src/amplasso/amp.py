@@ -19,7 +19,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
 
 from .instances import Instance, _norm
 from .scalar_risk import soft_threshold
@@ -335,11 +334,13 @@ def _top_ritz_pair(d: list[float], e: list[float]) -> tuple[float, float]:
     ``d`` is the diagonal and ``e`` the off-diagonal.  LAPACK bisection
     (``dstebz``) finds that one eigenvalue and inverse iteration (``dstein``)
     its vector, in O(j) work for a j x j matrix; a nonzero ``info`` from
-    either raises :class:`numpy.linalg.LinAlgError`.
+    either raises :class:`numpy.linalg.LinAlgError`.  The pair is imported
+    here, on first use, which keeps scipy out of ``import amplasso``.
     """
     j = len(d)
     if j == 1:
         return d[0], 1.0
+    from scipy.linalg.lapack import dstebz, dstein
     d, e = np.array(d), np.array(e)
     _, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, j, j, 0.0, "B")
     if info != 0:

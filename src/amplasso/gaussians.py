@@ -1,28 +1,26 @@
-"""Standard-normal density and distribution functions.
+"""Standard-normal density and distribution functions: scalars, stdlib math.
 
-Every module in the package evaluates phi / Phi through these wrappers
-(backed by the complementary error function, |error| <= 1e-15) so that
-numerical constants agree bit for bit across solvers, theory code, and
-tests.
+Every module in the package evaluates phi / Phi through these two
+functions (``math.exp``, and the complementary error function
+``math.erfc``) so that numerical constants agree bit for bit across
+solvers, theory code, and tests.  Both take and return one float; the
+theory they serve is a handful of scalar calls, where numpy's dispatch
+would cost more than the arithmetic.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import special
+import math
 
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def phi(z):
-    """Standard normal density. Accepts scalars or arrays."""
-    z = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore"):
-        out = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    return out if out.ndim else float(out)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT_2 = math.sqrt(2.0)
 
 
-def Phi(z):
-    """Standard normal distribution function (via erfc)."""
-    out = special.ndtr(np.asarray(z, dtype=float))
-    return out if isinstance(out, np.ndarray) else float(out)
+def phi(z: float) -> float:
+    """Standard normal density; 0.0 in the far tails, without a warning."""
+    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+
+
+def Phi(z: float) -> float:
+    """Standard normal distribution function, 0.5 * erfc(-z / sqrt(2))."""
+    return 0.5 * math.erfc(-z / _SQRT_2)

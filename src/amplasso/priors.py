@@ -18,7 +18,7 @@ import numpy as np
 from .gaussians import Phi, phi
 
 _WEIGHT_SUM_TOL = 1e-12
-_SIGNS = np.array([[1.0], [-1.0]])  # the thresholds theta and -theta, as rows
+_Z_CLIP = 40.0  # |z| beyond which z*phi(z) is taken as exact 0
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,12 @@ class DiscretePrior:
             raise ValueError("atoms must be pairwise distinct")
 
     @property
-    def atom_array(self) -> np.ndarray:
-        return np.asarray(self.atoms, dtype=float)
-
-    @property
-    def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
-
-    @property
     def second_moment(self) -> float:
         """E{X0^2}; inf, without a warning, when an atom's square overflows."""
-        with np.errstate(over="ignore"):
-            return float(np.dot(self.weight_array, self.atom_array**2))
+        total = 0.0
+        for a, w in zip(self.atoms, self.weights):
+            total += w * (a * a)
+        return total
 
     @property
     def has_signal_mass(self) -> bool:
@@ -82,7 +76,7 @@ def sample_with_rng(prior: DiscretePrior, n: int, rng: np.random.Generator) -> n
     """Draw ``n`` i.i.d. values from the prior off the given generator."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return rng.choice(prior.atom_array, size=n, p=prior.weight_array)
+    return rng.choice(prior.atoms, size=n, p=prior.weights)
 
 
 def _check_channel(tau: float, theta: float) -> None:
@@ -92,41 +86,36 @@ def _check_channel(tau: float, theta: float) -> None:
         raise ValueError("theta must be >= 0")
 
 
-def _channel(prior: DiscretePrior, tau: float, theta: float):
-    """The atoms, the normalized thresholds and their Gaussian tails.
-
-    Returns ``x``, ``ab`` with rows a = (theta - x)/tau and
-    b = (-theta - x)/tau, and ``cdf`` with rows Phi(-a), Phi(a), Phi(b),
-    from a single call of Phi.
-    """
-    _check_channel(tau, theta)
-    x = prior.atom_array
-    ab = (_SIGNS * theta - x) / tau
-    return x, ab, Phi(np.concatenate((-ab[:1], ab)))
-
-
 def st_mse(prior: DiscretePrior, tau: float, theta: float) -> float:
     """Exact E{[eta(X0 + tau*Z; theta) - X0]^2} for Z ~ N(0,1).
 
     For each atom x0 the error splits over the three soft-threshold
     branches; with a = (theta - x0)/tau and b = (-theta - x0)/tau every
-    piece reduces to phi/Phi evaluated at a and b.  The rows of
-    ``branches`` are the upper (x0 + tau*Z > theta) and the lower branch.
+    piece reduces to phi/Phi evaluated at a and b: the upper branch
+    (x0 + tau*Z > theta), the lower one and the dead zone between.
     """
-    x, ab, cdf = _channel(prior, tau, theta)
-    tails = cdf[::2]  # Phi(-a), Phi(b): the mass beyond each threshold
-    dens = phi(ab)
-    # z*phi(z) with the far tail forced to exact 0 (avoids inf*0 -> nan when
-    # tau is tiny and the normalized thresholds overflow); phi vanishes
-    # wherever the clip bites, so the density at the unclipped z serves.
-    zphi = np.clip(ab, -40.0, 40.0) * dens
-    branches = (tau**2 * (tails + _SIGNS * zphi) - 2 * tau * theta * dens
-                + theta**2 * tails)
-    dead = x**2 * (cdf[1] - cdf[2])
-    return float(np.dot(prior.weight_array, branches[0] + branches[1] + dead))
+    _check_channel(tau, theta)
+    tau2, cross, theta2 = tau**2, 2 * tau * theta, theta**2
+    total = 0.0
+    for x, w in zip(prior.atoms, prior.weights):
+        a, b = (theta - x) / tau, (-theta - x) / tau
+        upper, lower = Phi(-a), Phi(b)  # the mass beyond each threshold
+        dens_a, dens_b = phi(a), phi(b)
+        # z*phi(z) with the far tail forced to exact 0 (avoids inf*0 -> nan when
+        # tau is tiny and the normalized thresholds overflow); phi vanishes
+        # wherever the clip bites, so the density at the unclipped z serves.
+        zphi_a = min(max(a, -_Z_CLIP), _Z_CLIP) * dens_a
+        zphi_b = min(max(b, -_Z_CLIP), _Z_CLIP) * dens_b
+        total += w * (tau2 * (upper + zphi_a) - cross * dens_a + theta2 * upper
+                      + (tau2 * (lower - zphi_b) - cross * dens_b + theta2 * lower)
+                      + x * x * (Phi(a) - lower))
+    return total
 
 
 def st_keep_prob(prior: DiscretePrior, tau: float, theta: float) -> float:
     """Exact P{|X0 + tau*Z| >= theta}, the fraction surviving the threshold."""
-    _, _, cdf = _channel(prior, tau, theta)
-    return float(np.dot(prior.weight_array, cdf[0] + cdf[2]))
+    _check_channel(tau, theta)
+    total = 0.0
+    for x, w in zip(prior.atoms, prior.weights):
+        total += w * (Phi((x - theta) / tau) + Phi((-theta - x) / tau))
+    return total

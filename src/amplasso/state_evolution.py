@@ -16,8 +16,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-from scipy import optimize
-
 from .gaussians import Phi, phi
 from .instances import ModelParams
 from .priors import st_keep_prob, st_mse
@@ -25,6 +23,10 @@ from .scalar_risk import minimax_soft_threshold
 
 # tau^2 below this fraction (eps^2) of tau_0^2 is zero to double precision
 _ZERO_TAU2 = 2.0**-104
+# scipy.optimize.brentq's iteration cap and its smallest rtol (4 eps), which
+# every root solve here uses
+_BRENT_MAX_ITER = 100
+_BRENT_RTOL = 8.9e-16
 
 
 class TheoryError(ValueError):
@@ -34,6 +36,61 @@ class TheoryError(ValueError):
     that does not exist for these parameters, so the CLI reports it with
     exit code 2.
     """
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of ``f`` in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A line-by-line port of scipy's ``brentq.c``, so its roots equal
+    ``scipy.optimize.brentq``'s bit for bit: inverse quadratic or secant
+    steps while they shrink the bracket fast enough, else bisection, until
+    the bracket is below xtol + 8.9e-16*|x|.  A ``ValueError`` if f has the
+    same sign at both ends or returns NaN, a ``RuntimeError`` after
+    scipy's cap of 100 iterations.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError("the function is NaN at an end of the bracket")
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"no sign change on [{xa!r}, {xb!r}]: f(a) and f(b) "
+                         "must have different signs")
+    for _ in range(_BRENT_MAX_ITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"the function is NaN at x = {xcur!r}")
+    raise RuntimeError(f"no root to tolerance after {_BRENT_MAX_ITER} iterations, "
+                       f"last x = {xcur!r}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +180,8 @@ def alpha_min(delta: float) -> float:
 
     Root of (1 + a^2)*Phi(-a) - a*phi(a) = delta/2; the left side is
     strictly decreasing from 1/2, so the root exists for delta in (0, 1].
+    It is sought in [0, 20], which holds it for delta above about 2.7e-91;
+    a smaller delta is a ``ValueError`` naming it.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
@@ -130,8 +189,10 @@ def alpha_min(delta: float) -> float:
     def f(a):
         return (1.0 + a * a) * Phi(-a) - a * phi(a) - delta / 2.0
 
-    root = optimize.brentq(f, 0.0, 20.0, xtol=1e-12, rtol=8.9e-16)
-    return float(root)
+    if f(20.0) > 0:  # the left side is 1.4e-91 at a = 20
+        raise ValueError(f"delta = {delta:g} is too small: alpha_min(delta) lies "
+                         "beyond 20, the end of its bracket")
+    return _brentq(f, 0.0, 20.0, 1e-12)
 
 
 @functools.cache
@@ -175,8 +236,7 @@ def se_fixed_point(params: ModelParams, alpha: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise TheoryError("no bracket for the fixed point")
-    root = optimize.brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return math.sqrt(float(root))
+    return math.sqrt(_brentq(g, lo, hi, 1e-15))
 
 
 def calibrate_lambda(alpha: float, params: ModelParams) -> float:
@@ -219,9 +279,7 @@ def alpha_of_lambda(lam: float, params: ModelParams) -> float:
         if hi > 1e3:
             raise TheoryError(f"no alpha below 1000.0 reaches lam={lam}")
 
-    root = optimize.brentq(lambda a: calibrate_lambda(a, params) - lam,
-                           lo, hi, xtol=1e-8, rtol=8.9e-16)
-    return float(root)
+    return _brentq(lambda a: calibrate_lambda(a, params) - lam, lo, hi, 1e-8)
 
 
 def lasso_risk(lam: float, params: ModelParams) -> LassoRiskPrediction:
@@ -262,7 +320,7 @@ def rho_c(delta: float) -> float:
     def f(rho):
         return minimax_soft_threshold(rho * delta).m_sharp - delta
 
-    return float(optimize.brentq(f, 1e-9, 1.0 - 1e-12, xtol=1e-10, rtol=8.9e-16))
+    return _brentq(f, 1e-9, 1.0 - 1e-12, 1e-10)
 
 
 def minimax_risk_star(delta: float, rho: float) -> float:
@@ -308,5 +366,4 @@ def boundary_alpha(delta: float) -> float:
         raise ValueError("delta must lie in (0, 1]")
     if delta == 1.0:
         return 0.0
-    return float(optimize.brentq(lambda a: parametric_boundary(a)[0] - delta,
-                                 0.0, 40.0, xtol=1e-12, rtol=8.9e-16))
+    return _brentq(lambda a: parametric_boundary(a)[0] - delta, 0.0, 40.0, 1e-12)

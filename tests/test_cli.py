@@ -16,17 +16,19 @@ import amplasso
 from amplasso.cli import main, parse_prior
 
 
-def test_import_leaves_out_scipy_stats_and_integrate():
-    # start-up cost: scipy.stats is imported by the one call that uses it, and
-    # nothing in the package uses scipy.integrate
+def test_import_and_theory_commands_load_no_scipy():
+    # start-up cost: the scalar theory is stdlib floats and amp loads its
+    # LAPACK pair on use, so neither the import nor `se` and `calibrate`
+    # touch scipy; only operator_norm and NOISE_HISTOGRAM load it
     src = str(Path(amplasso.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, amplasso, amplasso.cli; "
-             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
-             "if m in sys.modules))")
+             "from amplasso.cli import main; "
+             "codes = [main(['se']), main(['calibrate', '--lambda', '1'])]; "
+             "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "[0, 0] []"
 
 
 MODEL = {"--delta", "--sigma2", "--prior", "--alpha"}
@@ -180,18 +182,21 @@ class TestSolve:
     # plain IST): their rows are those of the 149- and 105-step runs up to
     # the trial, then that run's solved state and confirming step, and stdout
     # differs from theirs only in iterations=; stdout is the same less the
-    # " period=0" token it printed
+    # " period=0" token it printed.  The two mp runs are the only ones that
+    # calibrate: their CSVs are those of alpha = alpha_of_lambda(1.0) with Phi
+    # from math.erfc, whose thetas differ from scipy.special.ndtr's in the
+    # last bits
     @pytest.mark.parametrize("ensemble, flags, digest", [
         ("gaussian", [], "25c0fa60936b83ce"),
         ("gaussian", ["--engine", "ist", "--alpha", "1.0"], "55335fee5b77ac77"),
         ("gaussian", ["--engine", "ist", "--lambda", "1.0"], "31470084fe4a7c5c"),
         ("gaussian", ["--engine", "mp", "--lambda", "1.0", "--max-iter", "7"],
-         "d38fb8b8e134a23b"),
+         "62d4590d655da2c3"),
         ("rademacher", [], "d0074569e5fa8571"),
         ("rademacher", ["--engine", "ist", "--alpha", "1.0"], "12cf5d778c3cd073"),
         ("rademacher", ["--engine", "ist", "--lambda", "1.0"], "3bf74ab30e9425f3"),
         ("rademacher", ["--engine", "mp", "--lambda", "1.0", "--max-iter", "7"],
-         "785ff5c90a2537f5"),
+         "6ad4c627e6464743"),
     ], ids=["gaussian-amp", "gaussian-ist", "gaussian-ist_lambda", "gaussian-mp",
             "rademacher-amp", "rademacher-ist", "rademacher-ist_lambda", "rademacher-mp"])
     def test_output_keeps_its_bytes(self, tmp_path, monkeypatch, capsys, ensemble, flags,
@@ -247,8 +252,11 @@ class TestSolve:
 
     def test_undefined_effective_lambda_prints_nan(self, capsys):
         # the run ends with ||x||_0 = 47 >= m = 38; solve used to exit 2 with
-        # "effective lambda undefined" after the solve had finished
-        assert main(["solve", "--n", "60", "--lambda", "0.02", "--seeds", "5"]) == 0
+        # "effective lambda undefined" after the solve had finished.  The alpha
+        # is that of --lambda 0.02 as scipy's ndtr calibrated it: this run never
+        # settles, so the last bits of the calibration move its final nnz
+        assert main(["solve", "--n", "60", "--alpha", "0.5473063331369379",
+                     "--seeds", "5"]) == 0
         out = dict(tok.split("=") for tok in capsys.readouterr().out.split())
         assert (out["m"], out["nnz"], out["stop"]) == ("38", "47", "max_iter")
         assert out["effective_lambda"] == "nan" and out["kkt_gap"] == "nan"
@@ -325,6 +333,18 @@ class TestSolve:
         # exiting 1
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["se", "--delta", "1e-300"],
+        ["calibrate", "--lambda", "1", "--delta", "1e-300"],
+    ], ids=["se", "calibrate"])
+    def test_delta_below_the_alpha_min_bracket_is_spec_error(self, argv, capsys):
+        # both exited 2 with scipy's "f(a) and f(b) must have different signs",
+        # which named neither delta nor alpha_min
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: delta = 1e-300 is too small: alpha_min(delta) lies beyond 20, "
+            "the end of its bracket\n")
 
     def test_huge_finite_alpha_solves_to_zero(self, capsys):
         # the solver has no squared threshold: x = 0 is the answer

@@ -146,6 +146,59 @@ class TestAlphaMin:
             with pytest.raises(ValueError):
                 alpha_min(d)
 
+    def test_delta_below_the_bracket_is_named(self):
+        # [0, 20] holds alpha_min for delta above about 2.7e-91; below it the
+        # root solve's bare "f(a) and f(b) must have different signs" escaped
+        assert 19.0 < alpha_min(1e-90) < 20.0
+        with pytest.raises(ValueError, match=r"^delta = 1e-100 is too small: alpha_min"):
+            alpha_min(1e-100)
+
+
+class TestBrentPort:
+    """The private root solver is scipy's brentq.c, ported: the same roots, bit for bit."""
+
+    def test_roots_equal_scipys_on_the_theory(self, monkeypatch):
+        import amplasso.state_evolution as se
+        port, pairs = se._brentq, []
+
+        def both(f, a, b, xtol):
+            root = port(f, a, b, xtol)
+            pairs.append((root, optimize.brentq(f, a, b, xtol=xtol, rtol=8.9e-16)))
+            return root
+
+        monkeypatch.setattr(se, "_brentq", both)
+        for delta in (0.05, 0.2, 0.5, 0.64, 0.9):
+            alpha_min(delta)
+            rho_c(delta)
+            boundary_alpha(delta)
+            for eps in (0.05, 0.128, 0.3):
+                params = ModelParams(delta=delta, sigma2=0.2, prior=three_point(eps))
+                se_fixed_point(params, alpha_min(delta) + 0.5)
+                for lam in (0.1, 1.0, 3.0):
+                    alpha_of_lambda(lam, params)
+        assert len(pairs) > 800  # the nested fixed-point solves of each inversion too
+        assert [port.hex() for port, _ in pairs] == [ref.hex() for _, ref in pairs]
+
+    def test_failures_are_typed(self):
+        from amplasso.state_evolution import _brentq
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, 1e-12)
+        # a jump at 0 that no bracket wider than xtol = 1e-300 resolves: scipy's
+        # cap of 100 iterations after the two end points
+        calls = []
+
+        def jump(x):
+            calls.append(x)
+            return -1.0 if x < 0 else 1.0
+
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            _brentq(jump, -1.0, 1.0, 1e-300)
+        assert len(calls) == 102
+        with pytest.raises(RuntimeError):
+            optimize.brentq(jump, -1.0, 1.0, xtol=1e-300, rtol=8.9e-16)
+
 
 class TestSeFixedPoint:
     def test_zero_prior_closed_form(self):
@@ -259,8 +312,9 @@ class TestCalibration:
             alpha_of_lambda(lam, bench_params)
         lasso_risk(1.0, bench_params)
         assert calls == [0.64]  # one per delta, not one per inversion
-        # the value a floor solved per calibration gave, to the bit
-        assert alpha_of_lambda(1.0, bench_params) == 1.9458458093547715
+        # the value a floor solved per calibration gave, to the bit (it was
+        # 1.9458458093547715 with scipy's ndtr for Phi, 2 ulps below)
+        assert alpha_of_lambda(1.0, bench_params) == 1.945845809354772
 
 
 class TestLassoRisk:
