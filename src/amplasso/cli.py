@@ -195,9 +195,11 @@ def cmd_phase(args) -> int:
         delta = 0.2 if args.delta is None else args.delta
         rc = se.rho_c(delta)
         alpha = se.boundary_alpha(delta)
+        # every value before any output, so an error leaves stdout empty
+        m_star = None if args.rho is None else se.minimax_risk_star(delta, args.rho)
         print(f"delta={delta:.6g} rho_c={rc:.9g} boundary_alpha={alpha:.9g}")
-        if args.rho is not None:
-            print(f"m_star={se.minimax_risk_star(delta, args.rho):.9g}")
+        if m_star is not None:
+            print(f"m_star={m_star:.9g}")
     return EXIT_OK
 
 

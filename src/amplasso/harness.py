@@ -420,7 +420,7 @@ def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
 
 def _predicted_tau2(params: ModelParams, alpha: float, t_max: int) -> list[float]:
     """tau_t^2 of the scalar recursion for t = 0..t_max, its limit repeated once it settles."""
-    tau2 = list(se.se_run(params, alpha, max_iter=max(t_max + 1, 50)).tau2_sequence)
+    tau2 = list(se.se_run(params, alpha).tau2_sequence)
     return tau2 + [tau2[-1]] * (t_max + 1 - len(tau2))
 
 

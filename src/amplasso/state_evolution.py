@@ -19,14 +19,10 @@ from dataclasses import dataclass
 from .gaussians import Phi, phi
 from .instances import ModelParams
 from .priors import st_keep_prob, st_mse
-from .scalar_risk import minimax_soft_threshold
+from .scalar_risk import _brentq, minimax_soft_threshold
 
 # tau^2 below this fraction (eps^2) of tau_0^2 is zero to double precision
 _ZERO_TAU2 = 2.0**-104
-# scipy.optimize.brentq's iteration cap and its smallest rtol (4 eps), which
-# every root solve here uses
-_BRENT_MAX_ITER = 100
-_BRENT_RTOL = 8.9e-16
 
 
 class TheoryError(ValueError):
@@ -36,61 +32,6 @@ class TheoryError(ValueError):
     that does not exist for these parameters, so the CLI reports it with
     exit code 2.
     """
-
-
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """A root of ``f`` in [xa, xb] by Brent's method (Brent 1973, ch. 4).
-
-    A line-by-line port of scipy's ``brentq.c``, so its roots equal
-    ``scipy.optimize.brentq``'s bit for bit: inverse quadratic or secant
-    steps while they shrink the bracket fast enough, else bisection, until
-    the bracket is below xtol + 8.9e-16*|x|.  A ``ValueError`` if f has the
-    same sign at both ends or returns NaN, a ``RuntimeError`` after
-    scipy's cap of 100 iterations.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if math.isnan(fpre) or math.isnan(fcur):
-        raise ValueError("the function is NaN at an end of the bracket")
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError(f"no sign change on [{xa!r}, {xb!r}]: f(a) and f(b) "
-                         "must have different signs")
-    for _ in range(_BRENT_MAX_ITER):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise ValueError(f"the function is NaN at x = {xcur!r}")
-    raise RuntimeError(f"no root to tolerance after {_BRENT_MAX_ITER} iterations, "
-                       f"last x = {xcur!r}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +72,9 @@ def se_map(tau2: float, theta: float, params: ModelParams) -> float:
     return params.sigma2 + st_mse(params.prior, math.sqrt(tau2), theta) / params.delta
 
 
-def se_run(params: ModelParams, alpha: float, max_iter: int = 10000) -> SETrajectory:
-    """Iterate the recursion from tau_0^2 until its relative change is <= 1e-13.
+def se_run(params: ModelParams, alpha: float) -> SETrajectory:
+    """Iterate the recursion from tau_0^2 until its relative change is <= 1e-13,
+    for at most 10 000 steps.
 
     The map tau^2 -> F(tau^2, alpha*tau) is nondecreasing and concave, so
     the iterates are monotone; the returned limit satisfies the fixed
@@ -156,7 +98,7 @@ def se_run(params: ModelParams, alpha: float, max_iter: int = 10000) -> SETrajec
     tau2_seq = [tau2]
     theta_seq = [alpha * math.sqrt(tau2)]
     converged = False
-    for _ in range(max_iter):
+    for _ in range(10000):
         tau2_next = se_map(tau2, alpha * math.sqrt(tau2), params)
         tau2_seq.append(tau2_next)
         theta_seq.append(alpha * math.sqrt(tau2_next) if tau2_next > 0 else 0.0)
@@ -316,6 +258,9 @@ def rho_c(delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if 1e-9 * delta == 0.0:
+        raise ValueError(f"delta = {delta!r} is too small: rho*delta underflows to 0 "
+                         "at rho = 1e-9, the start of rho_c's bracket")
 
     def f(rho):
         return minimax_soft_threshold(rho * delta).m_sharp - delta
@@ -327,7 +272,7 @@ def minimax_risk_star(delta: float, rho: float) -> float:
     """Worst-case LASSO noise sensitivity M*(delta, rho); +inf above the boundary."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if rho <= 0:
+    if not rho > 0:  # NaN too
         raise ValueError("rho must be > 0")
     eps = rho * delta
     if eps >= 1.0:

@@ -18,17 +18,18 @@ from amplasso.cli import main, parse_prior
 
 def test_import_and_theory_commands_load_no_scipy():
     # start-up cost: the scalar theory is stdlib floats and amp loads its
-    # LAPACK pair on use, so neither the import nor `se` and `calibrate`
-    # touch scipy; only operator_norm and NOISE_HISTOGRAM load it
+    # LAPACK pair on use, so neither the import nor `se`, `calibrate` and
+    # `phase` touch scipy; only operator_norm and NOISE_HISTOGRAM load it
     src = str(Path(amplasso.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, amplasso, amplasso.cli; "
              "from amplasso.cli import main; "
-             "codes = [main(['se']), main(['calibrate', '--lambda', '1'])]; "
+             "codes = [main(['se']), main(['calibrate', '--lambda', '1']), "
+             "main(['phase', '--delta', '0.2', '--rho', '0.1'])]; "
              "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "[0, 0] []"
+    assert out.splitlines()[-1] == "[0, 0, 0] []"
 
 
 MODEL = {"--delta", "--sigma2", "--prior", "--alpha"}
@@ -437,6 +438,29 @@ class TestPhase:
         assert code == 0
         out = capsys.readouterr().out
         assert "rho_c=0.2433" in out and "boundary_alpha=1.408" in out
+
+    @pytest.mark.parametrize("delta, rho_c", [("1e-120", "0.00182197281"),
+                                              ("1e-200", "0.0010908")])
+    def test_point_query_at_a_tiny_delta(self, delta, rho_c, capsys):
+        # the root solve divided by zero where scipy's brentq.c bisects: exit 1
+        # with a ZeroDivisionError traceback
+        assert main(["phase", "--delta", delta]) == 0
+        assert f"rho_c={rho_c} " in capsys.readouterr().out
+
+    def test_m_star_at_a_subnormal_rho(self, capsys):
+        # eps = rho*delta = 2e-321: the minimax search's bracket end
+        # sqrt(2 log(1/eps)) overflowed, and it printed m_star=nan, exit 0
+        assert main(["phase", "--delta", "0.2", "--rho", "1e-320"]) == 0
+        m_star = float(capsys.readouterr().out.split("m_star=")[1])
+        assert 0.0 < m_star < 1e-316
+
+    @pytest.mark.parametrize("rho", ["0", "-1", "nan"])
+    def test_bad_rho_prints_nothing(self, rho, capsys):
+        # the rho_c line was printed before --rho was rejected
+        assert main(["phase", "--rho", rho]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rho must be > 0\n"
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_sweep_takes_a_positive_count(self, count, capsys):

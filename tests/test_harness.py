@@ -506,7 +506,7 @@ class TestHandSteppedReference:
                 pseudo = hand_pseudo_data(inst, policy, t_target)
             samples.append([np.mean((u - inst.x0) ** 2) for u in pseudo])
         samples = np.array(samples)
-        tau2 = list(se_run(small_params, 2.0, max_iter=max(t_target + 1, 50)).tau2_sequence)
+        tau2 = list(se_run(small_params, 2.0).tau2_sequence)
         tau2 += [tau2[-1]] * (t_target + 1 - len(tau2))
         expected = [{"t": t, "empirical_mean": float(col.mean()),
                      "empirical_se": float(col.std(ddof=1) / np.sqrt(col.size)),

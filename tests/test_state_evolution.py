@@ -158,15 +158,22 @@ class TestBrentPort:
     """The private root solver is scipy's brentq.c, ported: the same roots, bit for bit."""
 
     def test_roots_equal_scipys_on_the_theory(self, monkeypatch):
+        import amplasso.scalar_risk as sr
         import amplasso.state_evolution as se
-        port, pairs = se._brentq, []
+        port, pairs = sr._brentq, []
 
         def both(f, a, b, xtol):
             root = port(f, a, b, xtol)
             pairs.append((root, optimize.brentq(f, a, b, xtol=xtol, rtol=8.9e-16)))
             return root
 
+        # both bindings, so minimax_soft_threshold's alpha# roots are compared too
+        monkeypatch.setattr(sr, "_brentq", both)
         monkeypatch.setattr(se, "_brentq", both)
+        # at these deltas brentq.c divides by zero and bisects; the port raised
+        # ZeroDivisionError
+        for delta in (1e-120, 1e-200):
+            rho_c(delta)
         for delta in (0.05, 0.2, 0.5, 0.64, 0.9):
             alpha_min(delta)
             rho_c(delta)
@@ -180,7 +187,7 @@ class TestBrentPort:
         assert [port.hex() for port, _ in pairs] == [ref.hex() for _, ref in pairs]
 
     def test_failures_are_typed(self):
-        from amplasso.state_evolution import _brentq
+        from amplasso.scalar_risk import _brentq
         with pytest.raises(ValueError, match="different signs"):
             _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
         with pytest.raises(ValueError, match="NaN"):
@@ -358,6 +365,36 @@ class TestPhaseGeometry:
             d2, r2 = parametric_boundary(alpha_star)
             assert d2 == pytest.approx(delta, abs=1e-6)
             assert r2 == pytest.approx(rc, abs=1e-6)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5,
+                                     0.7, 0.9])
+    def test_minimax_point_is_on_the_parametric_boundary(self, eps):
+        # alpha# is the root of dM/dalpha = 0, where the boundary's parametric
+        # form meets (M#, eps/M#); the golden-section search's alpha# missed
+        # it by up to 2.5e-7 relative
+        res = minimax_soft_threshold(eps)
+        d, r = parametric_boundary(res.alpha_sharp)
+        assert d == pytest.approx(res.m_sharp, rel=1e-12, abs=0.0)
+        assert r == pytest.approx(eps / res.m_sharp, rel=1e-12, abs=0.0)
+
+    def test_minimax_point_at_a_subnormal_eps(self):
+        # sqrt(2 log(1/eps)) overflowed and alpha# and M# were NaN.  At
+        # alpha# = 37.5 the last-bit rounding of Phi(-alpha) is scaled by
+        # alpha^2 in the cancelling terms of M and dM/dalpha, so the identity
+        # holds to about 3e-11 here, not to the 1e-12 of normal eps
+        eps = 1e-310
+        res = minimax_soft_threshold(eps)
+        d, r = parametric_boundary(res.alpha_sharp)
+        assert 37.0 < res.alpha_sharp < 38.0
+        assert d == pytest.approx(res.m_sharp, rel=1e-10, abs=0.0)
+        assert r == pytest.approx(eps / res.m_sharp, rel=1e-10, abs=0.0)
+
+    def test_rho_c_names_an_underflowing_delta(self):
+        # rho*delta at the bracket's start rho = 1e-9 underflowed to eps = 0,
+        # and the error blamed eps
+        assert 0.0 < rho_c(4e-315) < 1e-3
+        with pytest.raises(ValueError, match=r"^delta = 1e-320 is too small"):
+            rho_c(1e-320)
 
     def test_parametric_boundary_origin(self):
         d, r = parametric_boundary(0.0)

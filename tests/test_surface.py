@@ -22,7 +22,6 @@ DEFAULTED = {
     "instances.draw_matrix": ["out"],
     "instances.gen_instance": ["ensemble"],
     "instances.gen_planted_instance": ["ensemble", "sigma2"],
-    "state_evolution.se_run": ["max_iter"],
 }
 
 SPEC_FIELDS = [
@@ -59,7 +58,7 @@ def test_public_defaulted_parameters_are_pinned():
         if defaulted:
             found[label] = defaulted
     assert found == DEFAULTED
-    assert sum(map(len, found.values())) == 19
+    assert sum(map(len, found.values())) == 18
 
 
 def test_experiment_spec_fields_are_pinned():
