@@ -275,6 +275,8 @@ def minimax_risk_star(delta: float, rho: float) -> float:
     if not rho > 0:  # NaN too
         raise ValueError("rho must be > 0")
     eps = rho * delta
+    if eps == 0.0:
+        raise ValueError(f"rho = {rho!r}, delta = {delta!r}: rho*delta underflows to 0")
     if eps >= 1.0:
         return math.inf
     m_sharp = minimax_soft_threshold(eps).m_sharp

@@ -527,6 +527,50 @@ class TestOperatorNorm:
             operator_norm(_matrix("wide"))
 
 
+def _spike_plus_bulk(m, n, seed):
+    """A Gaussian bulk with top singular value about 2.25 plus a rank-one spike of 3."""
+    rng = np.random.default_rng(seed)
+    bulk = rng.standard_normal((m, n)) / math.sqrt(m)
+    u, v = rng.standard_normal(m), rng.standard_normal(n)
+    return bulk + 3.0 * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+
+
+class TestReferenceStepSize:
+    """The LASSO reference at ``tol > 0`` steps at c from a Lanczos bound to 10%."""
+
+    @pytest.fixture(scope="class")
+    def matrices(self, bench_params):
+        # C4's matrices, then other shapes and spectra
+        rng = np.random.default_rng(7)
+        return ([gen_instance(500, bench_params, seed, GAUSSIAN).a for seed in range(10)]
+                + [gen_instance(500, bench_params, seed, RADEMACHER).a for seed in range(4)]
+                + [rng.standard_normal((600, 300)), rng.standard_normal((1000, 2000)),
+                   _spike_plus_bulk(320, 500, 0)])
+
+    def test_step_lies_inside_ists_convergence_region(self, matrices):
+        # theta <= sigma_1^2 bounds c * sigma_1 below by 0.95 / sqrt(1.1); a
+        # Ritz value short of the top of the spectrum lifts it above 0.95 (to
+        # 0.979 on Gaussian seed 4), and it stays below Daubechies, Defrise
+        # and De Mol's 1, inside the sqrt(2) that IST needs
+        for a in matrices:
+            res = ist_solve_lasso(manual_instance(a, np.zeros(a.shape[1])), 1.0, max_iter=1)
+            top = np.linalg.svd(a, compute_uv=False)[0]
+            assert 0.95 / math.sqrt(1.1) <= res.scale * top < 1.0
+
+    def test_reference_takes_few_lanczos_steps_at_c4_size(self, matrices, monkeypatch):
+        # a step count, not a time: 4-7 steps at 320 x 500, where the
+        # certificate takes 28-44
+        for a in matrices[:14]:  # C4's
+            inst = manual_instance(a, np.zeros(a.shape[1]))
+            steps = counting(monkeypatch, "_top_ritz_pair")
+            ist_solve_lasso(inst, 1.0, max_iter=1)
+            assert len(steps) <= 10
+            steps.clear()
+            ist_solve_lasso(inst, 1.0, max_iter=1, tol=0.0)
+            assert len(steps) > 20
+            monkeypatch.undo()
+
+
 class TestLassoKktGap:
     def test_zero_vector_optimal_for_large_lambda(self, bench_params):
         inst = gen_gaussian_instance(100, bench_params, seed=17)
@@ -906,7 +950,17 @@ class TestCycleReplay:
     def test_reference_equals_the_sign_tol_composition(self, bench_params, c4_references,
                                                        ensemble, seeds):
         # the reference as first composed: IST to a relative change of
-        # 1e-6, one solve on that sign pattern, then IST from its point
+        # 1e-6, one solve on that sign pattern, then IST from its point; at
+        # the reference's step size bit for bit, and at operator_norm's
+        # certified one to the same objective
+        def composed(inst, lam, norm_tol):
+            scaled, c = _rescaled(inst, 0.95, norm_tol)
+            policy = ThresholdPolicy.fixed(lam * c * c)
+            head = iterate(scaled, policy, 10000, 1e-6, False)
+            x = amp_module._solve_on_signs(inst, lam, head.x_hat)
+            start = amp_module._state_at(scaled, policy, x, head.iterations + 1)
+            return iterate(scaled, policy, 10000, 1e-15, False, start=start), c
+
         for seed in seeds:
             if ensemble == GAUSSIAN:
                 inst, lam, res = c4_references[seed][:3]
@@ -914,17 +968,17 @@ class TestCycleReplay:
                 inst = gen_instance(500, bench_params, seed, RADEMACHER)
                 lam = c4_lambda(inst)
                 res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=10000)
-            scaled, c = _rescaled(inst, 0.95)
-            policy = ThresholdPolicy.fixed(lam * c * c)
-            head = iterate(scaled, policy, 10000, 1e-6, False)
-            x = amp_module._solve_on_signs(inst, lam, head.x_hat)
-            start = amp_module._state_at(scaled, policy, x, head.iterations + 1)
-            old = iterate(scaled, policy, 10000, 1e-15, False, start=start)
+            old, c = composed(inst, lam, amp_module._REFERENCE_NORM_TOL)
             assert res.x_hat.tobytes() == old.x_hat.tobytes()
             assert res.r_hat.tobytes() == old.r_hat.tobytes()
             assert ((res.tau_hat, res.theta, res.b, res.stop, res.scale)
                     == (old.tau_hat, old.theta, old.b, old.stop, c))
             assert res.iterations <= old.iterations
+            certified, c_certified = composed(inst, lam, 1e-6)
+            assert c != c_certified
+            objective = lasso_objective(inst, certified.x_hat, lam)
+            assert (abs(lasso_objective(inst, res.x_hat, lam) - objective)
+                    <= 1e-15 * objective)
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-5, 1e-6])
     def test_loose_tol_finishes_no_worse_than_plain_ist(self, c4_references, tol):
@@ -933,7 +987,7 @@ class TestCycleReplay:
         # one step more, the confirming step of a trial that passes on the
         # chunk before plain IST's stop (seed 5 at 1e-4: 62 steps against 61)
         for inst, lam, *_ in c4_references.values():
-            scaled, c = _rescaled(inst, 0.95)
+            scaled, c = _rescaled(inst, 0.95, amp_module._REFERENCE_NORM_TOL)
             plain = iterate(scaled, ThresholdPolicy.fixed(lam * c * c), 10000, tol, False)
             res = ist_solve_lasso(inst, lam, tol=tol)
             assert res.stop == plain.stop == "tol"
@@ -950,12 +1004,12 @@ class TestCycleReplay:
         # step from the solve's point rejects four of them
         inst = gen_gaussian_instance(n, bench_params, seed=seed)
         if n == 500:  # the fixture's tol = 0 reference
-            _, lam, scaled, c, (states, _) = c4_runs[seed]
+            _, lam, _, _, (states, _) = c4_runs[seed]
             x_exact = states[-1].x
         else:
             lam = c4_lambda(inst)
             x_exact = ist_solve_lasso(inst, lam, max_iter=3000, tol=0.0).x_hat
-            scaled, c = _rescaled(inst, 0.95)
+        scaled, c = _rescaled(inst, 0.95, amp_module._REFERENCE_NORM_TOL)
         if forced == "dropped":
             solve = amp_module._solve_on_signs
 

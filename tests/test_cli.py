@@ -182,7 +182,9 @@ class TestSolve:
     # when it first stepped to a relative change of 1e-6, and 214 and 148 for
     # plain IST): their rows are those of the 149- and 105-step runs up to
     # the trial, then that run's solved state and confirming step, and stdout
-    # differs from theirs only in iterations=; stdout is the same less the
+    # differs from theirs only in iterations=; since the reference takes its
+    # step size from a Lanczos bound to 10%, its co-scaled tau_hat, theta and
+    # rows moved again (same steps and estimate); stdout is the same less the
     # " period=0" token it printed.  The two mp runs are the only ones that
     # calibrate: their CSVs are those of alpha = alpha_of_lambda(1.0) with Phi
     # from math.erfc, whose thetas differ from scipy.special.ndtr's in the
@@ -190,12 +192,12 @@ class TestSolve:
     @pytest.mark.parametrize("ensemble, flags, digest", [
         ("gaussian", [], "25c0fa60936b83ce"),
         ("gaussian", ["--engine", "ist", "--alpha", "1.0"], "55335fee5b77ac77"),
-        ("gaussian", ["--engine", "ist", "--lambda", "1.0"], "31470084fe4a7c5c"),
+        ("gaussian", ["--engine", "ist", "--lambda", "1.0"], "5fb62e729cd50848"),
         ("gaussian", ["--engine", "mp", "--lambda", "1.0", "--max-iter", "7"],
          "62d4590d655da2c3"),
         ("rademacher", [], "d0074569e5fa8571"),
         ("rademacher", ["--engine", "ist", "--alpha", "1.0"], "12cf5d778c3cd073"),
-        ("rademacher", ["--engine", "ist", "--lambda", "1.0"], "3bf74ab30e9425f3"),
+        ("rademacher", ["--engine", "ist", "--lambda", "1.0"], "940679944fc24f4c"),
         ("rademacher", ["--engine", "mp", "--lambda", "1.0", "--max-iter", "7"],
          "6ad4c627e6464743"),
     ], ids=["gaussian-amp", "gaussian-ist", "gaussian-ist_lambda", "gaussian-mp",
@@ -453,6 +455,15 @@ class TestPhase:
         assert main(["phase", "--delta", "0.2", "--rho", "1e-320"]) == 0
         m_star = float(capsys.readouterr().out.split("m_star=")[1])
         assert 0.0 < m_star < 1e-316
+
+    def test_underflowing_rho_delta_names_both(self, capsys):
+        # rho*delta = 0 reached the minimax search, which said "eps must lie
+        # in (0, 1)"
+        assert main(["phase", "--delta", "1e-300", "--rho", "1e-30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: rho = 1e-30, delta = 1e-300: "
+                                "rho*delta underflows to 0\n")
 
     @pytest.mark.parametrize("rho", ["0", "-1", "nan"])
     def test_bad_rho_prints_nothing(self, rho, capsys):

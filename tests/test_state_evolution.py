@@ -432,6 +432,10 @@ class TestMinimaxRiskStar:
             assert minimax_risk_star(delta, 1.1 * rc) == math.inf
         assert minimax_risk_star(0.64, 1.2) == math.inf
 
+    def test_underflowing_product_is_named(self):
+        with pytest.raises(ValueError, match=r"rho = 1e-30, delta = 1e-300: rho\*delta"):
+            minimax_risk_star(1e-300, 1e-30)
+
     def test_formula_below_boundary(self):
         delta, rho = 0.5, 0.1
         m_sharp = minimax_soft_threshold(rho * delta).m_sharp
