@@ -22,7 +22,7 @@ from . import state_evolution as se
 from .amp import (NumericalBlowupError, ThresholdPolicy, amp_run,
                   effective_lambda, ist_run, ist_solve_lasso, lasso_kkt_gap)
 from .harness import PHASE_CURVE, ExperimentSpec, _from_json, run_experiment, write_csv
-from .instances import ENSEMBLES, GAUSSIAN, ModelParams, gen_instance
+from .instances import ENSEMBLES, GAUSSIAN, ModelParams, gen_instance, measurement_count
 from .message_passing import reduced_mp_estimate, reduced_mp_step
 from .priors import DiscretePrior
 
@@ -84,9 +84,9 @@ def cmd_solve(args) -> int:
     # calibration says nothing about IST, whose threshold lambda * c^2 is fixed.
     fixed_level = args.engine == "ist" and args.alpha is None and args.lam is not None
     alpha = None if fixed_level else _resolve_alpha(args, params)
-    instance = gen_instance(args.n, params, args.seed, args.ensemble)
-    if args.engine == "mp" and args.n * instance.m > 4_000_000:
+    if args.engine == "mp" and args.n * measurement_count(params.delta, args.n) > 4_000_000:
         raise ValueError("mp cross-check is desk-scale only (m*n too large)")
+    instance = gen_instance(args.n, params, args.seed, args.ensemble)
     rows: list[dict] = []
 
     def record(state):  # one --out row per state; mp replays the thetas
@@ -145,11 +145,15 @@ def cmd_se(args) -> int:
     if not alpha > floor:  # the recursion would grow until tau^2 overflows (or NaN)
         raise ValueError(f"alpha must exceed alpha_min = {floor:.6f}")
     traj = se.se_run(params, alpha)
+    # every value before any output, so an error leaves stdout empty
+    mse = None if traj.tau_star is None else params.delta * (traj.tau_star**2 - params.sigma2)
+    if mse is not None and mse < 0:
+        raise se.TheoryError(f"predicted MSE {mse:g} < 0: tau_star^2 = {traj.tau_star**2!r} "
+                             f"rounded below sigma2 = {params.sigma2!r}")
     print(f"alpha={alpha:.6g} tau0^2={traj.tau2_sequence[0]:.9g} "
           f"steps={len(traj.tau2_sequence) - 1} converged={traj.converged}")
-    if traj.tau_star is not None:
-        print(f"tau_star={traj.tau_star:.12g} "
-              f"predicted_mse={params.delta * (traj.tau_star**2 - params.sigma2):.9g}")
+    if mse is not None:
+        print(f"tau_star={traj.tau_star:.12g} predicted_mse={mse:.9g}")
     if args.out:
         rows = [{"t": t, "tau2": v, "theta": th}
                 for t, (v, th) in enumerate(zip(traj.tau2_sequence,

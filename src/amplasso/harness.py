@@ -20,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -228,16 +229,32 @@ def _default_alpha(spec: ExperimentSpec) -> float:
     return se.boundary_alpha(spec.params.delta)
 
 
-def _sampler(spec: ExperimentSpec) -> str:
-    """How a cell's matrix products are made: recorded in the manifest outcomes."""
-    return "gaussian_conditioning" if spec.ensemble == GAUSSIAN else "matrix_draw"
-
-
 def _gen_cell_instance(spec: ExperimentSpec, seed: int):
     """The cell's system: a Gaussian one draws only the products its run makes."""
     if spec.ensemble == GAUSSIAN:
         return gen_lazy_instance(spec.n, spec.params, seed)
     return gen_instance(spec.n, spec.params, seed, spec.ensemble)
+
+
+def _cells(spec: ExperimentSpec, key, run_one) -> tuple[list, list[dict]]:
+    """Values and outcomes of a protocol's cells, seeded by ``cell_seed(spec.base_seed,
+    *key(value), spec.ensemble)`` for each value in ``spec.seeds``.  ``run_one(seed,
+    outcome)`` runs a cell, writes its ``stop``, ``iterations`` and own keys into
+    ``outcome`` and returns its value: ``None`` if it blows up, with the ``error``."""
+    conditioned = spec.ensemble == GAUSSIAN and spec.kind not in (CONVERGENCE, NOISE_HISTOGRAM)
+    sampler = "gaussian_conditioning" if conditioned else "matrix_draw"  # planted kinds draw A
+    values, outcomes = [], []
+    for seed_index, value in enumerate(spec.seeds):
+        seed = cell_seed(spec.base_seed, *key(value), spec.ensemble)
+        outcome = {"seed_index": seed_index, "seed": seed, "stop": None,
+                   "iterations": None, "error": None, "sampler": sampler}
+        try:
+            values.append(run_one(seed, outcome))
+        except NumericalBlowupError as exc:
+            values.append(None)
+            outcome["error"] = str(exc)
+        outcomes.append(outcome)
+    return values, outcomes
 
 
 def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
@@ -247,7 +264,6 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
     runs adaptively and the realized effective lambda is recorded for
     audit; a cell that ends with ||x||_0 >= m, where it is undefined,
     records ``effective_lambda: None`` and its other results as usual.
-    Per-seed failures are recorded without aborting the sweep.
     A row's ``empirical_mse_mean`` is over every cell that did not blow up,
     whether it converged or not; ``converged_cells`` counts the cells that
     stopped on ``tol``.
@@ -257,29 +273,19 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
     """
     params = spec.params
     signal_mass = params.prior.has_signal_mass
-    sampler = _sampler(spec)
     rows: list[dict] = []
     outcomes: list[dict] = []
 
-    def solve_cell(lam, alpha, seed_index):
-        seed = cell_seed(spec.base_seed, "mse_vs_lambda", float(lam),
-                         spec.seeds[seed_index], spec.ensemble)
+    def solve(lam, alpha, seed, outcome):
+        outcome.update({"lambda": lam}, mse=None, effective_lambda=None, converged=False)
         instance = _gen_cell_instance(spec, seed)
-        try:
-            res = amp_run(instance, ThresholdPolicy.rms(alpha),
-                          max_iter=spec.max_iter, tol=spec.tol)
-            mse = float(np.mean((res.x_hat - instance.x0) ** 2))
-            lam_eff = (effective_lambda(res.x_hat, res.theta, instance.m)
-                       if np.count_nonzero(res.x_hat) < instance.m else None)
-            return {"lambda": lam, "seed_index": seed_index, "mse": mse,
-                    "effective_lambda": lam_eff, "converged": res.converged,
-                    "iterations": res.iterations, "stop": res.stop, "error": None,
-                    "sampler": sampler}
-        except NumericalBlowupError as exc:
-            return {"lambda": lam, "seed_index": seed_index, "mse": None,
-                    "effective_lambda": None, "converged": False,
-                    "iterations": None, "stop": None, "error": str(exc),
-                    "sampler": sampler}
+        res = amp_run(instance, ThresholdPolicy.rms(alpha), max_iter=spec.max_iter,
+                      tol=spec.tol)
+        outcome.update(mse=float(np.mean((res.x_hat - instance.x0) ** 2)),
+                       converged=res.converged, iterations=res.iterations, stop=res.stop)
+        if np.count_nonzero(res.x_hat) < instance.m:  # else it is undefined
+            outcome["effective_lambda"] = effective_lambda(res.x_hat, res.theta, instance.m)
+        return outcome["mse"]
 
     for lam in spec.lambdas:
         if signal_mass:
@@ -293,14 +299,13 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
             tau_star = se.se_fixed_point(params, alpha)
             predicted_mse = params.delta * (tau_star**2 - params.sigma2)
 
-        cells = [solve_cell(lam, alpha, idx) for idx in range(len(spec.seeds))]
+        mses, cells = _cells(spec, lambda v: ("mse_vs_lambda", float(lam), v),
+                             partial(solve, lam, alpha))
         outcomes.extend(cells)
-        mses = np.array([c["mse"] for c in cells if c["mse"] is not None])
+        [(mean, sem)] = _mean_and_se(mses, 1, "empirical_mse_mean")
         rows.append({
             "lambda": lam, "n": spec.n, "ensemble": spec.ensemble,
-            "empirical_mse_mean": float(mses.mean()) if mses.size else None,
-            "empirical_mse_se": (float(mses.std(ddof=1) / np.sqrt(mses.size))
-                                 if mses.size > 1 else None),
+            "empirical_mse_mean": mean, "empirical_mse_se": sem,
             "predicted_mse": predicted_mse,
             "converged_cells": sum(c["converged"] for c in cells),
         })
@@ -313,7 +318,7 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
     """Per-iteration MSE races between the corrected and plain iterations.
 
     Noiseless planted signals at the requested nonzero counts; both engines
-    see identical instances.  A diverging plain run is recorded, not fatal.
+    see identical instances.  A run that blows up ends its cell and adds no rows.
     """
     params = spec.params
     if params.sigma2 != 0:
@@ -324,23 +329,23 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
     alpha_amp = _default_alpha(spec)
     rows: list[dict] = []
     outcomes: list[dict] = []
+
+    def race(nnz, seed, outcome):
+        outcome["nnz"] = nnz
+        instance = gen_planted_instance(spec.n, delta, nnz, seed, ensemble=spec.ensemble)
+        amp_rows: list[dict] = []
+        ist_rows: list[dict] = []
+        amp_run(instance, ThresholdPolicy.rms(alpha_amp), max_iter=spec.max_iter, tol=0.0,
+                observe=_mse_rows(amp_rows, instance, "amp", nnz, outcome["seed_index"]))
+        rows.extend(amp_rows)
+        res = ist_run(instance, ThresholdPolicy.rms(spec.alpha_ist),
+                      rescale_opnorm=spec.ist_rescale, max_iter=spec.max_iter, tol=0.0,
+                      observe=_mse_rows(ist_rows, instance, "ist", nnz, outcome["seed_index"]))
+        rows.extend(ist_rows)
+        outcome.update(stop=res.stop, iterations=res.iterations)
+
     for nnz in spec.nnz_levels:
-        for seed_index, value in enumerate(spec.seeds):
-            seed = cell_seed(spec.base_seed, "convergence", nnz, value, spec.ensemble)
-            instance = gen_planted_instance(spec.n, delta, nnz, seed,
-                                            ensemble=spec.ensemble)
-            amp_run(instance, ThresholdPolicy.rms(alpha_amp), max_iter=spec.max_iter,
-                    tol=0.0, observe=_mse_rows(rows, instance, "amp", nnz, seed_index))
-            ist_rows: list[dict] = []  # kept only if the plain run does not blow up
-            try:
-                ist_run(instance, ThresholdPolicy.rms(spec.alpha_ist),
-                        rescale_opnorm=spec.ist_rescale, max_iter=spec.max_iter, tol=0.0,
-                        observe=_mse_rows(ist_rows, instance, "ist", nnz, seed_index))
-                rows.extend(ist_rows)
-                outcomes.append({"nnz": nnz, "seed_index": seed_index, "error": None})
-            except NumericalBlowupError as exc:
-                outcomes.append({"nnz": nnz, "seed_index": seed_index,
-                                 "error": str(exc)})
+        outcomes += _cells(spec, lambda v: ("convergence", nnz, v), partial(race, nnz))[1]
     rows.sort(key=lambda r: (r["nnz"], r["engine"], r["seed_index"], r["t"]))
     return _emit(spec, ExperimentResult(rows=rows, manifest=_manifest(spec, outcomes)))
 
@@ -369,28 +374,25 @@ def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
     policy_amp = ThresholdPolicy.rms(alpha_amp)
     policy_ist = ThresholdPolicy.rms(spec.alpha_ist)
 
-    def one_instance(value: int) -> tuple[np.ndarray, np.ndarray]:
-        seed = cell_seed(spec.base_seed, "noise_histogram", value, spec.ensemble)
+    def pseudo_data(seed, outcome) -> np.ndarray:
         instance = gen_planted_instance(spec.n, spec.params.delta, nnz, seed,
                                         ensemble=spec.ensemble,
                                         sigma2=spec.params.sigma2)
         plus = instance.x0 == 1.0
-
         amp_res = iterate(instance, policy_amp, spec.t_target, 0.0, True)
         u_amp = (amp_res.x_hat + instance.a.T @ amp_res.r_hat)[plus]
-
         ist_res = ist_run(instance, policy_ist, rescale_opnorm=spec.ist_rescale,
                           max_iter=spec.t_target, tol=0.0)
+        outcome.update(stop=ist_res.stop, iterations=ist_res.iterations)
         # Pseudo-data of the plain engine on its own (rescaled) system.
-        u_ist = (ist_res.x_hat
-                 + ist_res.scale * (instance.a.T @ ist_res.r_hat))[plus]
-        return u_amp, u_ist
+        return np.array([u_amp, (ist_res.x_hat
+                                 + ist_res.scale * (instance.a.T @ ist_res.r_hat))[plus]])
 
     from scipy import stats  # loaded on use, kept out of `import amplasso`
 
-    pooled = [one_instance(value) for value in spec.seeds]
-    u_amp = np.concatenate([p[0] for p in pooled])
-    u_ist = np.concatenate([p[1] for p in pooled])
+    cells, outcomes = _cells(spec, lambda v: ("noise_histogram", v), pseudo_data)
+    # a (2, count) array per finished cell, its amp and ist values; maybe none finished
+    u_amp, u_ist = np.hstack([np.empty((2, 0))] + [c for c in cells if c is not None])
     if u_amp.size < 2:  # a sample sd needs two values
         raise ValueError(f"{NOISE_HISTOGRAM} needs 2 pooled coordinates with x0 = +1, "
                          f"got {u_amp.size} (nnz level {nnz}, {len(spec.seeds)} seeds); "
@@ -412,7 +414,7 @@ def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
         rows.extend({"engine": engine, "bin_center": float(c), "count": int(k)}
                     for c, k in zip(centers, counts))
 
-    manifest = _manifest(spec, [summaries])
+    manifest = _manifest(spec, outcomes)
     manifest["summaries"] = summaries
     return _emit(spec, ExperimentResult(rows=rows, manifest=manifest,
                                         extra={"summaries": summaries}))
@@ -420,22 +422,33 @@ def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
 
 def _predicted_tau2(params: ModelParams, alpha: float, t_max: int) -> list[float]:
     """tau_t^2 of the scalar recursion for t = 0..t_max, its limit repeated once it settles."""
+    floor = se._alpha_floor(params.delta)
+    if not alpha > floor:  # the recursion could grow until tau^2 overflows
+        raise ValueError(f"alpha = {alpha:g} must exceed alpha_min = {floor:.6f}")
     tau2 = list(se.se_run(params, alpha).tau2_sequence)
     return tau2 + [tau2[-1]] * (t_max + 1 - len(tau2))
 
 
-def _mean_and_se(col: np.ndarray) -> tuple[float, float | None]:
-    """Sample mean and its standard error (``None`` for a single value, which has none)."""
-    sem = float(col.std(ddof=1) / np.sqrt(col.size)) if col.size > 1 else None
-    return float(col.mean()), sem
+def _mean_and_se(cells: list, steps: int, name: str):
+    """Per step, the mean of column ``name`` over the cells that finished (each a
+    value per step, or ``None``) and its standard error, ``None`` for one value
+    (both for none); a mean or standard error that is not finite is a ``ValueError``."""
+    table = np.array([c for c in cells if c is not None]).reshape(-1, steps)
+    for col in table.T:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            mean = float(col.mean()) if col.size else None
+            sem = float(col.std(ddof=1) / np.sqrt(col.size)) if col.size > 1 else None
+        if not (math.isfinite(mean or 0.0) and math.isfinite(sem or 0.0)):
+            raise ValueError(f"{name} is not finite: mean {mean}, standard error {sem}")
+        yield mean, sem
 
 
 def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
     """Empirical effective-noise energy per iteration vs the scalar recursion.
 
     Gaussian cells run on a lazy instance
-    (:func:`~amplasso.instances.gen_lazy_instance`); the manifest's one
-    outcome names the ``sampler``.
+    (:func:`~amplasso.instances.gen_lazy_instance`); each outcome names the
+    ``sampler``.
     """
     params = spec.params
     alpha = _default_alpha(spec)
@@ -443,8 +456,7 @@ def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
     t_max = spec.t_target
     tau2 = _predicted_tau2(params, alpha, t_max)
 
-    def one_seed(value: int) -> np.ndarray:
-        seed = cell_seed(spec.base_seed, "se_tracking", value, spec.ensemble)
+    def track(seed, outcome) -> np.ndarray:
         instance = _gen_cell_instance(spec, seed)
         vals = np.empty(t_max + 1)
 
@@ -452,16 +464,13 @@ def run_se_tracking(spec: ExperimentSpec) -> ExperimentResult:
             if state.t:
                 vals[state.t - 1] = np.mean((state.u - instance.x0) ** 2)
 
-        iterate(instance, policy, t_max + 1, 0.0, True, observe=observe)
+        res = iterate(instance, policy, t_max + 1, 0.0, True, observe=observe)
+        outcome.update(stop=res.stop, iterations=res.iterations)
         return vals
 
-    samples = np.vstack([one_seed(value) for value in spec.seeds])
-    rows = []
-    for t in range(t_max + 1):
-        mean, sem = _mean_and_se(samples[:, t])
-        rows.append({"t": t, "empirical_mean": mean, "empirical_se": sem,
-                     "tau2_prediction": tau2[t]})
-    outcomes = [{"seeds": len(spec.seeds), "sampler": _sampler(spec)}]
+    cells, outcomes = _cells(spec, lambda v: ("se_tracking", v), track)
+    rows = [{"t": t, "empirical_mean": mean, "empirical_se": sem, "tau2_prediction": tau2[t]}
+            for t, (mean, sem) in enumerate(_mean_and_se(cells, t_max + 1, "empirical_mean"))]
     return _emit(spec, ExperimentResult(rows=rows, manifest=_manifest(spec, outcomes)))
 
 
@@ -497,9 +506,7 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
     m = measurement_count(params.delta, spec.n)
     gaussian = spec.ensemble == GAUSSIAN
 
-    def one_seed(value: int, resample: bool) -> np.ndarray:
-        seed = cell_seed(spec.base_seed, "resampled_oracle", value, resample,
-                         spec.ensemble)
+    def recurse(resample: bool, lane: str, seed: int, outcome: dict) -> np.ndarray:
         root = np.random.SeedSequence(seed)
         streams = root.spawn(t_max + 1)
         rng0 = np.random.default_rng(streams[0])
@@ -525,19 +532,19 @@ def run_resampled_oracle(spec: ExperimentSpec) -> ExperimentResult:
                 draw_matrix(rng, m, spec.n, spec.ensemble, out=a)
             h = a.T @ (w - a @ v)
             x = soft_threshold(x + h, thetas[t])
+        outcome.update(lane=lane, stop="max_iter", iterations=t_max)
         return vals
 
     rows = []
     outcomes = []
     for resample, lane in ((True, "resampled"), (False, "fixed_ist")):
-        samples = np.vstack([one_seed(value, resample) for value in spec.seeds])
-        for t in range(t_max + 1):
-            mean, sem = _mean_and_se(samples[:, t])
+        samples, cells = _cells(spec, lambda v: ("resampled_oracle", v, resample),
+                                partial(recurse, resample, lane))
+        outcomes.extend(cells)
+        for t, (mean, sem) in enumerate(_mean_and_se(samples, t_max + 1, "tau2_empirical")):
             rows.append({"t": t, "lane": lane, "tau2_empirical": mean,
                          "tau2_empirical_se": sem,
                          "tau2_se_prediction": params.delta * (tau2[t] - params.sigma2)})
-        outcomes.append({"lane": lane, "seeds": len(spec.seeds),
-                         "sampler": _sampler(spec)})
     rows.sort(key=lambda r: (r["lane"], r["t"]))
     return _emit(spec, ExperimentResult(rows=rows, manifest=_manifest(spec, outcomes)))
 

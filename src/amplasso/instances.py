@@ -30,6 +30,9 @@ _RADEMACHER_BLOCK_ROWS = 16
 # (m, n) matrix or a copy of a span.
 _CONDITIONED_BLOCK_ROWS = 16
 _CONDITIONED_BLOCK_COLUMNS = 256
+# The most entries an (m, n) system may have: 16 GiB as a float64 matrix, far
+# above C5's 2560 x 4000.
+_MAX_ENTRIES = 2**31
 
 
 @dataclass(frozen=True)
@@ -88,10 +91,17 @@ class Instance:
 
 
 def measurement_count(delta: float, n: int) -> int:
-    """m = round(delta * n), ties resolved to even (banker's rounding)."""
-    m = round(delta * n)
+    """m = round(delta * n), ties resolved to even (banker's rounding).
+
+    An m below 1, or an (m, n) matrix of more than ``_MAX_ENTRIES``
+    entries, is a ``ValueError`` naming m and n.
+    """
+    m = round(delta * n) if delta * n <= _MAX_ENTRIES else delta * n  # round() takes no inf
     if m < 1:
         raise ValueError(f"delta={delta} with n={n} gives m={m} < 1")
+    if m * n > _MAX_ENTRIES:
+        raise ValueError(f"delta={delta} with n={n} gives m={m}: an (m, n) matrix of "
+                         f"{m * n} entries, more than {_MAX_ENTRIES}")
     return m
 
 

@@ -79,8 +79,9 @@ def se_run(params: ModelParams, alpha: float) -> SETrajectory:
     The map tau^2 -> F(tau^2, alpha*tau) is nondecreasing and concave, so
     the iterates are monotone; the returned limit satisfies the fixed
     point equation to ~1e-13 relative residual.  Below alpha_min the
-    iterates can grow until tau^2 overflows; the run stops at the first
-    non-finite tau^2, which ends the sequence, with ``converged=False``.
+    iterates can grow until tau^2 overflows; the run stops, with
+    ``converged=False``, at the first tau^2 that is not finite or whose
+    threshold the channel could not square, which ends the sequence.
     With sigma^2 = 0 below the phase boundary tau^2 decays geometrically
     to 0, which no relative tol meets; once it drops below eps^2 * tau_0^2
     (a floor on tau^2 itself, in the units of the prior) the run stops
@@ -99,11 +100,12 @@ def se_run(params: ModelParams, alpha: float) -> SETrajectory:
     theta_seq = [alpha * math.sqrt(tau2)]
     converged = False
     for _ in range(10000):
+        scale = max(alpha, 1.0) * math.sqrt(tau2)  # the channel squares tau and theta
+        if not math.isfinite(scale * scale):
+            break
         tau2_next = se_map(tau2, alpha * math.sqrt(tau2), params)
         tau2_seq.append(tau2_next)
         theta_seq.append(alpha * math.sqrt(tau2_next) if tau2_next > 0 else 0.0)
-        if not math.isfinite(tau2_next):
-            break
         done = abs(tau2_next - tau2) <= 1e-13 * max(tau2, 1e-300)
         tau2 = tau2_next
         if tau2 < floor:

@@ -362,6 +362,17 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == "error: mp cross-check is desk-scale only (m*n too large)\n"
 
+    def test_mp_bound_draws_no_instance(self, capsys, monkeypatch):
+        # the bound was checked after the (m, n) matrix was drawn
+        import amplasso.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(cli, "gen_instance", refuse)
+        assert main(["solve", "--n", "3000", "--engine", "mp"]) == 2
+        assert "mp cross-check is desk-scale only" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--n", "100", "--tol", "nan"],
         ["solve", "--n", "100", "--engine", "ist", "--lambda", "1.0", "--tol", "nan"],
@@ -626,3 +637,24 @@ class TestExperiment:
     def test_jobs_flag_is_gone(self):
         with pytest.raises(SystemExit):
             main(["se", "--delta", "0.64", "--jobs", "2"])
+
+
+@pytest.mark.parametrize("argv", [
+    # OverflowError from the channel's theta**2, alpha being below alpha_min = 2.048
+    ["experiment", "--kind", "SE_TRACKING", "--n", "200", "--delta", "0.01", "--alpha", "2",
+     "--seeds", "0", "--t-target", "3"],
+    # predicted_mse=-inf, exit 0: tau_*^2 rounded below sigma^2
+    ["se", "--delta", "1e300", "--sigma2", "1e300"],
+    # numpy's overflow RuntimeWarning, then empirical_se=inf
+    ["experiment", "--kind", "SE_TRACKING", "--n", "200", "--sigma2", "1e300",
+     "--seeds", "0", "1", "--t-target", "0"],
+    # TypeError from np.sqrt(m) with m = 5e20 in draw_matrix
+    ["solve", "--delta", "1e20", "--n", "5"],
+], ids=["se_tracking_below_alpha_min", "se_negative_mse", "se_tracking_overflowing_se",
+        "solve_huge_m"])
+def test_degenerate_input_gets_an_exit_code(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in captured.err
+    assert not re.search(r"\b(nan|inf)\b", captured.out, re.IGNORECASE)

@@ -33,6 +33,26 @@ def first_hit(rows: list[dict], engine: str, nnz: int, target: float) -> int | N
     return min(hits) if hits else None
 
 
+BLOWUP = "residual scale tau_hat = inf"
+
+
+def blowing_up_in(run, failing: set[int]):
+    """``run`` whose calls numbered in ``failing`` (from 0) blow up at their third state."""
+    calls = []
+
+    def wrapped(*args, observe=None, **kwargs):
+        index = len(calls)
+        calls.append(index)
+
+        def observe_then_fail(state):
+            if observe is not None:
+                observe(state)
+            if index in failing and state.t == 2:
+                raise NumericalBlowupError(BLOWUP)
+        return run(*args, observe=observe_then_fail, **kwargs)
+    return wrapped
+
+
 @pytest.fixture(scope="module")
 def small_params():
     return ModelParams(delta=0.64, sigma2=0.2, prior=three_point(0.128))
@@ -315,6 +335,37 @@ class TestMseVsLambda:
         assert h1 == h2
 
 
+class TestOutcomes:
+    """Every Monte Carlo kind records one outcome per cell, all with one key set."""
+
+    COMMON = {"seed_index", "seed", "stop", "iterations", "error", "sampler"}
+
+    @pytest.mark.parametrize("ensemble", ["gaussian", "rademacher"])
+    @pytest.mark.parametrize("kind, extra, cells, own", [
+        ("MSE_VS_LAMBDA", dict(lambdas=(0.5, 1.0), max_iter=40), 6,
+         {"lambda", "mse", "effective_lambda", "converged"}),
+        ("CONVERGENCE", dict(nnz_levels=(2, 5), max_iter=10), 6, {"nnz"}),
+        ("NOISE_HISTOGRAM", dict(nnz_levels=(8,), t_target=3), 3, set()),
+        ("SE_TRACKING", dict(t_target=3), 3, set()),
+        ("RESAMPLED_ORACLE", dict(t_target=3), 6, {"lane"}),
+    ])
+    def test_one_per_cell_with_the_common_keys(self, small_params, ensemble, kind, extra,
+                                               cells, own):
+        noiseless = ModelParams(delta=0.64, sigma2=0.0, prior=three_point(0.128))
+        params = noiseless if kind in ("CONVERGENCE", "NOISE_HISTOGRAM") else small_params
+        spec = ExperimentSpec(kind=kind, n=60, params=params, ensemble=ensemble, alpha=2.0,
+                              seeds=(4, 0, 7), **extra)
+        outcomes = run_experiment(spec).manifest["outcomes"]
+        assert len(outcomes) == cells
+        assert all(set(o) == self.COMMON | own for o in outcomes)
+        assert [o["seed_index"] for o in outcomes] == [0, 1, 2] * (cells // 3)
+        assert all(o["error"] is None and o["stop"] in ("tol", "max_iter", "cycle")
+                   and o["iterations"] >= 1 for o in outcomes)
+        if kind == "SE_TRACKING":
+            assert [o["seed"] for o in outcomes] == [
+                cell_seed(0, "se_tracking", v, ensemble) for v in spec.seeds]
+
+
 class TestOneSeed:
     @pytest.mark.parametrize("kind, se_key", [
         ("MSE_VS_LAMBDA", "empirical_mse_se"), ("SE_TRACKING", "empirical_se"),
@@ -414,7 +465,9 @@ class TestConvergence:
         assert {r["engine"] for r in result.rows} == {"amp"}
         assert len(result.rows) == 2 * 11
         assert result.manifest["outcomes"] == [
-            {"nnz": 4, "seed_index": i, "error": "|x| reached 1e+99 (limit 1e+06)"}
+            {"nnz": 4, "seed_index": i, "seed": cell_seed(0, "convergence", 4, i, "gaussian"),
+             "stop": None, "iterations": None, "error": "|x| reached 1e+99 (limit 1e+06)",
+             "sampler": "matrix_draw"}
             for i in (0, 1)]
 
     def test_rejects_noisy_spec(self, small_params):
@@ -446,6 +499,23 @@ class TestNoiseHistogram:
         engines = {r["engine"] for r in res.rows}
         assert engines == {"amp", "ist"}
 
+    def test_blown_up_cell_leaves_the_pool(self, monkeypatch):
+        # a cell whose plain run blows up used to abort the run; now neither
+        # of its engines adds to the pool
+        params = ModelParams(delta=0.5, sigma2=0.0, prior=three_point(0.125))
+        spec = ExperimentSpec(kind="NOISE_HISTOGRAM", n=120, params=params, seeds=(0, 1, 2),
+                              t_target=4, nnz_levels=(15,))
+        monkeypatch.setattr(harness, "ist_run", blowing_up_in(harness.ist_run, {1}))
+        result = run_noise_histogram(spec)
+        assert [o["error"] for o in result.manifest["outcomes"]] == [None, BLOWUP, None]
+        monkeypatch.undo()
+        kept = run_noise_histogram(replace(spec, seeds=(0, 2)))
+        assert result.rows == kept.rows
+        assert result.extra["summaries"] == kept.extra["summaries"]
+        monkeypatch.setattr(harness, "ist_run", blowing_up_in(harness.ist_run, {0, 1, 2}))
+        with pytest.raises(ValueError, match="needs 2 pooled coordinates .* got 0"):
+            run_noise_histogram(spec)
+
 
 class TestSeTracking:
     def test_smoke_within_loose_band(self, small_params):
@@ -456,6 +526,28 @@ class TestSeTracking:
         for row in rows:
             assert abs(row["empirical_mean"] - row["tau2_prediction"]) \
                 <= max(6 * row["empirical_se"], 0.05)
+
+    @pytest.mark.parametrize("failing, error", [({1}, [None, BLOWUP, None]),
+                                                ({0, 1, 2}, [BLOWUP] * 3)])
+    def test_blown_up_cell_is_recorded_and_dropped(self, small_params, monkeypatch,
+                                                   failing, error):
+        # a cell that blows up after a few states used to abort the run; now
+        # it records its error and adds nothing to the rows
+        spec = ExperimentSpec(kind="SE_TRACKING", n=60, params=small_params,
+                              alpha=2.0, seeds=(0, 1, 2), t_target=5)
+        monkeypatch.setattr(harness, "iterate", blowing_up_in(harness.iterate, failing))
+        result = run_se_tracking(spec)
+        outcomes = result.manifest["outcomes"]
+        assert [o["error"] for o in outcomes] == error
+        assert all(o["stop"] is None and o["iterations"] is None
+                   for o in outcomes if o["error"] is not None)
+        monkeypatch.undo()
+        kept = tuple(v for v in spec.seeds if v not in failing)
+        if kept:  # a cell's bits depend on its seed value, not its position
+            assert result.rows == run_se_tracking(replace(spec, seeds=kept)).rows
+        else:
+            assert [(r["empirical_mean"], r["empirical_se"]) for r in result.rows] \
+                == [(None, None)] * 6
 
 
 def hand_pseudo_data(instance, policy, steps):

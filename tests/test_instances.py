@@ -1,6 +1,7 @@
 """Instance generation: draws, determinism, digests."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,13 @@ class TestMeasurementCount:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             measurement_count(0.1, 2)
+
+    def test_bounds_the_matrix_size(self):
+        # m = 5e20 used to reach draw_matrix, whose np.sqrt(m) raised TypeError
+        assert measurement_count(0.5, 2**16) == 2**15  # 2**31 entries: the bound
+        for delta, n, m in ((1.0, 2**16, "65536"), (1e20, 5, "5e+20"), (1e308, 5, "inf")):
+            with pytest.raises(ValueError, match=re.escape(f"with n={n} gives m={m}: an")):
+                measurement_count(delta, n)
 
 
 def _replayed(n, params, seed):

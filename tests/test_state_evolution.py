@@ -93,6 +93,14 @@ class TestSeRun:
         assert traj.tau2_sequence[-1] == math.inf
         assert all(math.isfinite(t2) for t2 in traj.tau2_sequence[:-1])
 
+    def test_stops_before_a_threshold_whose_square_overflows(self):
+        # below alpha_min = 2.048 the iterates grow until the channel's
+        # theta**2 raised OverflowError, with every tau^2 still finite
+        traj = se_run(ModelParams(0.01, 0.2, three_point(0.064)), 2.0)
+        assert not traj.converged and traj.tau_star is None
+        assert all(math.isfinite(t2) for t2 in traj.tau2_sequence)
+        assert not math.isfinite(traj.theta_sequence[-1] * traj.theta_sequence[-1])
+
     @pytest.mark.parametrize("solve", [se_run, se_fixed_point])
     def test_prior_whose_second_moment_overflows_is_rejected(self, solve):
         # both warned of the overflow in the atoms' squares and then blamed
