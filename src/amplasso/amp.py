@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _checks
 from .instances import Instance, _norm
 from .scalar_risk import soft_threshold
 
@@ -51,23 +52,16 @@ class NumericalBlowupError(RuntimeError):
 class ThresholdPolicy:
     """The threshold at residual scale ``tau_hat``: ``alpha * tau_hat`` (:meth:`rms`,
     the AMP rule) or one ``theta`` at every step (:meth:`fixed`, the LASSO
-    reference's rule).  NaN is rejected as out of range, and an infinite level
-    as not finite.
-    """
+    reference's rule)."""
 
     alpha: float = 2.0
     fixed_theta: float | None = None
 
     def __post_init__(self):
         if self.fixed_theta is not None:
-            if not self.fixed_theta >= 0:
-                raise ValueError("theta must be >= 0")
-            if not math.isfinite(self.fixed_theta):
-                raise ValueError("theta must be finite")
-        elif not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
-        elif not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+            _checks.nonnegative(self.fixed_theta, "theta")
+        else:
+            _checks.positive(self.alpha, "alpha")
 
     @classmethod
     def rms(cls, alpha: float) -> "ThresholdPolicy":
@@ -120,16 +114,20 @@ def initial_state(instance: Instance, policy: ThresholdPolicy) -> AmpState:
         tau0 = estimate_tau(instance.y)
     if not math.isfinite(tau0):  # y @ y overflowed
         raise NumericalBlowupError(f"residual scale tau_hat = {tau0}")
+    theta = policy.theta(tau0)
+    if not math.isfinite(theta):  # alpha * tau_hat overflowed
+        raise NumericalBlowupError(f"threshold theta = {theta} at tau_hat = {tau0:g}")
     return AmpState(x=np.zeros(instance.n), r=instance.y.copy(), t=0,
-                    tau_hat=tau0, theta=policy.theta(tau0), b=0.0)
+                    tau_hat=tau0, theta=theta, b=0.0)
 
 
 def _check_blowup(x: np.ndarray, y: np.ndarray) -> None:
-    if x @ x <= _BLOWUP_FACTOR**2:
+    norm2 = x @ x
+    if norm2 <= _BLOWUP_FACTOR**2:
         return  # |x_i| <= ||x|| <= the smallest possible limit (NaN fails the test)
     peak = float(np.max(np.abs(x)))
     limit = _BLOWUP_FACTOR * max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
-    if not math.isfinite(peak) or peak > limit:
+    if not math.isfinite(norm2) or not peak <= limit:  # the loop squares ||x||
         raise NumericalBlowupError(f"|x| reached {peak:.3e} (limit {limit:.3e})")
 
 
@@ -146,14 +144,15 @@ def amp_step(state: AmpState, instance: Instance, policy: ThresholdPolicy) -> Am
     u = instance.a.T @ state.r
     u += state.x
     x_new = soft_threshold(u, state.theta)
-    _check_blowup(x_new, instance.y)
-    r_new = instance.a @ x_new
-    np.subtract(instance.y, r_new, out=r_new)
-    b_new = 0.0
-    if state.memory:
-        b_new = onsager_coefficient(x_new, instance.m)
-        r_new += b_new * state.r
-    tau_new = estimate_tau(r_new)
+    with np.errstate(over="ignore"):  # an overflow is one of the typed errors below
+        _check_blowup(x_new, instance.y)
+        r_new = instance.a @ x_new
+        np.subtract(instance.y, r_new, out=r_new)
+        b_new = 0.0
+        if state.memory:
+            b_new = onsager_coefficient(x_new, instance.m)
+            r_new += b_new * state.r
+        tau_new = estimate_tau(r_new)
     if not math.isfinite(tau_new):
         raise NumericalBlowupError(f"residual scale tau_hat = {tau_new}")
     t_new = state.t + 1
@@ -403,8 +402,7 @@ def _rescaled(instance: Instance, rescale_opnorm: float,
     a looser bound for the LASSO reference (see ``_REFERENCE_NORM_TOL``).
     ``A`` is shared, not copied, and ``x0`` is the instance's own.
     """
-    if not 0.0 < rescale_opnorm <= 1.0:
-        raise ValueError("rescale_opnorm must lie in (0, 1]")
+    _checks.within(rescale_opnorm, "rescale_opnorm", "(0, 1]")
     # the certificate goes through operator_norm by name, which perfbench traces
     norm = (operator_norm(instance.a) if norm_tol == _NORM_TOL
             else _lanczos_norm(instance.a, norm_tol))
@@ -490,10 +488,7 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     ``t + 1 < max_iter``, and a run cut before one passes returns IST's
     state.
     """
-    if not lam > 0:  # NaN too
-        raise ValueError("lam must be > 0")
-    if not math.isfinite(lam):
-        raise ValueError("lam must be finite")
+    _checks.positive(lam, "lam")
     scaled, c = _rescaled(instance, rescale_opnorm,
                           _REFERENCE_NORM_TOL if tol > 0 else _NORM_TOL)
     policy = ThresholdPolicy.fixed(lam * c * c)
@@ -579,10 +574,9 @@ def lasso_kkt_gap(instance: Instance, x_hat: np.ndarray, lam: float) -> float:
 
     With g = A'(y - A x): on the zero set the gap is (|g| - lam)_+, on the
     support |g - lam*sign(x)|; the maximum over all coordinates is
-    returned.
+    returned.  At lam = 0 that is max |g|, the least-squares residual.
     """
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
+    _checks.nonnegative(lam, "lam")
     g = instance.a.T @ (instance.y - instance.a @ x_hat)
     zero = x_hat == 0
     gap = 0.0
@@ -599,8 +593,7 @@ def effective_lambda(x_hat: np.ndarray, theta_star: float, m: int) -> float:
     Rejects ||x||_0 >= m, where the map degenerates (lam <= 0 is
     meaningless).
     """
-    if theta_star < 0:
-        raise ValueError("theta_star must be >= 0")
+    _checks.nonnegative(theta_star, "theta_star")
     nnz = int(np.count_nonzero(x_hat))
     if nnz >= m:
         raise ValueError(f"||x||_0 = {nnz} >= m = {m}: effective lambda undefined")

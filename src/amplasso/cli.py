@@ -111,7 +111,7 @@ def cmd_solve(args) -> int:
         lam_eff = (effective_lambda(result.x_hat, result.theta, instance.m)
                    if np.count_nonzero(result.x_hat) < instance.m else float("nan"))
     mse = float(np.mean((result.x_hat - instance.x0) ** 2))
-    gap = lasso_kkt_gap(instance, result.x_hat, lam_eff) if lam_eff > 0 else float("nan")
+    gap = lasso_kkt_gap(instance, result.x_hat, lam_eff) if lam_eff >= 0 else float("nan")
     print(f"n={args.n} m={instance.m} ensemble={args.ensemble} seed={args.seed} "
           f"engine={args.engine}")
     print(f"alpha={'none' if alpha is None else f'{alpha:.6g}'} "
@@ -141,15 +141,10 @@ def cmd_solve(args) -> int:
 def cmd_se(args) -> int:
     params = _params(args)
     alpha = _resolve_alpha(args, params)
-    floor = se._alpha_floor(params.delta)
-    if not alpha > floor:  # the recursion would grow until tau^2 overflows (or NaN)
-        raise ValueError(f"alpha must exceed alpha_min = {floor:.6f}")
+    se._check_alpha(params, alpha)  # below alpha_min tau^2 could grow until it overflows
     traj = se.se_run(params, alpha)
     # every value before any output, so an error leaves stdout empty
-    mse = None if traj.tau_star is None else params.delta * (traj.tau_star**2 - params.sigma2)
-    if mse is not None and mse < 0:
-        raise se.TheoryError(f"predicted MSE {mse:g} < 0: tau_star^2 = {traj.tau_star**2!r} "
-                             f"rounded below sigma2 = {params.sigma2!r}")
+    mse = None if traj.tau_star is None else se._predicted_mse(params, traj.tau_star)
     print(f"alpha={alpha:.6g} tau0^2={traj.tau2_sequence[0]:.9g} "
           f"steps={len(traj.tau2_sequence) - 1} converged={traj.converged}")
     if mse is not None:

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _checks
 from . import state_evolution as se
 from .amp import (NumericalBlowupError, ThresholdPolicy, amp_run, effective_lambda,
                   ist_run, iterate)
@@ -90,19 +91,21 @@ class ExperimentSpec:
             raise ValueError(f"{self.kind} needs params (delta, sigma2, prior)")
         if len(self.seeds) == 0:
             raise ValueError("seeds must be nonempty")
-        if any(not lam > 0 for lam in self.lambdas):  # NaN too
-            raise ValueError("lambda grid values must be > 0")
-        if not all(math.isfinite(lam) for lam in self.lambdas):
-            raise ValueError("lambda grid values must be finite")
-        if self.t_target < 0:
-            raise ValueError("t_target must be >= 0")
+        for lam in self.lambdas:
+            _checks.positive(lam, "lambda grid values")
+        _checks.nonnegative(self.t_target, "t_target")
         if math.isnan(self.tol):
             raise ValueError("tol must not be NaN")
         if self.grid_points < 1:
             raise ValueError("grid_points must be >= 1")
         if self.kind == NOISE_HISTOGRAM and len(self.nnz_levels) > 1:
-            raise ValueError(f"{NOISE_HISTOGRAM} takes one nnz level, "
-                             f"got {len(self.nnz_levels)}")
+            raise ValueError(f"{self.kind} takes one nnz level, got {len(self.nnz_levels)}")
+        if self.kind == NOISE_HISTOGRAM and self.t_target < 1:
+            raise ValueError("t_target must be >= 1")
+        if self.kind == CONVERGENCE and self.params.sigma2 != 0:
+            raise ValueError("convergence protocol is noiseless (sigma2 must be 0)")
+        if self.kind == CONVERGENCE and not self.nnz_levels:
+            raise ValueError("convergence protocol needs at least one nnz level")
 
     def to_dict(self) -> dict:
         """The spec in JSON types (tuples become lists); ``params`` only when set."""
@@ -296,8 +299,7 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
             # Zero-signal lane: calibration is degenerate, use the fixed
             # alpha and predict straight from the fixed point.
             alpha = _default_alpha(spec)
-            tau_star = se.se_fixed_point(params, alpha)
-            predicted_mse = params.delta * (tau_star**2 - params.sigma2)
+            predicted_mse = se._predicted_mse(params, se.se_fixed_point(params, alpha))
 
         mses, cells = _cells(spec, lambda v: ("mse_vs_lambda", float(lam), v),
                              partial(solve, lam, alpha))
@@ -320,12 +322,7 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
     Noiseless planted signals at the requested nonzero counts; both engines
     see identical instances.  A run that blows up ends its cell and adds no rows.
     """
-    params = spec.params
-    if params.sigma2 != 0:
-        raise ValueError("convergence protocol is noiseless (sigma2 must be 0)")
-    if not spec.nnz_levels:
-        raise ValueError("convergence protocol needs at least one nnz level")
-    delta = params.delta
+    delta = spec.params.delta
     alpha_amp = _default_alpha(spec)
     rows: list[dict] = []
     outcomes: list[dict] = []
@@ -365,10 +362,8 @@ def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
     both engines, fits a Gaussian, and runs a one-sample KS test against
     the fit.  The corrected iteration should center on +1 and look
     Gaussian; the plain one should not.  Fewer than two pooled +1
-    coordinates have no sample sd: a ``ValueError``.
+    coordinates have no sample sd, and equal ones a zero sd: a ``ValueError``.
     """
-    if spec.t_target < 1:
-        raise ValueError("t_target must be >= 1")
     nnz = spec.nnz_levels[0] if spec.nnz_levels else spec.n // 8
     alpha_amp = _default_alpha(spec)
     policy_amp = ThresholdPolicy.rms(alpha_amp)
@@ -403,6 +398,8 @@ def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
     for engine, values in (("amp", u_amp), ("ist", u_ist)):
         mean = float(values.mean())
         sd = float(values.std(ddof=1))
+        if sd == 0.0:  # no Gaussian fits; a repeated seed pools its coordinates twice
+            raise ValueError(f"{NOISE_HISTOGRAM}: all pooled {engine} values are equal")
         ks_stat, ks_p = stats.kstest(values, "norm", args=(mean, sd))
         summaries[engine] = {
             "mean": mean, "sd": sd, "count": int(values.size),
@@ -422,9 +419,7 @@ def run_noise_histogram(spec: ExperimentSpec) -> ExperimentResult:
 
 def _predicted_tau2(params: ModelParams, alpha: float, t_max: int) -> list[float]:
     """tau_t^2 of the scalar recursion for t = 0..t_max, its limit repeated once it settles."""
-    floor = se._alpha_floor(params.delta)
-    if not alpha > floor:  # the recursion could grow until tau^2 overflows
-        raise ValueError(f"alpha = {alpha:g} must exceed alpha_min = {floor:.6f}")
+    se._check_alpha(params, alpha)  # below alpha_min tau^2 could grow until it overflows
     tau2 = list(se.se_run(params, alpha).tau2_sequence)
     return tau2 + [tau2[-1]] * (t_max + 1 - len(tau2))
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .priors import DiscretePrior, sample_with_rng
 
 GAUSSIAN = "gaussian"
@@ -44,15 +45,10 @@ class ModelParams:
     prior: DiscretePrior
 
     def __post_init__(self):
-        if not self.delta > 0:  # NaN too
-            raise ValueError("delta must be > 0")
-        if not self.sigma2 >= 0:
-            raise ValueError("sigma2 must be >= 0")
+        _checks.positive(self.delta, "delta")
+        _checks.nonnegative(self.sigma2, "sigma2")
         for name in ("delta", "sigma2"):  # a spec's JSON integer becomes a float
-            value = float(getattr(self, name))
-            if value == math.inf:
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -96,6 +92,7 @@ def measurement_count(delta: float, n: int) -> int:
     An m below 1, or an (m, n) matrix of more than ``_MAX_ENTRIES``
     entries, is a ``ValueError`` naming m and n.
     """
+    _checks.positive(delta, "delta")
     m = round(delta * n) if delta * n <= _MAX_ENTRIES else delta * n  # round() takes no inf
     if m < 1:
         raise ValueError(f"delta={delta} with n={n} gives m={m} < 1")
@@ -343,8 +340,7 @@ def gen_planted_instance(n: int, delta: float, nnz: int, seed: int,
 
     Used by the benchmark protocols that fix ||x0||_0 instead of sampling it.
     """
-    if not 0 <= nnz <= n:
-        raise ValueError("nnz must lie in [0, n]")
+    _checks.within(nnz, "nnz", f"[0, {n}]")
 
     def planted(rng, m):
         a = draw_matrix(rng, m, n, ensemble)

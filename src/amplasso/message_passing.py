@@ -21,8 +21,6 @@ def reduced_mp_step(x_msgs: np.ndarray, instance: Instance,
     Returns the residual messages ``r[a, i]`` and the next variable
     messages; both are cavity quantities.
     """
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
     a_mat = instance.a
     x_row = (a_mat * x_msgs).sum(axis=1, keepdims=True)
     r_msgs = instance.y[:, None] - (x_row - a_mat * x_msgs)
@@ -34,6 +32,4 @@ def reduced_mp_step(x_msgs: np.ndarray, instance: Instance,
 def reduced_mp_estimate(r_msgs: np.ndarray, instance: Instance,
                         theta: float) -> np.ndarray:
     """Per-variable estimate from the full sum of residual messages."""
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
     return soft_threshold((instance.a * r_msgs).sum(axis=0), theta)

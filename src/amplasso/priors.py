@@ -10,11 +10,11 @@ theory path; sampling exists solely to build finite problem instances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .gaussians import Phi, phi
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -42,8 +42,8 @@ class DiscretePrior:
             raise ValueError("prior needs at least one atom")
         if len(atoms) != len(weights):
             raise ValueError("atoms and weights must have the same length")
-        if not all(math.isfinite(v) for v in atoms + weights):
-            raise ValueError("atoms and weights must be finite")
+        for v in atoms + weights:
+            _checks.finite(v, "atoms and weights")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
         if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOL:
@@ -67,8 +67,7 @@ class DiscretePrior:
 
 def three_point(eps: float) -> DiscretePrior:
     """Symmetric +-1 prior with total nonzero mass ``eps``."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
+    _checks.within(eps, "eps", "[0, 1]")
     return DiscretePrior((-1.0, 0.0, 1.0), (eps / 2.0, 1.0 - eps, eps / 2.0))
 
 
@@ -80,10 +79,8 @@ def sample_with_rng(prior: DiscretePrior, n: int, rng: np.random.Generator) -> n
 
 
 def _check_channel(tau: float, theta: float) -> None:
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
+    _checks.positive(tau, "tau")
+    _checks.nonnegative(theta, "theta")
 
 
 def st_mse(prior: DiscretePrior, tau: float, theta: float) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .gaussians import Phi, phi
 
 # scipy.optimize.brentq's iteration cap and its smallest rtol (4 eps), which
@@ -24,13 +25,12 @@ _BRENT_RTOL = 8.9e-16
 def soft_threshold(y, theta):
     """Shrink toward zero by ``theta`` with dead zone [-theta, theta].
 
-    ``y`` may be a scalar or array; ``theta`` is a nonnegative scalar.  The
+    ``y`` may be a scalar or array; ``theta`` is a finite nonnegative scalar.  The
     product order ``sign(y) * max(|y| - theta, 0)`` makes a zero output
     negative exactly where ``y < 0``; the iteration's fixed-point check
     tells -0.0 from 0.0.
     """
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
+    _checks.nonnegative(theta, "theta")
     y = np.asarray(y, dtype=float)
     out = np.sign(y) * np.maximum(np.abs(y) - theta, 0.0)
     return out if out.ndim else float(out)
@@ -41,10 +41,8 @@ def risk_M(eps: float, alpha: float) -> float:
 
     ``eps*(1+alpha^2) + (1-eps)*[2(1+alpha^2)*Phi(-alpha) - 2*alpha*phi(alpha)]``
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    _checks.within(eps, "eps", "[0, 1]")
+    _checks.nonnegative(alpha, "alpha")
     bracket = 2.0 * (1.0 + alpha**2) * Phi(-alpha) - 2.0 * alpha * phi(alpha)
     return eps * (1.0 + alpha**2) + (1.0 - eps) * bracket
 
@@ -121,8 +119,7 @@ def minimax_soft_threshold(eps: float) -> MinimaxResult:
     root is unique.  It is sought in [0, sqrt(-2*log(eps)) + 10], past the
     very-sparse optimum, to 1e-15.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _checks.within(eps, "eps", "(0, 1)")
 
     def slope(a):
         return eps * a + 2.0 * (1.0 - eps) * (a * Phi(-a) - phi(a))

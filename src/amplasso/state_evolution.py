@@ -16,6 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 
+from . import _checks
 from .gaussians import Phi, phi
 from .instances import ModelParams
 from .priors import st_keep_prob, st_mse
@@ -67,8 +68,7 @@ def tau0_squared(params: ModelParams) -> float:
 
 def se_map(tau2: float, theta: float, params: ModelParams) -> float:
     """F(tau^2, theta) = sigma^2 + E{[eta(X0 + tau Z; theta) - X0]^2}/delta."""
-    if tau2 <= 0:
-        raise ValueError("tau2 must be > 0")
+    _checks.positive(tau2, "tau2")
     return params.sigma2 + st_mse(params.prior, math.sqrt(tau2), theta) / params.delta
 
 
@@ -86,15 +86,11 @@ def se_run(params: ModelParams, alpha: float) -> SETrajectory:
     to 0, which no relative tol meets; once it drops below eps^2 * tau_0^2
     (a floor on tau^2 itself, in the units of the prior) the run stops
     with the limit ``tau_star = 0`` instead of stepping into subnormals.
-    A run with sigma^2 > 0 never meets the floor.  An alpha whose threshold
-    at tau_0 has an overflowing square is a ``ValueError``, as the
-    channel could not square it, and so is a prior whose E{X0^2}
-    overflows (:func:`tau0_squared`).
+    A run with sigma^2 > 0 never meets the floor.  An alpha that is not
+    positive and finite, or whose threshold at tau_0 has an overflowing
+    square, is a ``ValueError``, and so is a prior whose E{X0^2} overflows.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    tau2 = tau0_squared(params)
-    _check_threshold(alpha, tau2)
+    tau2 = _check_threshold(params, alpha)
     floor = _ZERO_TAU2 * tau2 if params.sigma2 == 0 else 0.0
     tau2_seq = [tau2]
     theta_seq = [alpha * math.sqrt(tau2)]
@@ -127,8 +123,7 @@ def alpha_min(delta: float) -> float:
     It is sought in [0, 20], which holds it for delta above about 2.7e-91;
     a smaller delta is a ``ValueError`` naming it.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
+    _checks.within(delta, "delta", "(0, 1]")
 
     def f(a):
         return (1.0 + a * a) * Phi(-a) - a * phi(a) - delta / 2.0
@@ -145,14 +140,33 @@ def _alpha_floor(delta: float) -> float:
     return alpha_min(delta) if delta <= 1.0 else 0.0
 
 
-def _check_threshold(alpha: float, tau0_2: float) -> None:
-    """Reject an infinite alpha, or one whose threshold at tau_0 has an
-    overflowing square: the channel's ``theta**2`` would raise."""
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+def _check_threshold(params: ModelParams, alpha: float) -> float:
+    """tau_0^2, once alpha is positive and finite and (alpha * tau_0)^2 is too."""
+    _checks.positive(alpha, "alpha")
+    tau0_2 = tau0_squared(params)
     if not math.isfinite(alpha * alpha * tau0_2):
         raise ValueError(f"alpha = {alpha:g} is too large for tau_0^2 = {tau0_2:g}: "
                          "(alpha * tau_0)^2 overflows")
+    return tau0_2
+
+
+def _check_alpha(params: ModelParams, alpha: float) -> float:
+    """:func:`_check_threshold`'s tau_0^2, once alpha also exceeds alpha_min(delta)."""
+    floor = _alpha_floor(params.delta)
+    if not alpha > floor:
+        raise ValueError(f"alpha must exceed alpha_min = {floor:.6f}")
+    return _check_threshold(params, alpha)
+
+
+def _predicted_mse(params: ModelParams, tau_star: float) -> float:
+    """delta*(tau_*^2 - sigma^2), the predicted risk; negative or not finite, a TheoryError."""
+    mse = params.delta * (tau_star**2 - params.sigma2)
+    if mse < 0:
+        raise TheoryError(f"predicted MSE {mse:g} < 0: tau_star^2 = {tau_star**2!r} "
+                          f"rounded below sigma2 = {params.sigma2!r}")
+    if not math.isfinite(mse):
+        raise TheoryError(f"predicted MSE {mse:g} is not finite")
+    return mse
 
 
 def se_fixed_point(params: ModelParams, alpha: float) -> float:
@@ -164,13 +178,8 @@ def se_fixed_point(params: ModelParams, alpha: float) -> float:
     :func:`alpha_min`, where uniqueness holds, a prior with a finite
     E{X0^2} and a finite square of the threshold alpha * tau_0.
     """
-    if params.sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0 for the fixed point")
-    floor = _alpha_floor(params.delta)
-    if alpha <= floor:
-        raise ValueError(f"alpha must exceed alpha_min = {floor:.6f}")
-    hi = tau0_squared(params)
-    _check_threshold(alpha, hi)
+    _checks.positive(params.sigma2, "sigma2")
+    hi = _check_alpha(params, alpha)
 
     def g(tau2):
         return se_map(tau2, alpha * math.sqrt(tau2), params) - tau2
@@ -205,8 +214,7 @@ def alpha_of_lambda(lam: float, params: ModelParams) -> float:
     root is found to 1e-8 in alpha.  alpha_min is solved once per delta
     and shared by every calibration at it.
     """
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
+    _checks.positive(lam, "lam")
     floor = _alpha_floor(params.delta)
 
     offset = 0.5
@@ -233,16 +241,12 @@ def lasso_risk(lam: float, params: ModelParams) -> LassoRiskPrediction:
     E{[eta(X0 + tau_* Z; theta_*) - X0]^2} by the fixed point identity;
     both are evaluated and must agree to 1e-10.
     """
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
-    if params.sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0")
     if not params.prior.has_signal_mass:
         raise ValueError("prior must put mass off zero")
     alpha = alpha_of_lambda(lam, params)
     tau_star = se_fixed_point(params, alpha)
     theta_star = alpha * tau_star
-    mse = params.delta * (tau_star**2 - params.sigma2)
+    mse = _predicted_mse(params, tau_star)
     channel_mse = st_mse(params.prior, tau_star, theta_star)
     if abs(mse - channel_mse) > 1e-10 * max(1.0, abs(mse)):
         raise TheoryError(
@@ -258,8 +262,7 @@ def rho_c(delta: float) -> float:
     measurement budget, i.e. M#(rho*delta) = delta.  Below it the LASSO
     minimax risk is finite; above it, infinite.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _checks.within(delta, "delta", "(0, 1)")
     if 1e-9 * delta == 0.0:
         raise ValueError(f"delta = {delta!r} is too small: rho*delta underflows to 0 "
                          "at rho = 1e-9, the start of rho_c's bracket")
@@ -272,10 +275,8 @@ def rho_c(delta: float) -> float:
 
 def minimax_risk_star(delta: float, rho: float) -> float:
     """Worst-case LASSO noise sensitivity M*(delta, rho); +inf above the boundary."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if not rho > 0:  # NaN too
-        raise ValueError("rho must be > 0")
+    _checks.within(delta, "delta", "(0, 1)")
+    _checks.positive(rho, "rho")
     eps = rho * delta
     if eps == 0.0:
         raise ValueError(f"rho = {rho!r}, delta = {delta!r}: rho*delta underflows to 0")
@@ -293,8 +294,7 @@ def parametric_boundary(alpha: float) -> tuple[float, float]:
     delta = 2 phi(a) / (a + 2(phi(a) - a Phi(-a))),
     rho   = 1 - a Phi(-a) / phi(a); alpha = 0 maps to (1, 1).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    _checks.nonnegative(alpha, "alpha")
     density = phi(alpha)
     if density == 0.0:  # far tail: both coordinates vanish
         return 0.0, 0.0
@@ -311,8 +311,7 @@ def boundary_alpha(delta: float) -> float:
     rho_c(delta); the boundary delta(alpha) is strictly decreasing, so
     bisection applies.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
+    _checks.within(delta, "delta", "(0, 1]")
     if delta == 1.0:
         return 0.0
     return _brentq(lambda a: parametric_boundary(a)[0] - delta, 0.0, 40.0, 1e-12)

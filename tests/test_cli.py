@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, prior literals, exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,9 +13,14 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import amplasso
+from amplasso import harness
 from amplasso.cli import main, parse_prior
+from amplasso.harness import KINDS
+from amplasso.instances import ENSEMBLES
 
 
 def test_import_and_theory_commands_load_no_scipy():
@@ -639,7 +646,7 @@ class TestExperiment:
             main(["se", "--delta", "0.64", "--jobs", "2"])
 
 
-@pytest.mark.parametrize("argv", [
+DEGENERATE = [
     # OverflowError from the channel's theta**2, alpha being below alpha_min = 2.048
     ["experiment", "--kind", "SE_TRACKING", "--n", "200", "--delta", "0.01", "--alpha", "2",
      "--seeds", "0", "--t-target", "3"],
@@ -650,11 +657,109 @@ class TestExperiment:
      "--seeds", "0", "1", "--t-target", "0"],
     # TypeError from np.sqrt(m) with m = 5e20 in draw_matrix
     ["solve", "--delta", "1e20", "--n", "5"],
-], ids=["se_tracking_below_alpha_min", "se_negative_mse", "se_tracking_overflowing_se",
-        "solve_huge_m"])
+    # the cases below came from the fuzz test that follows
+    # numpy's overflow RuntimeWarning from ||x||^2 before the blowup check could fire
+    ["solve", "--n=39", "--delta=0.05", "--sigma2=1e300", "--alpha=1e-300",
+     "--ensemble=rademacher"],
+    # kkt_gap=nan at effective_lambda=0: x0 = 0 and no noise make y = 0, so theta = 0
+    ["solve", "--n=27", "--sigma2=0", "--engine=ist"],
+    # scipy's divide RuntimeWarning: a repeated seed pools one +1 coordinate twice
+    ["experiment", "--kind=NOISE_HISTOGRAM", "--n=12", "--t-target=2", "--seeds", "3", "3",
+     "2"],
+]
+
+
+@pytest.mark.parametrize("argv", DEGENERATE, ids=[
+    "se_tracking_below_alpha_min", "se_negative_mse", "se_tracking_overflowing_se",
+    "solve_huge_m", "solve_overflowing_norm", "solve_zero_data",
+    "noise_histogram_repeated_seed"])
 def test_degenerate_input_gets_an_exit_code(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert code in (0, 2, 3)
     assert "Traceback" not in captured.err
     assert not re.search(r"\b(nan|inf)\b", captured.out, re.IGNORECASE)
+
+
+# Edge values for every float flag, and values a run takes without complaint
+EDGE = ["0", "1", "-1", "1e-300", "1e300", "-1e300", "nan", "inf", "-inf",
+        "0.64", "0.2", "2", "0.05"]
+FUZZ_PRIORS = [
+    '{"atoms": [-1, 0, 1], "weights": [0.064, 0.872, 0.064]}',
+    '{"atoms": [0], "weights": [1]}',  # no signal: y is pure noise
+    '{"atoms": [1], "weights": [1]}',  # no mass at zero
+    '{"atoms": [0, 1e300], "weights": [0.9, 0.1]}',  # E{X0^2} overflows
+    '{"atoms": [0, 1e-300], "weights": [0.5, 0.5]}',
+]
+_float = st.sampled_from(EDGE)
+_count = st.integers(-1, 40).map(str)
+_small = st.integers(-1, 3).map(str)
+_model = {"--delta": _float, "--sigma2": _float, "--alpha": _float,
+          "--prior": st.sampled_from(FUZZ_PRIORS)}
+FUZZ_FLAGS = {
+    "solve": {**_model, "--lambda": _float, "--tol": _float, "--seeds": _small,
+              "--max-iter": _count, "--ensemble": st.sampled_from(ENSEMBLES),
+              "--engine": st.sampled_from(["amp", "ist", "mp"])},
+    "se": {**_model, "--lambda": _float},
+    "calibrate": {**_model, "--lambda": _float},
+    "phase": {"--delta": _float, "--rho": _float, "--sweep": _small},
+    "experiment": {**_model, "--tol": _float, "--max-iter": _count, "--t-target": _small,
+                   "--ensemble": st.sampled_from(ENSEMBLES),
+                   "--seeds": st.lists(_small, min_size=1, max_size=3),
+                   "--lambdas": st.lists(_float, min_size=1, max_size=2),
+                   "--nnz-levels": st.lists(_count, min_size=1, max_size=2)},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand, --n <= 40 where it takes one, and a subset of its other flags
+    with drawn values; --out and --spec, which only name files, are left out.
+    An experiment flag its kind does not read is drawn one time in eight, so
+    that most runs get past the spec."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command]
+    unread = set()
+    if command == "experiment":
+        kind = draw(st.sampled_from(KINDS))
+        argv.append(f"--kind={kind}")
+        unread = {"--" + field.replace("_", "-") for field in
+                  ("lambdas", "max_iter", "tol", "t_target", "nnz_levels")
+                  if field not in harness._READS[kind]}
+    if command in ("solve", "experiment"):
+        argv.append(f"--n={draw(st.integers(1, 40))}")
+    for flag, values in FUZZ_FLAGS[command].items():
+        if draw(st.integers(0, 7)) == 0 if flag in unread else draw(st.booleans()):
+            value = draw(values)
+            # flag=value keeps argparse from reading a value such as -inf as a flag
+            argv += [flag, *value] if isinstance(value, list) else [f"{flag}={value}"]
+    return argv
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(cli_argv())
+@example(DEGENERATE[0])
+@example(DEGENERATE[1])
+@example(DEGENERATE[2])
+@example(DEGENERATE[3])
+@example(DEGENERATE[4])
+@example(DEGENERATE[5])
+@example(DEGENERATE[6])
+def test_fuzzed_argv_gets_an_exit_code_and_finite_output(argv):
+    # an exception escapes main, a RuntimeWarning among them, or an exit code
+    # other than 0, 2 (a usage error from argparse too) or 3 fails the test
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3)
+    text = out.getvalue()
+    # the two documented non-finite fields: m_star above the boundary, and the
+    # effective lambda and its KKT gap of a solve that ends at ||x||_0 >= m
+    if "effective_lambda=nan kkt_gap=nan" in text:
+        fields = dict(tok.split("=") for tok in text.split() if "=" in tok)
+        assert int(fields["nnz"]) >= int(fields["m"])
+    text = text.replace("effective_lambda=nan kkt_gap=nan", "").replace("m_star=inf", "")
+    assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE)

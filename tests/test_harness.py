@@ -71,6 +71,19 @@ READS = {
 }
 
 
+NOISELESS = ModelParams(delta=0.5, sigma2=0.0, prior=three_point(0.125))
+
+
+def minimal(kind, params):
+    """The fields a spec of ``kind`` cannot do without: ``params`` (but for
+    PHASE_CURVE), which for CONVERGENCE are noiseless and come with an nnz level."""
+    if kind == "PHASE_CURVE":
+        return {}
+    if kind == "CONVERGENCE":
+        return {"params": NOISELESS, "nnz_levels": (9,)}
+    return {"params": params}
+
+
 def read_spec(kind, **kwargs):
     """A spec of ``kind`` from those of ``kwargs`` that the kind reads."""
     return ExperimentSpec(kind=kind, **{k: v for k, v in kwargs.items() if k in READS[kind]})
@@ -109,12 +122,17 @@ class TestExperimentSpec:
     def test_rejects_negative_t_target(self, small_params, kind):
         # RESAMPLED_ORACLE used to fail with IndexError, SE_TRACKING to
         # return no rows
-        params = None if kind == "PHASE_CURVE" else small_params
+        base = minimal(kind, small_params)
         with pytest.raises(ValueError, match="t_target"):
-            ExperimentSpec(kind=kind, params=params, t_target=-1)
-        spec = ExperimentSpec(kind=kind, params=params).to_dict()
+            ExperimentSpec(kind=kind, **base, t_target=-1)
+        spec = ExperimentSpec(kind=kind, **base).to_dict()
         with pytest.raises(ValueError, match="t_target"):
             ExperimentSpec.from_dict({**spec, "t_target": -1})
+
+    def test_noise_histogram_rejects_t_target_zero_when_built(self, small_params):
+        # it used to be rejected only once the runner started
+        with pytest.raises(ValueError, match="t_target must be >= 1"):
+            ExperimentSpec(kind="NOISE_HISTOGRAM", params=small_params, t_target=0)
 
     def test_noise_histogram_takes_one_nnz_level(self, small_params):
         # the protocol reads one level; a second one used to be ignored silently
@@ -126,14 +144,13 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="one nnz level"):
             ExperimentSpec.from_dict({**spec, "nnz_levels": [50, 100]})
         assert ExperimentSpec.from_dict(spec).nnz_levels == (50,)
-        assert ExperimentSpec(kind="CONVERGENCE", params=small_params,
+        assert ExperimentSpec(kind="CONVERGENCE", params=NOISELESS,
                               nnz_levels=(50, 100)).nnz_levels == (50, 100)
 
     def test_round_trip_via_dict(self, small_params):
         # one spec of each kind, and its manifest's spec_sha256 (out and jobs unhashed)
-        noiseless = ModelParams(delta=0.5, sigma2=0.0, prior=three_point(0.125))
         for kwargs, sha256 in SPEC_HASHES:
-            params = {"CONVERGENCE": noiseless, "PHASE_CURVE": None}.get(kwargs["kind"],
+            params = {"CONVERGENCE": NOISELESS, "PHASE_CURVE": None}.get(kwargs["kind"],
                                                                          small_params)
             spec = ExperimentSpec(params=params, **kwargs)
             d = spec.to_dict()
@@ -157,8 +174,8 @@ class TestSpecFields:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_unread_fields_are_rejected_by_name(self, small_params, kind):
-        base = {} if kind == "PHASE_CURVE" else {"params": small_params}
-        values = self.other_values(small_params)
+        base = minimal(kind, small_params)
+        values = self.other_values(base.get("params", small_params))
         for name, value in values.items():
             if name in READS[kind]:
                 continue
@@ -173,7 +190,7 @@ class TestSpecFields:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_out_and_jobs_leave_the_hash(self, small_params, kind):
-        base = {} if kind == "PHASE_CURVE" else {"params": small_params}
+        base = minimal(kind, small_params)
         hashes = {harness._manifest(ExperimentSpec(kind=kind, **base, **extra),
                                     [])["spec_sha256"]
                   for extra in ({}, {"out": "a/run"}, {"out": "b/other"}, {"jobs": 4})}
@@ -471,17 +488,15 @@ class TestConvergence:
             for i in (0, 1)]
 
     def test_rejects_noisy_spec(self, small_params):
-        spec = ExperimentSpec(kind="CONVERGENCE", n=100, params=small_params,
-                              nnz_levels=(5,))
-        with pytest.raises(ValueError):
-            run_convergence(spec)
+        # rejected when built; the runner used to reject it
+        with pytest.raises(ValueError, match="noiseless"):
+            ExperimentSpec(kind="CONVERGENCE", n=100, params=small_params, nnz_levels=(5,))
 
     def test_rejects_spec_without_nnz_levels(self):
-        # it used to return zero rows
+        # it used to return zero rows, then to be rejected once the runner started
         params = ModelParams(delta=0.5, sigma2=0.0, prior=three_point(0.1))
-        spec = ExperimentSpec(kind="CONVERGENCE", n=100, params=params)
         with pytest.raises(ValueError, match="at least one nnz level"):
-            run_convergence(spec)
+            ExperimentSpec(kind="CONVERGENCE", n=100, params=params)
 
 
 class TestNoiseHistogram:

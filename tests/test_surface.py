@@ -3,12 +3,15 @@
 Every parameter with a default on a public function or method is an option
 that tests and benchmarks must cover, and so is every ``ExperimentSpec``
 field.  This module lists them all, so that adding one edits it on purpose.
+Its validation counterpart: each range rule's message is written once.
 """
 
 import importlib
 import inspect
 import pkgutil
+import re
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import amplasso
 from amplasso.harness import ExperimentSpec
@@ -63,3 +66,16 @@ def test_public_defaulted_parameters_are_pinned():
 
 def test_experiment_spec_fields_are_pinned():
     assert [(f.name, f.default) for f in fields(ExperimentSpec)] == SPEC_FIELDS
+
+
+# The message of a range rule: "... must be > 0", ">= 0", "finite", "must lie in"
+RULE_MESSAGE = re.compile(r'"[a-z_0-9 ]*must (be (> 0|>= 0|finite)|lie in)')
+
+
+def test_range_rules_are_written_only_in_the_checks_module():
+    package = Path(amplasso.__file__).parent
+    inline = [f"{path.name}:{number}: {line.strip()}"
+              for path in sorted(package.glob("*.py")) if path.name != "_checks.py"
+              for number, line in enumerate(path.read_text().splitlines(), 1)
+              if RULE_MESSAGE.search(line)]
+    assert inline == []
