@@ -39,9 +39,9 @@ _NORM_TOL = 1e-6  # operator_norm's certificate: at most 1e-6 (relative) above s
 # 320 x 500 matrices (Gaussian and Rademacher) c * sigma_1 lay in [0.922, 0.983]
 # at rescale 0.95, after 4-7 Lanczos steps where the certificate takes 28-44.
 _REFERENCE_NORM_TOL = 0.1
-# The LASSO reference tries a sign pattern once it has held over _SIGN_HOLD
-# steps (see ist_solve_lasso).
-_SIGN_HOLD = 4
+# A run that finishes on its sign pattern tries one once it has held over
+# _SIGN_HOLD steps (see _finish_on_signs).
+_SIGN_HOLD = 2
 
 
 class NumericalBlowupError(RuntimeError):
@@ -240,7 +240,7 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
         new = amp_step(state, instance, policy)
         if observe is not None:
             observe(new)
-        if tol > 0 and _norm(new.x - state.x) / max(1.0, _norm(state.x)) < tol:
+        if _settled(new, state, tol):
             state, stop = new, "tol"
             break
         if (new.tau_hat == state.tau_hat and _same_bits(new.x, state.x)
@@ -252,6 +252,16 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
             state = replace(new, t=max_iter)
             break
         state = new
+    return _result(state, stop)
+
+
+def _settled(new: AmpState, old: AmpState, tol: float) -> bool:
+    """The loop's stop rule: the step from ``old`` to ``new`` moved x by less than
+    ``tol`` relative to max(1, ||x||); never for ``tol <= 0``."""
+    return tol > 0 and _norm(new.x - old.x) / max(1.0, _norm(old.x)) < tol
+
+
+def _result(state: AmpState, stop: str) -> SolverResult:
     return SolverResult(x_hat=state.x, r_hat=state.r, converged=stop == "tol",
                         iterations=state.t, tau_hat=state.tau_hat,
                         theta=state.theta, b=state.b, stop=stop)
@@ -272,7 +282,23 @@ def amp_run(instance: Instance, policy: ThresholdPolicy, max_iter: int = 200,
     so the optimality gap is checked separately via :func:`lasso_kkt_gap`.
     ``observe`` is handed to :func:`iterate`, which calls it with every
     state from t = 0 on.
+
+    For ``tol > 0`` on an explicit matrix (``a`` an ``np.ndarray``) the run
+    finishes on its sign pattern (:func:`_finish_on_signs`).  A fixed point
+    of AMP with support S and signs s is the LASSO minimizer at
+    lambda = theta (1 - |S|/m) (Bayati and Montanari, IEEE TIT 2012), and
+    on the pattern it has a closed form.  With G = A_S'A_S,
+    x_LS = G^-1 A_S'y and w = G^-1 s, it is x_S = x_LS - lambda w with
+    residual r = (y - A x) / (1 - |S|/m); the rule theta = alpha ||r|| / sqrt(m)
+    makes lambda = ||y - A_S x_LS|| / sqrt(m / alpha^2 - ||A_S w||^2), and a
+    fixed theta gives lambda directly.  A run that passes a trial ends on
+    that point to rounding, with a KKT gap at rounding level, however loose
+    ``tol`` is, and ``iterations`` count the finish.  An operator ``a``
+    and ``tol <= 0`` step plain AMP.
     """
+    if tol > 0 and isinstance(instance.a, np.ndarray):
+        return _finish_on_signs(instance, policy, max_iter, tol, True, observe,
+                                lambda state: _amp_point(instance, policy, state))
     return iterate(instance, policy, max_iter, tol, True, observe)
 
 
@@ -444,123 +470,209 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     point does not involve the memory term, so it serves as the reference.
     ``observe``, if given, is handed to :func:`iterate` and sees the states
     of the co-scaled system; without it the reference records nothing.
+    The result is an IST state of the co-scaled system.
 
     ``tol`` has two regimes.  For ``tol <= 0`` the reference steps IST
     exactly: ``max_iter`` steps are reported, and the loop stops stepping
     only once IST reaches an exact fixed point, which a run that ends in a
     cycle of a longer period never does.  For ``tol > 0`` (the default
     ``tol=1e-15`` stops once the loop's relative change of x is
-    rounding-level jitter) the reference finishes on a sign pattern.  IST
-    converges linearly (Daubechies, Defrise and De Mol, CPAM 2004) and
-    finds the solution's support and signs in finitely many steps (Hale,
-    Yin and Zhang, SIAM J. Optim. 2008), whatever ``tol``; the steps after
-    that only solve a linear system on the support, slowly.  The minimizer
-    does not depend on c either, so for ``tol > 0`` c comes from a Lanczos
-    bound on sigma_1 to 10% (``_REFERENCE_NORM_TOL``), not from
+    rounding-level jitter) the reference on an explicit matrix finishes on
+    a sign pattern (:func:`_finish_on_signs`); on an operator ``A``, whose
+    columns cannot be taken, it steps plain IST to ``tol``.  IST converges
+    linearly (Daubechies, Defrise and De Mol, CPAM 2004) and finds the
+    solution's support and signs in finitely many steps (Hale, Yin and
+    Zhang, SIAM J. Optim. 2008), whatever ``tol``; the steps after that
+    only solve a linear system on the support, slowly.  The minimizer does
+    not depend on c either, so for ``tol > 0`` c comes from a Lanczos bound
+    on sigma_1 to 10% (``_REFERENCE_NORM_TOL``), not from
     :func:`operator_norm`'s 1e-6 certificate, which ``tol <= 0`` keeps.
-    So, one loop throughout:
 
-    1. IST steps under ``tol``, 4 steps at a time.  A sign pattern (support
-       S, signs s) that two such chunks end on has held, and is tried
-       unless it was the last one tried.
-    2. A trial solves the optimality equations on the pattern,
-       ``A_S'A_S x_S = A_S'y - lam s`` with x = 0 off S, and takes one IST
-       step from that point.  On S the solve makes the gradient
-       ``A'(y - A x)`` equal lam s, so the step keeps x there; off S it
-       keeps a coordinate at 0 iff its gradient is at most lam.  So the
-       step keeps the point's support and signs iff the point meets the
-       LASSO's optimality conditions, up to rounding.  A trial fails if it
-       does not, or if the solve is unusable (an operator ``A``, |S| >= m,
-       a singular system, or signs other than s); IST then goes on from its
-       own state, and the observer sees nothing of the trial.
-    3. The point of the first trial that passes is the state of the next
-       step (its ``u`` is ``None``: no step thresholded it), and IST
-       resumes from it under ``tol``; from the minimizer a step moves x by
-       rounding only, so the run stops after a step or two.
-
-    Until a trial passes the states are plain IST's, so a run whose
-    relative change of x drops below ``tol`` first ends where plain IST to
-    ``tol`` does; one that passes a trial ends on the minimizer to
-    rounding, however loose ``tol`` is.  The observer sees every state
-    once, in order of ``t``, the solved state included, and the result is
-    an IST state of the co-scaled system.  ``max_iter`` caps ``t`` over
-    the whole run (a trial's step does not count); a trial needs
-    ``t + 1 < max_iter``, and a run cut before one passes returns IST's
-    state.
+    The pattern solve is the stationary point on the pattern (support S,
+    signs s): ``A_S'A_S x_S = A_S'y - lam s`` with x = 0 off S.  On S it
+    makes the gradient ``A'(y - A x)`` equal lam s, so an IST step keeps x
+    there; off S a step keeps a coordinate at 0 iff its gradient is at most
+    lam.  So the checking step keeps the point's support and signs iff the
+    point meets the LASSO's optimality conditions, up to rounding.  A
+    solve whose signs are not s moves towards it to the first sign change
+    and solves again on the smaller pattern, until the signs agree
+    (:func:`_reference_point`); the trial is made at that point.  Until a
+    trial passes the states are plain IST's, so a run whose relative
+    change of x drops below ``tol`` first ends where plain IST to ``tol``
+    does; one that passes a trial ends on the minimizer to rounding,
+    however loose ``tol`` is.
     """
     _checks.positive(lam, "lam")
     scaled, c = _rescaled(instance, rescale_opnorm,
                           _REFERENCE_NORM_TOL if tol > 0 else _NORM_TOL)
     policy = ThresholdPolicy.fixed(lam * c * c)
-    if tol > 0:
-        result = _finish_on_signs(instance, lam, scaled, policy, max_iter, tol, observe)
+    if tol > 0 and isinstance(instance.a, np.ndarray):
+        result = _finish_on_signs(
+            scaled, policy, max_iter, tol, False, observe,
+            lambda state: _reference_point(instance, lam, scaled, policy, state))
     else:  # NaN too: iterate rejects it
         result = iterate(scaled, policy, max_iter, tol, False, observe)
     result.scale = c
     return result
 
 
-def _finish_on_signs(instance: Instance, lam: float, scaled: Instance,
-                     policy: ThresholdPolicy, max_iter: int, tol: float,
-                     observe: Callable[[AmpState], None] | None) -> SolverResult:
-    """IST under ``tol`` in chunks of ``_SIGN_HOLD`` steps, finished on the first
-    sign pattern that holds over a chunk and whose solve one IST step keeps."""
+def _finish_on_signs(instance: Instance, policy: ThresholdPolicy, max_iter: int,
+                     tol: float, memory: bool, observe: Callable[[AmpState], None] | None,
+                     solve: Callable[[AmpState], AmpState | None]) -> SolverResult:
+    """The engine under ``tol`` in chunks of ``_SIGN_HOLD`` steps, finished on a sign pattern.
+
+    1. A sign pattern that two chunks end on has held, and is tried unless
+       it was the last one tried: ``solve`` gets the state the chunk ended
+       on and returns the state of the next step at the engine's solved
+       point, or ``None`` if its solve is unusable.
+    2. A trial passes only if one step of the engine from its point keeps
+       the point's support and signs; then the point and that checking
+       step are the run's next two states, and the engine goes on from the
+       step under ``tol`` (from a fixed point a step moves x by rounding
+       only, so the run stops there).  A rejected trial leaves no state:
+       the engine goes on from its own.
+
+    Until a trial passes the states are the plain engine's, so a run whose
+    relative change of x drops below ``tol`` first ends where plain
+    stepping to ``tol`` does.  The observer sees every state once, in
+    order of ``t``; the point's ``u`` is ``None``, since no step
+    thresholded it.  ``max_iter`` caps ``t`` over the whole run (a
+    rejected trial's step does not count); a trial needs
+    ``t + 1 < max_iter``, and a run cut before one passes returns the
+    engine's state.
+    """
     start, held, tried = None, None, None
     while True:
         t = 0 if start is None else start.t
-        result = iterate(scaled, policy, min(t + _SIGN_HOLD, max_iter), tol, False,
+        result = iterate(instance, policy, min(t + _SIGN_HOLD, max_iter), tol, memory,
                          observe, start)
         if result.stop != "max_iter" or result.iterations == max_iter:
             return result
         start = AmpState(x=result.x_hat, r=result.r_hat, t=result.iterations,
                          tau_hat=result.tau_hat, theta=result.theta, b=result.b,
-                         memory=False)
+                         memory=memory)
         signs = np.sign(result.x_hat)
-        if np.array_equal(signs, held) and not np.array_equal(signs, tried):
+        if (np.array_equal(signs, held) and not np.array_equal(signs, tried)
+                and start.t + 1 < max_iter):
             tried = signs
-            x = _solve_on_signs(instance, lam, result.x_hat)
-            if x is not None and start.t + 1 < max_iter:
-                solved = _state_at(scaled, policy, x, start.t + 1)
-                if np.array_equal(np.sign(amp_step(solved, scaled, policy).x), np.sign(x)):
+            point = solve(start)
+            if point is not None:
+                step = amp_step(point, instance, policy)
+                if np.array_equal(np.sign(step.x), np.sign(point.x)):
                     if observe is not None:
-                        observe(solved)
-                    return iterate(scaled, policy, max_iter, tol, False, observe, solved)
+                        observe(point)
+                        observe(step)
+                    if _settled(step, point, tol):
+                        return _result(step, "tol")
+                    return iterate(instance, policy, max_iter, tol, memory, observe, step)
         held = signs
 
 
+def _on_pattern(instance: Instance, x: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The support S of ``x``, its signs s, ``A_S`` and G = A_S'A_S, or ``None``
+    for |S| >= m, where G is singular."""
+    support = np.flatnonzero(x)
+    if support.size >= instance.m:
+        return None
+    cols = instance.a[:, support]
+    return support, np.sign(x[support]), cols, cols.T @ cols
+
+
 def _solve_on_signs(instance: Instance, lam: float, x: np.ndarray) -> np.ndarray | None:
-    """The LASSO stationary point with the support and signs of ``x``, or ``None``.
+    """The LASSO stationary point on the sign pattern of ``x``, or ``None``.
 
     Solves ``A_S'A_S z = A_S'y - lam s`` on the support S of ``x`` with
-    signs s, and puts z on S, 0 elsewhere.  ``None`` when ``A`` is an
-    operator, whose columns cannot be taken, when the system is not
-    square-solvable (|S| >= m, or singular) or when z's signs are not s.
-    A z with signs s minimizes the LASSO over vectors supported on S, so
-    its objective is at most that of x = 0: never a start that blows up.
+    signs s, and puts z on S, 0 elsewhere; z's signs need not be s.
+    ``None`` when the system is not square-solvable (|S| >= m, or
+    singular) or z is not finite.  A z with signs s minimizes the LASSO
+    over vectors supported on S, so its objective is at most that of
+    x = 0: never a start that blows up.
     """
-    support = np.flatnonzero(x)
-    if not isinstance(instance.a, np.ndarray) or support.size >= instance.m:
+    pattern = _on_pattern(instance, x)
+    if pattern is None:
         return None
-    signs = np.sign(x[support])
-    cols = instance.a[:, support]
+    support, signs, cols, gram = pattern
     try:
-        z = np.linalg.solve(cols.T @ cols, cols.T @ instance.y - lam * signs)
+        z = np.linalg.solve(gram, cols.T @ instance.y - lam * signs)
     except np.linalg.LinAlgError:
         return None
-    if not np.array_equal(np.sign(z), signs):  # a NaN's sign is NaN: unequal
+    if not np.isfinite(z).all():
         return None
     out = np.zeros(instance.n)
     out[support] = z
     return out
 
 
-def _state_at(instance: Instance, policy: ThresholdPolicy, x: np.ndarray, t: int) -> AmpState:
-    """The memoryless state of step ``t`` at ``x``: residual ``y - A x`` as a step forms it."""
+def _reference_point(instance: Instance, lam: float, scaled: Instance,
+                     policy: ThresholdPolicy, state: AmpState) -> AmpState | None:
+    """The LASSO's stationary point on a face of IST's sign pattern, as the
+    co-scaled state of the next step, or ``None`` if a solve is unusable.
+
+    The solve on the pattern of ``state.x``; while a solve's signs are not
+    its pattern's, x moves to the first sign change on the segment from x
+    to the solve (that coordinate set to exactly 0) and the solve is made
+    again on the smaller pattern, the subspace step of FPC_AS (Wen, Yin,
+    Goldfarb and Zhang, SIAM J. Sci. Comput. 2010).  Each move stays on
+    the closed orthant of x's signs, where the LASSO objective is the
+    convex quadratic the solve minimizes, so it never raises the objective.
+    The moves are not states of the run; each drops a coordinate, so at
+    most |S| solves are made.
+    """
+    x, z = state.x, _solve_on_signs(instance, lam, state.x)
+    while z is not None and not np.array_equal(np.sign(z), np.sign(x)):
+        signs = np.sign(x)
+        flipped = np.flatnonzero(np.sign(z) != signs)
+        # x_i + tau (z_i - x_i) reaches 0 at tau_i = x_i / (x_i - z_i), in (0, 1]
+        taus = x[flipped] / (x[flipped] - z[flipped])
+        first = np.argmin(taus)
+        x = x + taus[first] * (z - x)
+        x[flipped[first]] = 0.0
+        x[np.sign(x) != signs] = 0.0  # entries that rounding took past 0
+        z = _solve_on_signs(instance, lam, x)
+    return None if z is None else _state_at(scaled, policy, z, state.t + 1)
+
+
+def _amp_point(instance: Instance, policy: ThresholdPolicy, state: AmpState) -> AmpState | None:
+    """AMP's fixed point on the pattern of ``state.x`` in closed form (see
+    :func:`amp_run`), as the state of the next step.
+
+    ``None`` when the solve is unusable, when m / alpha^2 <= ||A_S w||^2
+    (no lambda reaches the rule) or when x_S's signs are not the pattern's.
+    """
+    pattern = _on_pattern(instance, state.x)
+    if pattern is None:
+        return None
+    support, signs, cols, gram = pattern
+    try:
+        x_ls, w = np.linalg.solve(gram, np.column_stack((cols.T @ instance.y, signs))).T
+    except np.linalg.LinAlgError:
+        return None
+    if policy.fixed_theta is None:
+        aw = cols @ w
+        room = instance.m / (policy.alpha * policy.alpha) - aw @ aw
+        lam = _norm(instance.y - cols @ x_ls) / math.sqrt(room) if room > 0 else math.nan
+    else:
+        lam = policy.fixed_theta * (1.0 - support.size / instance.m)
+    z = x_ls - lam * w
+    if not np.array_equal(np.sign(z), signs):  # a NaN's sign is NaN: unequal
+        return None
+    x = np.zeros(instance.n)
+    x[support] = z
+    return _state_at(instance, policy, x, state.t + 1, memory=True)
+
+
+def _state_at(instance: Instance, policy: ThresholdPolicy, x: np.ndarray, t: int,
+              memory: bool = False) -> AmpState:
+    """The state of step ``t`` at ``x``: residual ``y - A x`` as a step forms it,
+    over 1 - b with AMP's memory (b = ||x||_0 / m), as at AMP's fixed point."""
+    b = onsager_coefficient(x, instance.m) if memory else 0.0
     r = instance.a @ x
     np.subtract(instance.y, r, out=r)
+    r /= 1.0 - b
     tau = estimate_tau(r)
-    return AmpState(x=x, r=r, t=t, tau_hat=tau, theta=policy.theta(tau), b=0.0,
-                    memory=False)
+    return AmpState(x=x, r=r, t=t, tau_hat=tau, theta=policy.theta(tau), b=b,
+                    memory=memory)
 
 
 def lasso_objective(instance: Instance, x: np.ndarray, lam: float) -> float:

@@ -93,6 +93,11 @@ class ExperimentSpec:
             raise ValueError("seeds must be nonempty")
         for lam in self.lambdas:
             _checks.positive(lam, "lambda grid values")
+        # a kind that does not read one of these has it at its valid default
+        if self.alpha is not None:
+            _checks.positive(self.alpha, "alpha")
+        _checks.positive(self.alpha_ist, "alpha_ist")
+        _checks.within(self.ist_rescale, "ist_rescale", "(0, 1]")
         _checks.nonnegative(self.t_target, "t_target")
         if math.isnan(self.tol):
             raise ValueError("tol must not be NaN")
@@ -272,7 +277,10 @@ def run_mse_vs_lambda(spec: ExperimentSpec) -> ExperimentResult:
     stopped on ``tol``.
     Gaussian cells run on a lazy instance
     (:func:`~amplasso.instances.gen_lazy_instance`); each outcome names its
-    ``sampler``.
+    ``sampler``.  A cell on a drawn matrix (Rademacher) at ``tol > 0``
+    finishes on its sign pattern (:func:`~amplasso.amp.amp_run`), so its
+    outcome's ``iterations`` and ``stop`` count that finish and are not
+    comparable with a lazy Gaussian cell's, which steps plain AMP to ``tol``.
     """
     params = spec.params
     signal_mass = params.prior.has_signal_mass

@@ -782,8 +782,13 @@ C4_ALPHA = 1.9458458093547715
 
 
 def c4_lambda(instance):
-    """The level C4 certifies: the effective lambda of AMP's fixed point at lambda = 1."""
-    res = amp_run(instance, ThresholdPolicy.rms(C4_ALPHA), max_iter=20000, tol=1e-10)
+    """The level C4 certifies: the effective lambda of AMP's fixed point at lambda = 1.
+
+    Plain AMP stepped to tol = 1e-10, not ``amp_run``'s finish on the sign
+    pattern, whose level differs in the last bits: the cycles below are
+    those of these exact levels.
+    """
+    res = iterate(instance, ThresholdPolicy.rms(C4_ALPHA), 20000, 1e-10, True)
     return effective_lambda(res.x_hat, res.theta, instance.m)
 
 
@@ -908,13 +913,13 @@ class TestCycleReplay:
     @pytest.fixture(scope="class")
     def c4_references(self, bench_params):
         # C4's ten Gaussian references, each with its observed states, the
-        # amp_step calls it made and the solves that gave a point to check
+        # amp_step calls it made and the trials it checked
         runs = {}
         with pytest.MonkeyPatch.context() as mp:
             for seed in range(10):
                 inst = gen_gaussian_instance(500, bench_params, seed=seed)
                 lam = c4_lambda(inst)
-                steps, solves = counting(mp, "amp_step"), counting(mp, "_solve_on_signs")
+                steps, solves = counting(mp, "amp_step"), counting(mp, "_reference_point")
                 seen = []
                 res = ist_solve_lasso(inst, lam, rescale_opnorm=0.95, max_iter=10000,
                                       observe=seen.append)
@@ -927,21 +932,27 @@ class TestCycleReplay:
     def test_c4_reference_finishes_on_its_sign_pattern(self, c4_references, seed):
         # C4's ten references: IST until a sign pattern holds, solves on the
         # patterns that hold, each checked by one IST step from its point,
-        # then a step or two of IST from the point that passed
-        _, _, res, seen, steps, checked = c4_references[seed]
+        # then that step, which confirms the point that passed
+        inst, lam, res, seen, steps, checked = c4_references[seed]
         assert res.stop == "tol" and res.converged and steps <= 200
         # every state once, in order; one of them is the solve's, not a step's
         assert [s.t for s in seen] == list(range(res.iterations + 1))
         solved = [s.t for s in seen[1:] if s.u is None]
-        assert len(solved) == 1 and steps == res.iterations - 1 + checked
+        # the passing trial's checking step is a state; a rejected one's is not
+        assert len(solved) == 1 and steps == res.iterations - 1 + (checked - 1)
         assert res.iterations - solved[0] <= 2
         assert res.x_hat.tobytes() == seen[-1].x.tobytes()
         assert res.r_hat.tobytes() == seen[-1].r.tobytes()
+        # IST's unit step is below 1 / sigma_1^2 and the solved point is the
+        # minimizer: the objective never rises along the states
+        objectives = [lasso_objective(inst, s.x, lam) for s in seen]
+        assert all(b <= a * (1 + 1e-15) for a, b in zip(objectives, objectives[1:]))
 
     def test_c4_references_take_few_steps(self, c4_references):
-        # a step count, not a time: about 45 steps each, where the reference
-        # that stepped IST to a relative change of 1e-6 before its solve took
-        # about 120
+        # a step count, not a time: 13-74 steps (median 19), where trials
+        # after 4 held steps without the face search took 26-90 (median 56),
+        # and the reference that stepped IST to a relative change of 1e-6
+        # before its solve about 120
         steps = sorted(run[4] for run in c4_references.values())
         assert (steps[4] + steps[5]) / 2 <= 70
 
@@ -995,13 +1006,42 @@ class TestCycleReplay:
             assert (lasso_kkt_gap(inst, res.x_hat, lam)
                     <= lasso_kkt_gap(inst, plain.x_hat, lam))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_face_search_lowers_the_objective(self, bench_params, seed):
+        # IST's early states, whose pattern solve has other signs: the face
+        # search ends on a point stationary on a face of the pattern, with an
+        # objective no larger than the state's
+        inst = gen_gaussian_instance(500, bench_params, seed=seed)
+        lam = c4_lambda(inst)
+        scaled, c = _rescaled(inst, 0.95, amp_module._REFERENCE_NORM_TOL)
+        policy = ThresholdPolicy.fixed(lam * c * c)
+        states = []
+        iterate(scaled, policy, 12, 0.0, False, observe=states.append)
+        searched = 0
+        for state in states[2:]:
+            z = amp_module._solve_on_signs(inst, lam, state.x)
+            if np.array_equal(np.sign(z), np.sign(state.x)):
+                continue
+            searched += 1
+            point = amp_module._reference_point(inst, lam, scaled, policy, state)
+            face = np.flatnonzero(point.x)
+            assert point.t == state.t + 1 and point.u is None
+            # a smaller face of the state's pattern, with the state's signs
+            assert np.count_nonzero(state.x) > face.size
+            assert np.array_equal(np.sign(point.x[face]), np.sign(state.x[face]))
+            grad = inst.a[:, face].T @ (inst.y - inst.a @ point.x)
+            assert np.allclose(grad, lam * np.sign(point.x[face]), rtol=0, atol=1e-9 * lam)
+            assert (lasso_objective(inst, point.x, lam)
+                    <= lasso_objective(inst, state.x, lam) * (1 + 1e-15))
+        assert searched > 0
+
     @pytest.mark.parametrize("forced, n, seed", [("dropped", 500, 2), ("hold1", 200, 1)])
     def test_wrong_sign_pattern_still_reaches_the_minimizer(
             self, bench_params, c4_runs, monkeypatch, forced, n, seed):
         # trials on wrong patterns: "dropped" solves every held pattern less
-        # its smallest entry, so no trial passes and the reference is plain
-        # IST; "hold1" tries each pattern that holds for one step, and the
-        # step from the solve's point rejects four of them
+        # its largest entry, which no move puts back, so no trial passes and
+        # the reference is plain IST; "hold1" tries each pattern that holds
+        # for one step, and the step from the solve's point rejects five
         inst = gen_gaussian_instance(n, bench_params, seed=seed)
         if n == 500:  # the fixture's tol = 0 reference
             _, lam, _, _, (states, _) = c4_runs[seed]
@@ -1011,22 +1051,22 @@ class TestCycleReplay:
             x_exact = ist_solve_lasso(inst, lam, max_iter=3000, tol=0.0).x_hat
         scaled, c = _rescaled(inst, 0.95, amp_module._REFERENCE_NORM_TOL)
         if forced == "dropped":
-            solve = amp_module._solve_on_signs
+            solve = amp_module._reference_point
 
-            def dropped(instance, lam, x):
-                x = x.copy()
+            def dropped(instance, lam, scaled, policy, state):
+                x = state.x.copy()
                 support = np.flatnonzero(x)
-                x[support[np.argmin(np.abs(x[support]))]] = 0.0
-                return solve(instance, lam, x)
-            monkeypatch.setattr(amp_module, "_solve_on_signs", dropped)
+                x[support[np.argmax(np.abs(x[support]))]] = 0.0
+                return solve(instance, lam, scaled, policy, replace(state, x=x))
+            monkeypatch.setattr(amp_module, "_reference_point", dropped)
         else:
             monkeypatch.setattr(amp_module, "_SIGN_HOLD", 1)
-        solves = counting(monkeypatch, "_solve_on_signs")
+        solves = counting(monkeypatch, "_reference_point")
         seen = []
         res = ist_solve_lasso(inst, lam, observe=seen.append)
         solved = [s.t for s in seen[1:] if s.u is None]
         rejected = sum(z is not None for z in solves) - len(solved)
-        assert rejected == {"dropped": 1, "hold1": 4}[forced] and res.stop == "tol"
+        assert rejected == {"dropped": 7, "hold1": 5}[forced] and res.stop == "tol"
         # a rejected trial leaves no state: up to the solve's point, or to the
         # end if no trial passed, the observer sees plain IST
         plain = []
@@ -1037,3 +1077,125 @@ class TestCycleReplay:
         assert [state_bits(s) for s in seen[:k]] == [state_bits(s) for s in plain[:k]]
         c_exact = lasso_objective(inst, x_exact, lam)
         assert abs(lasso_objective(inst, res.x_hat, lam) - c_exact) <= 1e-15 * c_exact
+
+
+class TestAmpFinish:
+    """AMP at ``tol > 0`` on a matrix finishes on its sign pattern in closed form;
+    every other AMP run is plain stepping."""
+
+    @pytest.fixture(scope="class")
+    def c4_amp(self, bench_params):
+        # C4's compositions, each AMP run with its observed states, the
+        # amp_step calls it made, the trials it solved and plain AMP to tol
+        policy = ThresholdPolicy.rms(alpha_of_lambda(1.0, bench_params))
+        runs = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for ensemble, seeds in ((GAUSSIAN, range(10)), (RADEMACHER, range(4))):
+                for seed in seeds:
+                    inst = gen_instance(500, bench_params, seed, ensemble)
+                    steps, trials = counting(mp, "amp_step"), counting(mp, "_amp_point")
+                    seen = []
+                    res = amp_run(inst, policy, max_iter=20000, tol=1e-10,
+                                  observe=seen.append)
+                    runs[ensemble, seed] = (inst, res, seen, len(steps),
+                                            sum(z is not None for z in trials))
+                    mp.undo()
+                    runs[ensemble, seed] += (iterate(inst, policy, 20000, 1e-10, True),)
+        return runs
+
+    @pytest.mark.parametrize("key", [(GAUSSIAN, s) for s in range(10)]
+                             + [(RADEMACHER, s) for s in range(4)])
+    def test_c4_amp_ends_on_its_fixed_point(self, c4_amp, key):
+        inst, res, seen, steps, trials, plain = c4_amp[key]
+        assert res.stop == "tol" and res.converged
+        assert [s.t for s in seen] == list(range(res.iterations + 1))
+        # one solved state, then its checking step; every other state a step's,
+        # and a rejected trial's step is the only step that is no state
+        points = [s.t for s in seen[1:] if s.u is None]
+        assert len(points) == 1 and res.iterations - points[0] <= 2
+        assert steps == res.iterations - 1 + (trials - 1)
+        assert res.x_hat.tobytes() == seen[-1].x.tobytes()
+        lam = effective_lambda(res.x_hat, res.theta, inst.m)
+        assert lasso_kkt_gap(inst, res.x_hat, lam) <= 1e-12 * lam
+        assert (np.linalg.norm(res.x_hat - plain.x_hat)
+                <= 1e-9 * np.linalg.norm(plain.x_hat))
+
+    def test_c4_amp_takes_few_steps(self, c4_amp):
+        # a step count, not a time: 8-12 steps each, where plain AMP to
+        # tol = 1e-10 takes 22-64 (median 26)
+        steps = sorted(c4_amp[GAUSSIAN, seed][1].iterations for seed in range(10))
+        assert (steps[4] + steps[5]) / 2 <= 12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flipped_sign_is_rejected_and_leaves_no_state(self, bench_params, monkeypatch,
+                                                          seed):
+        # every trial's point with the sign of its largest entry flipped: the
+        # checking step turns that entry back, so no trial passes and the
+        # observer sees plain AMP to tol
+        inst = gen_gaussian_instance(500, bench_params, seed=seed)
+        policy = ThresholdPolicy.rms(C4_ALPHA)
+        solve = amp_module._amp_point
+
+        def flipped(*args):
+            point = solve(*args)
+            if point is not None:
+                x = point.x.copy()
+                j = np.argmax(np.abs(x))
+                x[j] = -x[j]
+                point = replace(point, x=x)
+            return point
+        monkeypatch.setattr(amp_module, "_amp_point", flipped)
+        trials = counting(monkeypatch, "_amp_point")
+        steps = counting(monkeypatch, "amp_step")
+        seen = []
+        res = amp_run(inst, policy, max_iter=20000, tol=1e-10, observe=seen.append)
+        rejected = sum(z is not None for z in trials)
+        assert rejected >= 1 and len(steps) == res.iterations + rejected
+        plain = []
+        iterate(inst, policy, 20000, 1e-10, True, observe=plain.append)
+        assert [state_bits(s) for s in seen] == [state_bits(s) for s in plain]
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_nonpositive_tol_steps_plain_amp(self, bench_params, tol):
+        inst = gen_gaussian_instance(200, bench_params, seed=1)
+        policy = ThresholdPolicy.rms(C4_ALPHA)
+        res, points = recorded(amp_run, inst, policy, max_iter=60, tol=tol)
+        assert_same_run(res, points, hand_stepped(inst, policy, 60, tol, True), inst)
+
+    def test_lazy_instance_steps_plain_amp(self, bench_params):
+        # an operator gives no columns: plain AMP to tol, against a fresh
+        # copy of the same lazy instance stepped by hand
+        policy = ThresholdPolicy.rms(C4_ALPHA)
+        res, points = recorded(amp_run, gen_lazy_instance(200, bench_params, 4), policy,
+                               max_iter=300, tol=1e-10)
+        inst = gen_lazy_instance(200, bench_params, 4)
+        stepped = hand_stepped(inst, policy, 300, 1e-10, True)
+        assert stepped[1] and res.iterations > 20
+        assert_same_run(res, points, stepped, inst)
+
+    @pytest.mark.parametrize("kind, kwargs", [
+        ("SE_TRACKING", dict(ensemble="rademacher", alpha=2.0, t_target=8)),
+        ("NOISE_HISTOGRAM", dict(nnz_levels=(25,), t_target=8)),
+    ])
+    def test_harness_cells_equal_hand_stepping(self, bench_params, monkeypatch, kind,
+                                               kwargs):
+        # each cell's AMP run, as the harness makes it, state by state
+        from amplasso import harness
+        real, cells = harness.iterate, []
+
+        def checked(instance, policy, max_iter, tol, memory, observe=None, start=None):
+            seen = []
+
+            def both(state):
+                seen.append(state)
+                if observe is not None:
+                    observe(state)
+            res = real(instance, policy, max_iter, tol, memory, both, start)
+            states, _ = hand_stepped(instance, policy, max_iter, tol, memory)
+            assert [state_bits(s) for s in seen] == [state_bits(s) for s in states]
+            cells.append(res)
+            return res
+        monkeypatch.setattr(harness, "iterate", checked)
+        harness.run_experiment(harness.ExperimentSpec(kind=kind, n=200, params=bench_params,
+                                                      seeds=(0, 1), **kwargs))
+        assert len(cells) == 2

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from amplasso import (ModelParams, ThresholdPolicy, TheoryError, alpha_min, alpha_of_lambda,
-                      boundary_alpha, calibrate_lambda, effective_lambda, gen_instance,
-                      ist_solve_lasso, lasso_kkt_gap, lasso_risk, measurement_count,
+from amplasso import (ExperimentSpec, ModelParams, ThresholdPolicy, TheoryError, alpha_min,
+                      alpha_of_lambda, boundary_alpha, calibrate_lambda, effective_lambda,
+                      gen_instance, ist_solve_lasso, lasso_kkt_gap, lasso_risk, measurement_count,
                       minimax_risk_star, minimax_soft_threshold, parametric_boundary,
                       reduced_mp_estimate, reduced_mp_step, rho_c, risk_M, se_fixed_point,
                       se_map, se_run, soft_threshold, st_keep_prob, st_mse, three_point)
@@ -71,3 +71,15 @@ def test_lasso_risk_whose_mse_overflows_is_a_theory_error():
     # sigma^2) overflows, and the identity check's tolerance was infinite too
     with pytest.raises(TheoryError, match="predicted MSE -inf < 0"):
         lasso_risk(1e150, ModelParams(1e300, 1e300, three_point(0.064)))
+
+
+@pytest.mark.parametrize("field, value", [("alpha", -1.0), ("alpha", float("nan")),
+                                          ("alpha_ist", float("nan")), ("alpha_ist", 0.0),
+                                          ("ist_rescale", 2.0), ("ist_rescale", 0.0),
+                                          ("ist_rescale", float("nan"))])
+def test_spec_field_is_checked_where_the_spec_is_built(field, value):
+    # the spec built, and its run failed after a cell with an error naming
+    # ThresholdPolicy's alpha or ist_run's rescale_opnorm
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        ExperimentSpec(kind="NOISE_HISTOGRAM", n=200, params=PARAMS, seeds=(0,),
+                       nnz_levels=(20,), **{field: value})
