@@ -6,10 +6,12 @@ that correction is what keeps the effective noise Gaussian and makes the
 scalar state evolution exact in the high-dimensional limit.  Iterative
 soft thresholding (IST) is the same step with the memory term switched off,
 run on a co-scaled system; it serves as a baseline and as a LASSO reference
-solver.  One loop, :func:`iterate`, drives all three, and the harness
-protocols run through it too: each is the loop plus an observer.  That
-observer is the one per-step record: a result holds only the final state,
-and a caller that wants a trajectory passes ``observe`` to the solver.
+solver.  One loop drives all three, and the harness protocols run through
+it too: each is the loop plus an observer.  AMP and the reference at
+``tol > 0`` also hand it a solve on a sign pattern, which it tries once the
+pattern holds.  The observer is the one per-step record: a result holds
+only the final state, and a caller that wants a trajectory passes
+``observe`` to the solver.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ _NORM_TOL = 1e-6  # operator_norm's certificate: at most 1e-6 (relative) above s
 # 320 x 500 matrices (Gaussian and Rademacher) c * sigma_1 lay in [0.922, 0.983]
 # at rescale 0.95, after 4-7 Lanczos steps where the certificate takes 28-44.
 _REFERENCE_NORM_TOL = 0.1
-# A run that finishes on its sign pattern tries one once it has held over
-# _SIGN_HOLD steps (see _finish_on_signs).
+# A loop given a sign-pattern solve compares x's signs every _SIGN_HOLD steps
+# and tries a pattern once it has held over them (see _iterate).
 _SIGN_HOLD = 2
 
 
@@ -185,8 +187,7 @@ class SolverResult:
 
 
 def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: float,
-            memory: bool, observe: Callable[[AmpState], None] | None = None,
-            start: AmpState | None = None) -> SolverResult:
+            memory: bool, observe: Callable[[AmpState], None] | None = None) -> SolverResult:
     """The iteration loop behind every solver and protocol: step until x settles.
 
     The loop reads ``a`` and ``y`` of the :class:`~amplasso.instances.Instance`,
@@ -199,14 +200,6 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
     ``observe``, if given, is called with the initial state and then with
     every new state in order of ``t``; it reads the states and must not
     write to their arrays, which the loop keeps using.
-
-    ``start``, if given, is a state to step from instead of the initial
-    one, such as the last state of an earlier run: the loop takes its
-    ``t`` and ``memory`` is set on it, ``max_iter`` still caps the total
-    (so ``max_iter - start.t`` steps at most, none if they are equal), and
-    ``observe`` is not called with ``start``, which whoever made it has
-    seen.  Resuming the state of step k this way gives the run that never
-    stopped at k, bit for bit.
 
     A step reads only ``(x, r, theta)``, and every policy's ``theta``
     depends on ``r`` only.  So once a step returns the state it started
@@ -223,20 +216,41 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
     and agrees to rounding).  Longer cycles are not looked for: a run that
     enters one steps to ``max_iter``.
     """
+    return _iterate(instance, policy, max_iter, tol, memory, observe, None)
+
+
+def _iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: float,
+             memory: bool, observe: Callable[[AmpState], None] | None,
+             solve: Callable[[AmpState], AmpState | None] | None) -> SolverResult:
+    """:func:`iterate`, finished on a sign pattern if ``solve`` is given.
+
+    1. Every ``_SIGN_HOLD`` steps (at ``t % _SIGN_HOLD == 0``), while
+       ``t + 1 < max_iter``, the loop compares x's signs with those it held.
+       A pattern that held goes to ``solve`` unless it was the last one
+       tried; ``solve`` returns the state of the next step at its solved
+       point, or ``None`` if its solve is unusable.
+    2. A trial passes only if one step from its point keeps the point's
+       support and signs.  The point and that step are then the run's next
+       two states, and the loop goes on from the step under ``tol`` with
+       no ``solve`` (from a fixed point a step moves x by rounding only, so
+       the run stops there).  A rejected trial leaves no state.
+
+    Until a trial passes the states are plain stepping's, so a run that
+    meets ``tol`` first ends where plain stepping does.  The observer sees
+    every state once, in order of ``t``; the point's ``u`` is ``None``, as
+    no step thresholded it.  A rejected trial's step does not count
+    towards ``max_iter``.
+    """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
-    if start is None:
-        state = replace(initial_state(instance, policy), memory=memory)
-        if observe is not None:
-            observe(state)
-    elif start.t <= max_iter:
-        state = replace(start, memory=memory)
-    else:
-        raise ValueError(f"start.t = {start.t} exceeds max_iter = {max_iter}")
+    state = replace(initial_state(instance, policy), memory=memory)
+    if observe is not None:
+        observe(state)
+    held = tried = None
     stop = "max_iter"
-    for _ in range(max_iter - state.t):
+    while state.t < max_iter:
         new = amp_step(state, instance, policy)
         if observe is not None:
             observe(new)
@@ -252,6 +266,21 @@ def iterate(instance: Instance, policy: ThresholdPolicy, max_iter: int, tol: flo
             state = replace(new, t=max_iter)
             break
         state = new
+        if solve is None or state.t % _SIGN_HOLD or state.t + 1 >= max_iter:
+            continue
+        signs = np.sign(state.x)
+        if np.array_equal(signs, held) and not np.array_equal(signs, tried):
+            tried, point = signs, solve(state)
+            step = None if point is None else amp_step(point, instance, policy)
+            if step is not None and np.array_equal(np.sign(step.x), np.sign(point.x)):
+                if observe is not None:
+                    observe(point)
+                    observe(step)
+                state, solve = step, None
+                if _settled(step, point, tol):
+                    stop = "tol"
+                    break
+        held = signs
     return _result(state, stop)
 
 
@@ -280,11 +309,11 @@ def amp_run(instance: Instance, policy: ThresholdPolicy, max_iter: int = 200,
     The stopping metric is ||x_{t+1} - x_t|| / max(1, ||x_t||); adaptive
     thresholds chase a moving regularization level until tau_hat settles,
     so the optimality gap is checked separately via :func:`lasso_kkt_gap`.
-    ``observe`` is handed to :func:`iterate`, which calls it with every
-    state from t = 0 on.
+    ``observe`` is handed to the loop, which calls it with every state
+    from t = 0 on.
 
-    For ``tol > 0`` on an explicit matrix (``a`` an ``np.ndarray``) the run
-    finishes on its sign pattern (:func:`_finish_on_signs`).  A fixed point
+    For ``tol > 0`` on an explicit matrix (``a`` an ``np.ndarray``) the loop
+    finishes the run on its sign pattern (see :func:`_iterate`).  A fixed point
     of AMP with support S and signs s is the LASSO minimizer at
     lambda = theta (1 - |S|/m) (Bayati and Montanari, IEEE TIT 2012), and
     on the pattern it has a closed form.  With G = A_S'A_S,
@@ -296,10 +325,9 @@ def amp_run(instance: Instance, policy: ThresholdPolicy, max_iter: int = 200,
     ``tol`` is, and ``iterations`` count the finish.  An operator ``a``
     and ``tol <= 0`` step plain AMP.
     """
-    if tol > 0 and isinstance(instance.a, np.ndarray):
-        return _finish_on_signs(instance, policy, max_iter, tol, True, observe,
-                                lambda state: _amp_point(instance, policy, state))
-    return iterate(instance, policy, max_iter, tol, True, observe)
+    finish = tol > 0 and isinstance(instance.a, np.ndarray)  # NaN: the loop rejects it
+    return _iterate(instance, policy, max_iter, tol, True, observe,
+                    (lambda state: _amp_point(instance, policy, state)) if finish else None)
 
 
 def operator_norm(a: np.ndarray) -> float:
@@ -318,8 +346,10 @@ def operator_norm(a: np.ndarray) -> float:
     never below it, a safe bound for a unit step.  If the 1000 steps end
     before the stop rule holds (and before the Krylov space is
     exhausted), nothing is certified and :class:`numpy.linalg.LinAlgError`
-    is raised.  The start vector is a fixed draw (``default_rng(0)``), so
-    the result is deterministic; 0.0 for a zero matrix.
+    is raised, and :class:`ValueError` if the Gram products overflow
+    (sigma_1 near 1e77 or above).  The start vector is a fixed draw
+    (``default_rng(0)``), so the result is deterministic; 0.0 for a zero
+    matrix.
     """
     return _lanczos_norm(a, _NORM_TOL)
 
@@ -347,33 +377,36 @@ def _lanczos_norm(a: np.ndarray, rel_tol: float) -> float:
     blocks: list[np.ndarray] = []
     q_prev = None
     theta = rho = beta = 0.0
-    for j in range(steps):
-        row = j % _LANCZOS_BLOCK
-        if row == 0:
-            blocks.append(np.empty((min(_LANCZOS_BLOCK, k - j), k)))
-        blocks[-1][row] = q
-        w = gram(q)
-        alpha = float(q @ w)
-        alphas[j] = alpha
-        w -= alpha * q
-        if q_prev is not None:
-            w -= beta * q_prev
-        done = blocks[:-1] + [blocks[-1][:row + 1]]
-        for _ in range(2):  # twice is enough (Kahan-Parlett)
-            for block in done:
-                w -= block.T @ (block @ w)
-        beta = _norm(w)
-        betas[j] = beta
-        theta, s_last = _top_ritz_pair(alphas[:j + 1], betas[:j], dstebz, dstein)
-        theta = max(theta, 0.0)
-        rho = beta * abs(s_last) + (m + n) * _EPS * theta
-        if rho <= rel_tol * theta or beta == 0.0:
-            break
-        q_prev, q = q, w / beta
-    else:
-        if _LANCZOS_MAX_STEPS < k:  # stopped early: theta may not be the top eigenvalue yet
-            raise np.linalg.LinAlgError("Lanczos did not certify the operator norm in "
-                                        f"{_LANCZOS_MAX_STEPS} steps")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the ValueError below
+        for j in range(steps):
+            row = j % _LANCZOS_BLOCK
+            if row == 0:
+                blocks.append(np.empty((min(_LANCZOS_BLOCK, k - j), k)))
+            blocks[-1][row] = q
+            w = gram(q)
+            alpha = float(q @ w)
+            alphas[j] = alpha
+            w -= alpha * q
+            if q_prev is not None:
+                w -= beta * q_prev
+            done = blocks[:-1] + [blocks[-1][:row + 1]]
+            for _ in range(2):  # twice is enough (Kahan-Parlett)
+                for block in done:
+                    w -= block.T @ (block @ w)
+            beta = _norm(w)
+            if not math.isfinite(beta):  # w @ w left the float range, at sigma_1 near 1e77
+                raise ValueError("the Gram product overflows: sigma_1 is too large")
+            betas[j] = beta
+            theta, s_last = _top_ritz_pair(alphas[:j + 1], betas[:j], dstebz, dstein)
+            theta = max(theta, 0.0)
+            rho = beta * abs(s_last) + (m + n) * _EPS * theta
+            if rho <= rel_tol * theta or beta == 0.0:
+                break
+            q_prev, q = q, w / beta
+        else:
+            if _LANCZOS_MAX_STEPS < k:  # stopped early: theta may not be the top eigenvalue yet
+                raise np.linalg.LinAlgError("Lanczos did not certify the operator norm "
+                                            f"in {_LANCZOS_MAX_STEPS} steps")
     return math.sqrt(theta + rho)
 
 
@@ -388,13 +421,18 @@ def _top_ritz_pair(d: np.ndarray, e: np.ndarray, dstebz, dstein) -> tuple[float,
     j = d.size
     if j == 1:
         return float(d[0]), 1.0
+    # dstein's vector goes wrong from entries near 1e145, so larger ones are
+    # scaled below 2^400 by a power of two: exact, and no smaller call moves
+    shift = max(0, math.frexp(max(d.max(), e.max()))[1] - 400)
+    if shift:
+        d, e = np.ldexp(d, -shift), np.ldexp(e, -shift)
     _, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, j, j, 0.0, "B")
     if info != 0:
         raise np.linalg.LinAlgError(f"dstebz failed on the Lanczos tridiagonal (info={info})")
     z, info = dstein(d, e, w[:1], iblock, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstein failed on the Lanczos tridiagonal (info={info})")
-    return float(w[0]), float(z[-1, 0])
+    return math.ldexp(float(w[0]), shift), float(z[-1, 0])
 
 
 class _ScaledMatrix:
@@ -468,8 +506,8 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     whose fixed point is exactly the stationary point of
     ``0.5*||y - A x||^2 + lam*||x||_1`` on the original data; its fixed
     point does not involve the memory term, so it serves as the reference.
-    ``observe``, if given, is handed to :func:`iterate` and sees the states
-    of the co-scaled system; without it the reference records nothing.
+    ``observe``, if given, is handed to the loop and sees the states of the
+    co-scaled system; without it the reference records nothing.
     The result is an IST state of the co-scaled system.
 
     ``tol`` has two regimes.  For ``tol <= 0`` the reference steps IST
@@ -477,8 +515,8 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     only once IST reaches an exact fixed point, which a run that ends in a
     cycle of a longer period never does.  For ``tol > 0`` (the default
     ``tol=1e-15`` stops once the loop's relative change of x is
-    rounding-level jitter) the reference on an explicit matrix finishes on
-    a sign pattern (:func:`_finish_on_signs`); on an operator ``A``, whose
+    rounding-level jitter) the loop finishes the reference on an explicit
+    matrix on a sign pattern (see :func:`_iterate`); on an operator ``A``, whose
     columns cannot be taken, it steps plain IST to ``tol``.  IST converges
     linearly (Daubechies, Defrise and De Mol, CPAM 2004) and finds the
     solution's support and signs in finitely many steps (Hale, Yin and
@@ -506,66 +544,12 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     scaled, c = _rescaled(instance, rescale_opnorm,
                           _REFERENCE_NORM_TOL if tol > 0 else _NORM_TOL)
     policy = ThresholdPolicy.fixed(lam * c * c)
-    if tol > 0 and isinstance(instance.a, np.ndarray):
-        result = _finish_on_signs(
-            scaled, policy, max_iter, tol, False, observe,
-            lambda state: _reference_point(instance, lam, scaled, policy, state))
-    else:  # NaN too: iterate rejects it
-        result = iterate(scaled, policy, max_iter, tol, False, observe)
+    finish = tol > 0 and isinstance(instance.a, np.ndarray)  # NaN: the loop rejects it
+    result = _iterate(scaled, policy, max_iter, tol, False, observe,
+                      (lambda state: _reference_point(instance, lam, scaled, policy, state))
+                      if finish else None)
     result.scale = c
     return result
-
-
-def _finish_on_signs(instance: Instance, policy: ThresholdPolicy, max_iter: int,
-                     tol: float, memory: bool, observe: Callable[[AmpState], None] | None,
-                     solve: Callable[[AmpState], AmpState | None]) -> SolverResult:
-    """The engine under ``tol`` in chunks of ``_SIGN_HOLD`` steps, finished on a sign pattern.
-
-    1. A sign pattern that two chunks end on has held, and is tried unless
-       it was the last one tried: ``solve`` gets the state the chunk ended
-       on and returns the state of the next step at the engine's solved
-       point, or ``None`` if its solve is unusable.
-    2. A trial passes only if one step of the engine from its point keeps
-       the point's support and signs; then the point and that checking
-       step are the run's next two states, and the engine goes on from the
-       step under ``tol`` (from a fixed point a step moves x by rounding
-       only, so the run stops there).  A rejected trial leaves no state:
-       the engine goes on from its own.
-
-    Until a trial passes the states are the plain engine's, so a run whose
-    relative change of x drops below ``tol`` first ends where plain
-    stepping to ``tol`` does.  The observer sees every state once, in
-    order of ``t``; the point's ``u`` is ``None``, since no step
-    thresholded it.  ``max_iter`` caps ``t`` over the whole run (a
-    rejected trial's step does not count); a trial needs
-    ``t + 1 < max_iter``, and a run cut before one passes returns the
-    engine's state.
-    """
-    start, held, tried = None, None, None
-    while True:
-        t = 0 if start is None else start.t
-        result = iterate(instance, policy, min(t + _SIGN_HOLD, max_iter), tol, memory,
-                         observe, start)
-        if result.stop != "max_iter" or result.iterations == max_iter:
-            return result
-        start = AmpState(x=result.x_hat, r=result.r_hat, t=result.iterations,
-                         tau_hat=result.tau_hat, theta=result.theta, b=result.b,
-                         memory=memory)
-        signs = np.sign(result.x_hat)
-        if (np.array_equal(signs, held) and not np.array_equal(signs, tried)
-                and start.t + 1 < max_iter):
-            tried = signs
-            point = solve(start)
-            if point is not None:
-                step = amp_step(point, instance, policy)
-                if np.array_equal(np.sign(step.x), np.sign(point.x)):
-                    if observe is not None:
-                        observe(point)
-                        observe(step)
-                    if _settled(step, point, tol):
-                        return _result(step, "tol")
-                    return iterate(instance, policy, max_iter, tol, memory, observe, step)
-        held = signs
 
 
 def _on_pattern(instance: Instance, x: np.ndarray

@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from collections import namedtuple
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -526,6 +527,28 @@ class TestOperatorNorm:
         with pytest.raises(np.linalg.LinAlgError, match=routine):
             operator_norm(_matrix("wide"))
 
+    @pytest.mark.parametrize("solver", ["operator_norm", "ist_run", "ist_solve_lasso",
+                                        "ist_solve_lasso_tol0"])
+    def test_overflowing_gram_product_is_a_typed_error(self, solver):
+        # from sigma_1 near 1e77 the Lanczos vector's w @ w leaves the float range
+        a = 1e100 * np.random.default_rng(0).standard_normal((5, 8))
+        inst = manual_instance(a, np.ones(8))
+        run = {"operator_norm": lambda: operator_norm(a),
+               "ist_run": lambda: ist_run(inst, ThresholdPolicy.rms(2.0)),
+               "ist_solve_lasso": lambda: ist_solve_lasso(inst, 1.0),
+               "ist_solve_lasso_tol0": lambda: ist_solve_lasso(inst, 1.0, tol=0.0)}[solver]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Gram product overflows"):
+                run()
+
+    @pytest.mark.parametrize("scale", [1e70, 1e76])
+    def test_large_top_singular_value_is_still_bracketed(self, scale):
+        # at 1e76 LAPACK's inverse iteration needs the tridiagonal scaled down
+        a = scale * np.random.default_rng(0).standard_normal((5, 8))
+        top = np.linalg.svd(a, compute_uv=False)[0]
+        assert top <= operator_norm(a) <= top * (1 + 1e-6)
+
 
 def _spike_plus_bulk(m, n, seed):
     """A Gaussian bulk with top singular value about 2.25 plus a rank-one spike of 3."""
@@ -616,11 +639,16 @@ class TestObjective:
         assert lasso_objective(inst, x, 2.0) == pytest.approx(direct, rel=1e-14)
 
 
-def hand_stepped(instance, policy, max_iter, tol, memory):
-    """Every state of the loop stepped out with ``amp_step``, and whether tol stopped it."""
-    state = replace(initial_state(instance, policy), memory=memory)
+def hand_stepped(instance, policy, max_iter, tol, memory, start=None):
+    """Every state of the loop stepped out with ``amp_step``, and whether tol stopped it.
+
+    ``start``, if given, is stepped from instead of the initial state, up to
+    ``t = max_iter``.
+    """
+    state = initial_state(instance, policy) if start is None else start
+    state = replace(state, memory=memory)
     states = [state]
-    for _ in range(max_iter):
+    for _ in range(max_iter - state.t):
         new = amp_step(state, instance, policy)
         states.append(new)
         dx = np.linalg.norm(new.x - state.x) / max(1.0, np.linalg.norm(state.x))
@@ -722,46 +750,6 @@ class TestReferenceStep:
 def state_bits(s):
     return (s.t, s.x.tobytes(), s.r.tobytes(), s.tau_hat, s.theta, s.b, s.memory,
             None if s.u is None else s.u.tobytes())
-
-
-class TestResume:
-    """``iterate(..., start=state_k)`` continues the run that stepped to k."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), memory=st.booleans(),
-           tol=st.sampled_from([0.0, 1e-12, 1e-8]), split=st.floats(0.0, 1.0))
-    def test_resumed_run_equals_the_uninterrupted_one(self, bench_params, seed, memory,
-                                                      tol, split):
-        inst = gen_gaussian_instance(100, bench_params, seed=seed)
-        if memory:
-            policy = ThresholdPolicy.rms(2.0)
-        else:
-            inst, c = _rescaled(inst, 0.95)
-            policy = ThresholdPolicy.fixed(c * c)
-        whole = []
-        full = iterate(inst, policy, 300, tol, memory, observe=whole.append)
-        k = 1 + int(split * (full.iterations - 2))
-        parts = []
-        head = iterate(inst, policy, k, tol, memory, observe=parts.append)
-        # at tol = 0 the head may reach the fixed point itself and replay it
-        assert head.stop in ("max_iter", "cycle") and head.iterations == k
-        res = iterate(inst, policy, 300, tol, memory, observe=parts.append, start=parts[-1])
-        assert res.x_hat.tobytes() == full.x_hat.tobytes()
-        assert res.r_hat.tobytes() == full.r_hat.tobytes()
-        assert ((res.iterations, res.tau_hat, res.theta, res.b, res.converged, res.stop)
-                == (full.iterations, full.tau_hat, full.theta, full.b, full.converged,
-                    full.stop))
-        assert [state_bits(s) for s in parts] == [state_bits(s) for s in whole]
-
-    def test_start_at_max_iter_takes_no_step(self, bench_params):
-        inst = gen_gaussian_instance(100, bench_params, seed=0)
-        policy = ThresholdPolicy.rms(2.0)
-        seen = []
-        iterate(inst, policy, 5, 0.0, True, observe=seen.append)
-        res = iterate(inst, policy, 5, 0.0, True, observe=seen.append, start=seen[-1])
-        assert (res.stop, res.iterations, len(seen)) == ("max_iter", 5, 6)
-        with pytest.raises(ValueError, match="exceeds max_iter"):
-            iterate(inst, policy, 4, 0.0, True, start=seen[-1])
 
 
 def counting(monkeypatch, name):
@@ -970,7 +958,8 @@ class TestCycleReplay:
             head = iterate(scaled, policy, 10000, 1e-6, False)
             x = amp_module._solve_on_signs(inst, lam, head.x_hat)
             start = amp_module._state_at(scaled, policy, x, head.iterations + 1)
-            return iterate(scaled, policy, 10000, 1e-15, False, start=start), c
+            states, converged = hand_stepped(scaled, policy, 10000, 1e-15, False, start)
+            return amp_module._result(states[-1], "tol" if converged else "max_iter"), c
 
         for seed in seeds:
             if ensemble == GAUSSIAN:
@@ -1183,14 +1172,14 @@ class TestAmpFinish:
         from amplasso import harness
         real, cells = harness.iterate, []
 
-        def checked(instance, policy, max_iter, tol, memory, observe=None, start=None):
+        def checked(instance, policy, max_iter, tol, memory, observe=None):
             seen = []
 
             def both(state):
                 seen.append(state)
                 if observe is not None:
                     observe(state)
-            res = real(instance, policy, max_iter, tol, memory, both, start)
+            res = real(instance, policy, max_iter, tol, memory, both)
             states, _ = hand_stepped(instance, policy, max_iter, tol, memory)
             assert [state_bits(s) for s in seen] == [state_bits(s) for s in states]
             cells.append(res)
@@ -1199,3 +1188,56 @@ class TestAmpFinish:
         harness.run_experiment(harness.ExperimentSpec(kind=kind, n=200, params=bench_params,
                                                       seeds=(0, 1), **kwargs))
         assert len(cells) == 2
+
+
+class TestTrialAtMaxIter:
+    """A trial needs ``t + 1 < max_iter``: room for its point and its checking step."""
+
+    @pytest.fixture(scope="class", params=["amp", "reference"])
+    def engine(self, request, bench_params):
+        # C4's seed 0 on each engine: its solver, the system and policy that it
+        # steps, and k, the step whose pattern the passing trial solves
+        inst = gen_gaussian_instance(500, bench_params, seed=0)
+        if request.param == "amp":
+            system, scale = inst, 1.0
+            policy, tol, memory = ThresholdPolicy.rms(C4_ALPHA), 1e-10, True
+
+            def solve(max_iter, observe):
+                return amp_run(inst, policy, max_iter=max_iter, tol=tol, observe=observe)
+        else:
+            lam = c4_lambda(inst)
+            system, scale = _rescaled(inst, 0.95, amp_module._REFERENCE_NORM_TOL)
+            policy, tol, memory = ThresholdPolicy.fixed(lam * scale * scale), 1e-15, False
+
+            def solve(max_iter, observe):
+                return ist_solve_lasso(inst, lam, max_iter=max_iter, observe=observe)
+        full = []
+        solve(20000, full.append)
+        k = [s.t for s in full[1:] if s.u is None][0] - 1
+        return SimpleNamespace(solve=solve, system=system, policy=policy, tol=tol,
+                               memory=memory, scale=scale, full=full, k=k)
+
+    def assert_hand_stepped(self, run, max_iter):
+        points, observe = recorder(run.system.x0)
+        res = run.solve(max_iter, observe)
+        stepped = hand_stepped(run.system, run.policy, max_iter, run.tol, run.memory)
+        assert_same_run(res, points, stepped, run.system, run.scale)
+
+    def test_no_room_steps_plain(self, engine):
+        # at max_iter = k + 1 the point would be the last state, with no step to check it
+        assert engine.k >= 4
+        self.assert_hand_stepped(engine, engine.k + 1)
+
+    def test_room_for_both_ends_on_the_checking_step(self, engine):
+        seen = []
+        res = engine.solve(engine.k + 2, seen.append)
+        assert (res.iterations, res.stop) == (engine.k + 2, "tol")
+        assert seen[engine.k + 1].u is None
+        assert [state_bits(s) for s in seen] == [state_bits(s) for s in
+                                                 engine.full[:engine.k + 3]]
+        assert res.x_hat.tobytes() == seen[-1].x.tobytes()
+        assert res.r_hat.tobytes() == seen[-1].r.tobytes()
+
+    @pytest.mark.parametrize("max_iter", range(1, 6))
+    def test_short_runs_equal_hand_stepping(self, engine, max_iter):
+        self.assert_hand_stepped(engine, max_iter)

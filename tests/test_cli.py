@@ -196,7 +196,7 @@ class TestSolve:
     # calibrate: their CSVs are those of alpha = alpha_of_lambda(1.0) with Phi
     # from math.erfc, whose thetas differ from scipy.special.ndtr's in the
     # last bits.  Since AMP and the reference finish on their sign pattern
-    # (amp._finish_on_signs), the two amp runs take 22 and 8 steps (60 and 19
+    # (in amp._iterate), the two amp runs take 22 and 8 steps (60 and 19
     # stepping AMP to tol): rows equal up to the solved state, the last
     # rows' values move in their last digits, and stdout differs only in
     # iterations= and kkt_gap, which drops to rounding.  The two ist_lambda runs take 26 and 12 steps (34 and

@@ -3,7 +3,8 @@
 Every parameter with a default on a public function or method is an option
 that tests and benchmarks must cover, and so is every ``ExperimentSpec``
 field.  This module lists them all, so that adding one edits it on purpose.
-Its validation counterpart: each range rule's message is written once.
+Its validation counterpart: each range rule's message is written once.  And
+its loop counterpart: every step the package takes is one of ``amp``'s loop.
 """
 
 import importlib
@@ -14,13 +15,14 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 import amplasso
+from amplasso import amp
 from amplasso.harness import ExperimentSpec
 
 DEFAULTED = {
     "amp.amp_run": ["max_iter", "tol", "observe"],
     "amp.ist_run": ["rescale_opnorm", "max_iter", "tol", "observe"],
     "amp.ist_solve_lasso": ["rescale_opnorm", "max_iter", "tol", "observe"],
-    "amp.iterate": ["observe", "start"],
+    "amp.iterate": ["observe"],
     "cli.main": ["argv"],
     "instances.draw_matrix": ["out"],
     "instances.gen_instance": ["ensemble"],
@@ -61,7 +63,7 @@ def test_public_defaulted_parameters_are_pinned():
         if defaulted:
             found[label] = defaulted
     assert found == DEFAULTED
-    assert sum(map(len, found.values())) == 18
+    assert sum(map(len, found.values())) == 17
 
 
 def test_experiment_spec_fields_are_pinned():
@@ -79,3 +81,14 @@ def test_range_rules_are_written_only_in_the_checks_module():
               for number, line in enumerate(path.read_text().splitlines(), 1)
               if RULE_MESSAGE.search(line)]
     assert inline == []
+
+
+def test_amp_step_is_called_only_in_the_loop():
+    # AMP, IST, the LASSO reference and the harness protocols are one loop:
+    # a second caller of amp_step would be a second loop
+    package = Path(amplasso.__file__).parent
+    calls = {f"{path.name}:{number}" for path in sorted(package.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if "amp_step(" in line and "def amp_step(" not in line}
+    lines, first = inspect.getsourcelines(amp._iterate)
+    assert calls and calls <= {f"amp.py:{first + i}" for i in range(len(lines))}
