@@ -17,6 +17,7 @@ only the final state, and a caller that wants a trajectory passes
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -315,11 +316,11 @@ def amp_run(instance: Instance, policy: ThresholdPolicy, max_iter: int = 200,
     For ``tol > 0`` on an explicit matrix (``a`` an ``np.ndarray``) the loop
     finishes the run on its sign pattern (see :func:`_iterate`).  A fixed point
     of AMP with support S and signs s is the LASSO minimizer at
-    lambda = theta (1 - |S|/m) (Bayati and Montanari, IEEE TIT 2012), and
-    on the pattern it has a closed form.  With G = A_S'A_S,
-    x_LS = G^-1 A_S'y and w = G^-1 s, it is x_S = x_LS - lambda w with
-    residual r = (y - A x) / (1 - |S|/m); the rule theta = alpha ||r|| / sqrt(m)
-    makes lambda = ||y - A_S x_LS|| / sqrt(m / alpha^2 - ||A_S w||^2), and a
+    lambda = theta (1 - |S|/m) (Bayati and Montanari, IEEE TIT 2012), so it
+    is the point x_LS - lambda w of the pattern's line (:func:`_pattern_solve`),
+    with residual r = (y - A x) / (1 - |S|/m).  The rule
+    theta = alpha ||r|| / sqrt(m) makes
+    lambda = ||y - A_S x_LS|| / sqrt(m / alpha^2 - ||A_S w||^2), and a
     fixed theta gives lambda directly.  A run that passes a trial ends on
     that point to rounding, with a KKT gap at rounding level, however loose
     ``tol`` is, and ``iterations`` count the finish.  An operator ``a``
@@ -347,9 +348,10 @@ def operator_norm(a: np.ndarray) -> float:
     before the stop rule holds (and before the Krylov space is
     exhausted), nothing is certified and :class:`numpy.linalg.LinAlgError`
     is raised, and :class:`ValueError` if the Gram products overflow
-    (sigma_1 near 1e77 or above).  The start vector is a fixed draw
-    (``default_rng(0)``), so the result is deterministic; 0.0 for a zero
-    matrix.
+    (sigma_1 near 1e77 or above) or their squares underflow (sigma_1 near
+    1e-77 or below, where the result could fall below sigma_1).  The start
+    vector is a fixed draw (``default_rng(0)``), so the result is
+    deterministic; 0.0 for a zero matrix.
     """
     return _lanczos_norm(a, _NORM_TOL)
 
@@ -377,6 +379,7 @@ def _lanczos_norm(a: np.ndarray, rel_tol: float) -> float:
     blocks: list[np.ndarray] = []
     q_prev = None
     theta = rho = beta = 0.0
+    underflow = False
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the ValueError below
         for j in range(steps):
             row = j % _LANCZOS_BLOCK
@@ -400,13 +403,21 @@ def _lanczos_norm(a: np.ndarray, rel_tol: float) -> float:
             theta, s_last = _top_ritz_pair(alphas[:j + 1], betas[:j], dstebz, dstein)
             theta = max(theta, 0.0)
             rho = beta * abs(s_last) + (m + n) * _EPS * theta
-            if rho <= rel_tol * theta or beta == 0.0:
+            # w @ w below the normal floats (beta = 0 included): w / beta is no unit vector
+            underflow = beta * beta < sys.float_info.min
+            if rho <= rel_tol * theta or underflow:
                 break
             q_prev, q = q, w / beta
         else:
             if _LANCZOS_MAX_STEPS < k:  # stopped early: theta may not be the top eigenvalue yet
                 raise np.linalg.LinAlgError("Lanczos did not certify the operator norm "
                                             f"in {_LANCZOS_MAX_STEPS} steps")
+    # from sigma_1 near 1e-77 down: the loop stopped on an underflow before its
+    # certificate held, or the Gram products are that small (a nonzero matrix's
+    # can round to 0 whole, which no beta shows)
+    if (((underflow and rho > rel_tol * theta) or theta * theta < sys.float_info.min)
+            and a.any()):
+        raise ValueError("the Gram product underflows: sigma_1 is too small")
     return math.sqrt(theta + rho)
 
 
@@ -526,15 +537,13 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     on sigma_1 to 10% (``_REFERENCE_NORM_TOL``), not from
     :func:`operator_norm`'s 1e-6 certificate, which ``tol <= 0`` keeps.
 
-    The pattern solve is the stationary point on the pattern (support S,
-    signs s): ``A_S'A_S x_S = A_S'y - lam s`` with x = 0 off S.  On S it
-    makes the gradient ``A'(y - A x)`` equal lam s, so an IST step keeps x
-    there; off S a step keeps a coordinate at 0 iff its gradient is at most
-    lam.  So the checking step keeps the point's support and signs iff the
-    point meets the LASSO's optimality conditions, up to rounding.  A
-    solve whose signs are not s moves towards it to the first sign change
-    and solves again on the smaller pattern, until the signs agree
-    (:func:`_reference_point`); the trial is made at that point.  Until a
+    The trial's point is x_LS - lam w on the pattern (support S, signs s)
+    of :func:`_pattern_solve`, where the gradient ``A'(y - A x)`` is lam s
+    on S, so an IST step keeps x there; off S a step keeps a coordinate at
+    0 iff its gradient is at most lam.  So the checking step keeps the
+    point's support and signs iff the point meets the LASSO's optimality
+    conditions, up to rounding.  A point whose signs are not s is searched
+    for on the pattern's faces first (:func:`_reference_point`).  Until a
     trial passes the states are plain IST's, so a run whose relative
     change of x drops below ``tol`` first ends where plain IST to ``tol``
     does; one that passes a trial ends on the minimizer to rounding,
@@ -552,40 +561,30 @@ def ist_solve_lasso(instance: Instance, lam: float, rescale_opnorm: float = 0.95
     return result
 
 
-def _on_pattern(instance: Instance, x: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The support S of ``x``, its signs s, ``A_S`` and G = A_S'A_S, or ``None``
-    for |S| >= m, where G is singular."""
+def _pattern_solve(instance: Instance, x: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The LASSO's line of stationary points on the sign pattern of ``x``.
+
+    With S the support of ``x``, s its signs and G = A_S'A_S, one solve
+    G [x_LS, w] = [A_S'y, s] gives ``(S, s, x_LS, w)``: for each lambda,
+    x_S = x_LS - lambda w with x = 0 off S makes the gradient
+    ``A'(y - A x)`` equal lambda s on S (the homotopy of Osborne, Presnell
+    and Turlach, IMA J. Numer. Anal. 2000).  If x_S has signs s, it
+    minimizes the LASSO at lambda over vectors supported on S.  ``None``
+    for |S| >= m, a singular G or a solve that is not finite.
+    """
     support = np.flatnonzero(x)
     if support.size >= instance.m:
         return None
     cols = instance.a[:, support]
-    return support, np.sign(x[support]), cols, cols.T @ cols
-
-
-def _solve_on_signs(instance: Instance, lam: float, x: np.ndarray) -> np.ndarray | None:
-    """The LASSO stationary point on the sign pattern of ``x``, or ``None``.
-
-    Solves ``A_S'A_S z = A_S'y - lam s`` on the support S of ``x`` with
-    signs s, and puts z on S, 0 elsewhere; z's signs need not be s.
-    ``None`` when the system is not square-solvable (|S| >= m, or
-    singular) or z is not finite.  A z with signs s minimizes the LASSO
-    over vectors supported on S, so its objective is at most that of
-    x = 0: never a start that blows up.
-    """
-    pattern = _on_pattern(instance, x)
-    if pattern is None:
-        return None
-    support, signs, cols, gram = pattern
+    signs = np.sign(x[support])
     try:
-        z = np.linalg.solve(gram, cols.T @ instance.y - lam * signs)
+        solved = np.linalg.solve(cols.T @ cols, np.column_stack((cols.T @ instance.y, signs)))
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(z).all():
+    if not np.isfinite(solved).all():
         return None
-    out = np.zeros(instance.n)
-    out[support] = z
-    return out
+    return support, signs, *solved.T  # x_LS and w
 
 
 def _reference_point(instance: Instance, lam: float, scaled: Instance,
@@ -593,28 +592,33 @@ def _reference_point(instance: Instance, lam: float, scaled: Instance,
     """The LASSO's stationary point on a face of IST's sign pattern, as the
     co-scaled state of the next step, or ``None`` if a solve is unusable.
 
-    The solve on the pattern of ``state.x``; while a solve's signs are not
-    its pattern's, x moves to the first sign change on the segment from x
-    to the solve (that coordinate set to exactly 0) and the solve is made
-    again on the smaller pattern, the subspace step of FPC_AS (Wen, Yin,
-    Goldfarb and Zhang, SIAM J. Sci. Comput. 2010).  Each move stays on
-    the closed orthant of x's signs, where the LASSO objective is the
-    convex quadratic the solve minimizes, so it never raises the objective.
-    The moves are not states of the run; each drops a coordinate, so at
-    most |S| solves are made.
+    The point x_LS - lam w of :func:`_pattern_solve` on the pattern of
+    ``state.x``; while its signs are not its pattern's, x moves to the
+    first sign change on the segment from x to it (that coordinate set to
+    exactly 0) and the solve is made again on the smaller pattern, the
+    subspace step of FPC_AS (Wen, Yin, Goldfarb and Zhang, SIAM J. Sci.
+    Comput. 2010).  Each move stays on the closed orthant of x's signs,
+    where the LASSO objective is the convex quadratic the solve minimizes,
+    so it never raises the objective.  The moves are not states of the
+    run; each drops a coordinate, so at most |S| solves are made.
     """
-    x, z = state.x, _solve_on_signs(instance, lam, state.x)
-    while z is not None and not np.array_equal(np.sign(z), np.sign(x)):
-        signs = np.sign(x)
+    x = state.x
+    while (pattern := _pattern_solve(instance, x)) is not None:
+        support, signs, x_ls, w = pattern
+        z, xs = x_ls - lam * w, x[support]
         flipped = np.flatnonzero(np.sign(z) != signs)
-        # x_i + tau (z_i - x_i) reaches 0 at tau_i = x_i / (x_i - z_i), in (0, 1]
-        taus = x[flipped] / (x[flipped] - z[flipped])
-        first = np.argmin(taus)
-        x = x + taus[first] * (z - x)
-        x[flipped[first]] = 0.0
-        x[np.sign(x) != signs] = 0.0  # entries that rounding took past 0
-        z = _solve_on_signs(instance, lam, x)
-    return None if z is None else _state_at(scaled, policy, z, state.t + 1)
+        if flipped.size:
+            # xs_i + tau (z_i - xs_i) reaches 0 at tau_i = xs_i / (xs_i - z_i), in (0, 1]
+            taus = xs[flipped] / (xs[flipped] - z[flipped])
+            first = np.argmin(taus)
+            z = xs + taus[first] * (z - xs)
+            z[flipped[first]] = 0.0
+            z[np.sign(z) != signs] = 0.0  # entries that rounding took past 0
+        x = np.zeros(instance.n)
+        x[support] = z
+        if not flipped.size:
+            return _state_at(scaled, policy, x, state.t + 1)
+    return None
 
 
 def _amp_point(instance: Instance, policy: ThresholdPolicy, state: AmpState) -> AmpState | None:
@@ -624,15 +628,12 @@ def _amp_point(instance: Instance, policy: ThresholdPolicy, state: AmpState) -> 
     ``None`` when the solve is unusable, when m / alpha^2 <= ||A_S w||^2
     (no lambda reaches the rule) or when x_S's signs are not the pattern's.
     """
-    pattern = _on_pattern(instance, state.x)
+    pattern = _pattern_solve(instance, state.x)
     if pattern is None:
         return None
-    support, signs, cols, gram = pattern
-    try:
-        x_ls, w = np.linalg.solve(gram, np.column_stack((cols.T @ instance.y, signs))).T
-    except np.linalg.LinAlgError:
-        return None
+    support, signs, x_ls, w = pattern
     if policy.fixed_theta is None:
+        cols = instance.a[:, support]
         aw = cols @ w
         room = instance.m / (policy.alpha * policy.alpha) - aw @ aw
         lam = _norm(instance.y - cols @ x_ls) / math.sqrt(room) if room > 0 else math.nan

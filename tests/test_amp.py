@@ -377,6 +377,7 @@ class TestIst:
         # the step scales the vectors A multiplies by c; a scaled copy of A
         # would be one more (m, n) matrix
         inst = gen_gaussian_instance(400, bench_params, seed=0)
+        operator_norm(np.eye(2))  # scipy's LAPACK, imported on first use, is not the run's
         tracemalloc.start()
         try:
             if solve == "ist_run":
@@ -542,9 +543,29 @@ class TestOperatorNorm:
             with pytest.raises(ValueError, match="Gram product overflows"):
                 run()
 
-    @pytest.mark.parametrize("scale", [1e70, 1e76])
+    @pytest.mark.parametrize("scale", [2e-78, 1e-100, 1e-200])
+    @pytest.mark.parametrize("solver", ["operator_norm", "ist_run", "ist_solve_lasso",
+                                        "ist_solve_lasso_tol0"])
+    def test_underflowing_gram_product_is_a_typed_error(self, solver, scale):
+        # from sigma_1 near 1e-77 the Lanczos vector's w @ w underflows; the
+        # norm came out 2.8% low at 2e-78 (w @ w subnormal), 39% low at 1e-100
+        # (w @ w rounded to 0) and 0.0 at 1e-200 (every Gram product rounded to 0)
+        a = scale * np.random.default_rng(1).standard_normal((30, 60))
+        inst = manual_instance(a, np.ones(60))
+        run = {"operator_norm": lambda: operator_norm(a),
+               "ist_run": lambda: ist_run(inst, ThresholdPolicy.rms(2.0)),
+               "ist_solve_lasso": lambda: ist_solve_lasso(inst, 1.0),
+               "ist_solve_lasso_tol0": lambda: ist_solve_lasso(inst, 1.0, tol=0.0)}[solver]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Gram product underflows"):
+                run()
+
+    @pytest.mark.parametrize("scale", [1e-70, 1e70, 1e76])
     def test_large_top_singular_value_is_still_bracketed(self, scale):
-        # at 1e76 LAPACK's inverse iteration needs the tridiagonal scaled down
+        # far from 1 either way: at 1e76 LAPACK's inverse iteration needs the
+        # tridiagonal scaled down, and at 1e-70 the last step's w @ w (its
+        # Krylov space exhausted) rounds to 0 after the certificate holds
         a = scale * np.random.default_rng(0).standard_normal((5, 8))
         top = np.linalg.svd(a, compute_uv=False)[0]
         assert top <= operator_norm(a) <= top * (1 + 1e-6)
@@ -763,6 +784,18 @@ def counting(monkeypatch, name):
     return returned
 
 
+def solve_on_signs(instance, lam, x):
+    """The LASSO's stationary point x_LS - lam w on the sign pattern of ``x``
+    (``amp._pattern_solve``), 0 off the support; ``None`` if the solve is unusable."""
+    pattern = amp_module._pattern_solve(instance, x)
+    if pattern is None:
+        return None
+    support, _, x_ls, w = pattern
+    z = np.zeros(instance.n)
+    z[support] = x_ls - lam * w
+    return z
+
+
 # alpha_of_lambda(1.0) at the benchmark configuration, as scipy's ndtr gave it.
 # A literal: the cycles below are those of these exact levels, and the last
 # bits of the theory's Phi move the calibrated alpha (1.945845809354772 with erfc).
@@ -956,7 +989,7 @@ class TestCycleReplay:
             scaled, c = _rescaled(inst, 0.95, norm_tol)
             policy = ThresholdPolicy.fixed(lam * c * c)
             head = iterate(scaled, policy, 10000, 1e-6, False)
-            x = amp_module._solve_on_signs(inst, lam, head.x_hat)
+            x = solve_on_signs(inst, lam, head.x_hat)
             start = amp_module._state_at(scaled, policy, x, head.iterations + 1)
             states, converged = hand_stepped(scaled, policy, 10000, 1e-15, False, start)
             return amp_module._result(states[-1], "tol" if converged else "max_iter"), c
@@ -1008,7 +1041,7 @@ class TestCycleReplay:
         iterate(scaled, policy, 12, 0.0, False, observe=states.append)
         searched = 0
         for state in states[2:]:
-            z = amp_module._solve_on_signs(inst, lam, state.x)
+            z = solve_on_signs(inst, lam, state.x)
             if np.array_equal(np.sign(z), np.sign(state.x)):
                 continue
             searched += 1

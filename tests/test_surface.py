@@ -4,7 +4,8 @@ Every parameter with a default on a public function or method is an option
 that tests and benchmarks must cover, and so is every ``ExperimentSpec``
 field.  This module lists them all, so that adding one edits it on purpose.
 Its validation counterpart: each range rule's message is written once.  And
-its loop counterpart: every step the package takes is one of ``amp``'s loop.
+its loop counterpart: every step the package takes is one of ``amp``'s loop,
+and every linear solve is its one solve on a sign pattern.
 """
 
 import importlib
@@ -83,12 +84,30 @@ def test_range_rules_are_written_only_in_the_checks_module():
     assert inline == []
 
 
+def _package_lines(token):
+    """``file:line`` of every line of the package's source that contains ``token``."""
+    package = Path(amplasso.__file__).parent
+    return {f"{path.name}:{number}" for path in sorted(package.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if token in line}
+
+
+def _amp_lines(function):
+    """``amp.py:line`` of every line of ``function``'s source."""
+    lines, first = inspect.getsourcelines(function)
+    return {f"amp.py:{first + i}" for i in range(len(lines))}
+
+
 def test_amp_step_is_called_only_in_the_loop():
     # AMP, IST, the LASSO reference and the harness protocols are one loop:
     # a second caller of amp_step would be a second loop
-    package = Path(amplasso.__file__).parent
-    calls = {f"{path.name}:{number}" for path in sorted(package.glob("*.py"))
-             for number, line in enumerate(path.read_text().splitlines(), 1)
-             if "amp_step(" in line and "def amp_step(" not in line}
-    lines, first = inspect.getsourcelines(amp._iterate)
-    assert calls and calls <= {f"amp.py:{first + i}" for i in range(len(lines))}
+    calls = _package_lines("amp_step(") - _package_lines("def amp_step(")
+    assert calls and calls <= _amp_lines(amp._iterate)
+
+
+def test_one_solve_on_a_sign_pattern():
+    # AMP's closed-form finish and the LASSO reference read one line of
+    # stationary points per sign pattern: a second solve would be a second
+    # factorization of A_S'A_S
+    calls = _package_lines("linalg.solve(")
+    assert len(calls) == 1 and calls <= _amp_lines(amp._pattern_solve)
